@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import conic_fibers, dp5, pole_cycles, report, suites
 from .groups import DEFAULT_CAP, CapExceeded
@@ -39,6 +38,16 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("wants a positive integer, got %r" % text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cremonalab",
@@ -52,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated n values (default 5,7,11)")
     p_verify.add_argument("--allow-bad-n", action="store_true",
                           help="record hypothesis-violating n as informational instead of failing")
-    p_verify.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p_verify.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p_verify.add_argument("--emit", choices=["json", "md"], default="json")
 
     p_enum = sub.add_parser("enumerate", help="boundary-cycle configurations for one degree")
@@ -66,21 +75,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_conic = sub.add_parser("conic", help="fiber-model simulation")
     p_conic.add_argument("action", choices=["simulate"])
     p_conic.add_argument("--seed", type=int, default=0)
-    p_conic.add_argument("--trials", type=int, default=500)
+    p_conic.add_argument("--trials", type=_positive_int, default=500)
     p_conic.add_argument("--emit", choices=["json", "md"], default="json")
 
     p_jordan = sub.add_parser("jordan", help="minimal abelian-normal index of a group file")
     p_jordan.add_argument("groupfile")
-    p_jordan.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p_jordan.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
 
     p_report = sub.add_parser("report", help="run a verification suite")
     p_report.add_argument("suite", choices=list(suites.SUITE_NAMES))
     p_report.add_argument("--emit", choices=["json", "md"], default="json")
-    p_report.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p_report.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p_report.add_argument("--seed", type=int, default=0)
-    p_report.add_argument("--trials", type=int, default=500)
-    p_report.add_argument("--parallel", action="store_true",
-                          help="run the sub-suites of 'all' concurrently")
+    p_report.add_argument("--trials", type=_positive_int, default=500)
     return parser
 
 
@@ -171,20 +178,7 @@ def _run_jordan(args) -> int:
 
 
 def _run_report(args) -> int:
-    if args.parallel and args.suite == "all":
-        # Sub-suites run concurrently; assembly stays single-threaded and
-        # ordered, so the output matches the sequential run byte for byte.
-        names = ("lemma52", "prop44", "dp5", "conic")
-        with ThreadPoolExecutor(max_workers=len(names)) as pool:
-            futures = [
-                pool.submit(suites.run_suite, name, ns=suites.DEFAULT_NS,
-                            seed=args.seed, trials=args.trials, cap=args.cap)
-                for name in names
-            ]
-            rows = [r for future in futures for r in future.result()]
-        rows.extend(suites.paper_constant_rows())
-    else:
-        rows = suites.run_suite(args.suite, seed=args.seed, trials=args.trials, cap=args.cap)
+    rows = suites.run_suite(args.suite, seed=args.seed, trials=args.trials, cap=args.cap)
     sys.stdout.write(report.emit(rows, args.emit))
     return report.exit_code(rows)
 

@@ -73,7 +73,7 @@ class AbelianType:
 
     @staticmethod
     def from_factors(factors: Iterable[int]) -> "AbelianType":
-        lst = [int(d) for d in factors if int(d) > 1]
+        lst = [int(d) for d in factors]
         if any(d < 1 for d in lst):
             raise ValueError("factors must be positive")
         changed = True

@@ -31,6 +31,7 @@ from .rational import (
     cyclotomic_polynomial,
     exact_det,
     kernel_basis,
+    solve_in_span,
 )
 
 __all__ = [
@@ -229,44 +230,6 @@ def fixed_space(rep: Representation, subgroup: Subgroup) -> list[tuple[int, ...]
     return basis
 
 
-def _solve_in_span(basis: list[tuple[int, ...]], targets: list[list]) -> list[list]:
-    """Coordinates of target vectors in the span of the basis, exact.
-
-    basis has d independent integer vectors of length n; targets are vectors
-    guaranteed to lie in the span.  Returns the d x len(targets) coordinate
-    matrix as Fractions; raises ArithmeticError if a target escapes the span.
-    """
-    from fractions import Fraction
-
-    d = len(basis)
-    n = len(basis[0])
-    t = len(targets)
-    aug = [
-        [Fraction(basis[j][i]) for j in range(d)]
-        + [Fraction(targets[k][i]) for k in range(t)]
-        for i in range(n)
-    ]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(d):
-        pivot_row = next((r for r in range(rank, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise ArithmeticError("basis vectors are dependent")
-        aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for r in range(n):
-            if r != rank and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[rank])]
-        pivots.append(rank)
-        rank += 1
-    for r in range(rank, n):
-        if any(aug[r][d + k] != 0 for k in range(t)):
-            raise ArithmeticError("target vector escapes the span")
-    return [[aug[pivots[j]][d + k] for k in range(t)] for j in range(d)]
-
-
 def _coset_order(group: FiniteGroup, element: int, members: set[int]) -> int:
     power = element
     order = 1
@@ -313,7 +276,7 @@ def _complex_note(rep: Representation, subgroup: Subgroup) -> tuple[int, ...]:
 
     mat = rep.mats[generator]
     targets = [(mat @ np.array(v, dtype=np.int64)).tolist() for v in basis]
-    coords = _solve_in_span(basis, targets)
+    coords = solve_in_span(basis, targets)
     # coords columns are images; charpoly wants the matrix acting on coordinates
     restriction = [[coords[i][j] for j in range(len(basis))] for i in range(len(basis))]
     poly = charpoly(restriction)

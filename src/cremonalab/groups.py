@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
@@ -163,24 +161,6 @@ class ModMatrix:
         k = self.dim
         return ModMatrix(self.modulus, tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)))
 
-    def determinant(self) -> int:
-        # cofactor expansion; dimensions here are tiny
-        k = self.dim
-
-        def det(rows: list[list[int]]) -> int:
-            if len(rows) == 1:
-                return rows[0][0]
-            total = 0
-            for j in range(len(rows)):
-                minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-                total += (-1) ** j * rows[0][j] * det(minor)
-            return total
-
-        return det([list(r) for r in self.entries]) % self.modulus
-
-    def is_invertible(self) -> bool:
-        return gcd(self.determinant(), self.modulus) == 1
-
 
 @dataclass
 class FiniteGroup:
@@ -306,9 +286,6 @@ class Subgroup:
 
     def key(self) -> bytes:
         return b"|".join(self.parent.keys[m] for m in self.members)
-
-    def contains(self, i: int) -> bool:
-        return i in set(self.members)
 
     def generating_set(self) -> tuple[int, ...]:
         if self.gens is not None:
@@ -448,27 +425,12 @@ def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     seen = np.zeros(group.order, dtype=bool)
     classes: list[tuple[int, ...]] = []
     for start in range(group.order):
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        seen[start] = True
-        while frontier:
-            x = frontier.pop()
-            for g in group.generators:
-                y = group.conjugate(g, x)
-                if not seen[y]:
-                    seen[y] = True
-                    orbit.add(y)
-                    frontier.append(y)
-                z = group.conjugate(int(group.inverse[g]), x)
-                if not seen[z]:
-                    seen[z] = True
-                    orbit.add(z)
-                    frontier.append(z)
-        classes.append(tuple(sorted(orbit)))
-    identity_class = next(c for c in classes if 0 in c)
-    rest = [c for c in classes if c is not identity_class]
+        if not seen[start]:
+            orbit = group.conjugation_closure([start])
+            seen[list(orbit)] = True
+            classes.append(orbit)
+    # start 0 is the identity, whose class is itself
+    identity_class, rest = classes[0], classes[1:]
     rest.sort(key=lambda c: (len(c), min(group.keys[m] for m in c)))
     return tuple([identity_class] + rest)
 

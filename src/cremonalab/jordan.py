@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .groups import DEFAULT_CAP, CapExceeded, FiniteGroup, Subgroup, conjugacy_classes
 
 __all__ = [
@@ -25,12 +23,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NormalSubgroupLattice:
-    """All normal subgroups of a group, canonically sorted, with join data."""
+    """All normal subgroups of a group, canonically sorted."""
 
-    group: FiniteGroup
     subgroups: tuple[Subgroup, ...]
     abelian: tuple[bool, ...]
-    joins: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -53,46 +49,24 @@ def normal_subgroups(group: FiniteGroup, cap: int = DEFAULT_CAP) -> NormalSubgro
 
     Seeds are the normal closures of the conjugacy classes (each class is
     already conjugation-invariant, so its subgroup closure is normal); the
-    seed set is then closed under pairwise join.  Sorted by (order, member
-    tuple): trivial subgroup first, whole group last.
+    seed set is then closed under pairwise join, each unordered pair joined
+    once.  Sorted by (order, member tuple): trivial subgroup first, whole
+    group last.
     """
     if group.order > cap:
         raise CapExceeded("group order %d exceeds cap=%d" % (group.order, cap))
-    classes = conjugacy_classes(group)
-    seen: dict[tuple[int, ...], None] = {}
-    for cls in classes:
-        members = group.subgroup_closure(cls)
-        seen.setdefault(members, None)
-
-    worklist = list(seen)
-    while worklist:
-        current = list(seen)
-        new: list[tuple[int, ...]] = []
-        for a in worklist:
-            for b in current:
-                joined = group.subgroup_closure(set(a) | set(b))
-                if joined not in seen:
-                    seen[joined] = None
-                    new.append(joined)
-        worklist = new
-
-    ordered = sorted(seen, key=lambda m: (len(m), m))
-    position = {m: i for i, m in enumerate(ordered)}
-    subgroups = tuple(group.subgroup(m) for m in ordered)
-    abelian = tuple(s.is_abelian() for s in subgroups)
-
-    joins: list[tuple[int, ...]] = []
-    for i, a in enumerate(ordered):
-        row = []
-        for j, b in enumerate(ordered):
-            if j < i:
-                row.append(joins[j][i])
-                continue
+    found = list(dict.fromkeys(group.subgroup_closure(cls) for cls in conjugacy_classes(group)))
+    seen = set(found)
+    # ``found`` grows inside the loop, so every later member meets all earlier ones.
+    for i, a in enumerate(found):
+        for b in found[:i]:
             joined = group.subgroup_closure(set(a) | set(b))
-            row.append(position[joined])
-        joins.append(tuple(row))
+            if joined not in seen:
+                seen.add(joined)
+                found.append(joined)
 
-    return NormalSubgroupLattice(group, subgroups, abelian, tuple(joins))
+    subgroups = tuple(group.subgroup(m) for m in sorted(found, key=lambda m: (len(m), m)))
+    return NormalSubgroupLattice(subgroups, tuple(s.is_abelian() for s in subgroups))
 
 
 def jordan_index(

@@ -30,7 +30,6 @@ __all__ = [
     "max_symmetry_by_degree",
     "configuration_rows",
     "conservation_violations",
-    "random_word_defects",
 ]
 
 Component = tuple[int, int]  # (self-intersection, genus)
@@ -277,24 +276,3 @@ def conservation_violations(seed: int, words_per_base: int, max_moves: int = 8) 
                 bad += 1
         out[base.base_name] = bad
     return out
-
-
-def random_word_defects(seed: int, count: int, max_moves: int = 8) -> list[int]:
-    """Conservation defects along randomly chosen valid blow-up words.
-
-    Used as a seeded spot-check that the bookkeeping identity holds on
-    arbitrary move sequences, not just the enumerated ones.
-    """
-    rng = random.Random(seed)
-    bases = base_pairs()
-    defects = []
-    for _ in range(count):
-        cycle = bases[rng.randrange(len(bases))]
-        moves = rng.randrange(max_moves + 1)
-        for _ in range(moves):
-            options = [c for c in _successors(cycle) if satisfies_fano_bound(c)]
-            if not options or cycle.k2 <= 1:
-                break
-            cycle = options[rng.randrange(len(options))]
-        defects.append(conservation_defect(cycle))
-    return defects

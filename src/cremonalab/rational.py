@@ -3,9 +3,8 @@
 Everything here is deterministic and fraction-free where possible: kernels
 come back as primitive integer vectors, determinants and characteristic
 polynomials are computed without floating point, and cyclotomic polynomials
-are built by exact division.  numpy is used only as a container for integer
-matrices; all arithmetic that could overflow or round goes through Python
-ints and fractions.
+are built by exact division.  All arithmetic goes through Python ints and
+fractions, and one Gauss-Jordan routine serves every Fraction elimination.
 """
 
 from __future__ import annotations
@@ -14,27 +13,15 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-import numpy as np
-
 __all__ = [
     "kernel_basis",
+    "solve_in_span",
     "exact_det",
     "charpoly",
     "cyclotomic_polynomial",
     "cyclotomic_factor_indices",
     "poly_divmod",
-    "mat_from_rows",
-    "intersect_kernels",
 ]
-
-
-def mat_from_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    out = [[int(x) for x in row] for row in rows]
-    if out:
-        width = len(out[0])
-        if any(len(row) != width for row in out):
-            raise ValueError("ragged matrix")
-    return out
 
 
 def _primitive(vec: list[Fraction]) -> tuple[int, ...]:
@@ -56,6 +43,31 @@ def _primitive(vec: list[Fraction]) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def _reduce(mat: list[list[Fraction]], columns: int) -> list[int]:
+    """Gauss-Jordan elimination in place over the first ``columns`` columns.
+
+    Leaves those columns in reduced row echelon form and returns the pivot
+    columns; the pivot of column ``pivots[r]`` is the 1 in row ``r``.
+    """
+    pivots: list[int] = []
+    for col in range(columns):
+        rank = len(pivots)
+        if rank == len(mat):
+            break
+        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        pivots.append(col)
+    return pivots
+
+
 def kernel_basis(rows: Sequence[Sequence], width: int | None = None) -> list[tuple[int, ...]]:
     """Basis of the right kernel of a matrix with integer or Fraction entries.
 
@@ -70,28 +82,7 @@ def kernel_basis(rows: Sequence[Sequence], width: int | None = None) -> list[tup
     if any(len(row) != width for row in mat):
         raise ValueError("ragged matrix")
 
-    pivots: list[int] = []
-    rank = 0
-    for col in range(width):
-        pivot_row = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
-
+    pivots = _reduce(mat, width)
     pivot_set = set(pivots)
     basis: list[tuple[int, ...]] = []
     for free in range(width):
@@ -103,6 +94,26 @@ def kernel_basis(rows: Sequence[Sequence], width: int | None = None) -> list[tup
             vec[pc] = -mat[r][free]
         basis.append(_primitive(vec))
     return basis
+
+
+def solve_in_span(basis: Sequence[Sequence[int]], targets: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Coordinates of target vectors in the span of the basis, exact.
+
+    basis has d independent integer vectors of length n; targets are vectors
+    expected to lie in their span.  Returns the d x len(targets) coordinate
+    matrix as Fractions; raises ArithmeticError if the basis is dependent or
+    a target escapes the span.
+    """
+    d = len(basis)
+    aug = [
+        [Fraction(vec[i]) for vec in basis] + [Fraction(vec[i]) for vec in targets]
+        for i in range(len(basis[0]))
+    ]
+    if _reduce(aug, d) != list(range(d)):
+        raise ArithmeticError("basis vectors are dependent")
+    if any(x != 0 for row in aug[d:] for x in row[d:]):
+        raise ArithmeticError("target vector escapes the span")
+    return [aug[j][d:] for j in range(d)]
 
 
 def exact_det(matrix: Sequence[Sequence[int]]) -> int:
@@ -238,15 +249,3 @@ def cyclotomic_factor_indices(
     if len(rem) != 1 or rem[0] != 1:
         raise ArithmeticError("polynomial is not a product of expected cyclotomics")
     return sorted(found)
-
-
-def intersect_kernels(
-    mats: Sequence[np.ndarray], width: int
-) -> list[tuple[int, ...]]:
-    """Common right kernel of several integer matrices (stacked elimination)."""
-    rows: list[list[int]] = []
-    for mat in mats:
-        arr = np.asarray(mat)
-        for row in arr.reshape(-1, width).tolist():
-            rows.append([int(x) for x in row])
-    return kernel_basis(rows, width=width)

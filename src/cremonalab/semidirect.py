@@ -17,7 +17,7 @@ from math import gcd
 
 from .groups import DEFAULT_CAP, CapExceeded, FiniteGroup, IncompatiblePayloads, Subgroup, close_generators
 from .jordan import jordan_index, normal_subgroups
-from .report import VerificationReport
+from .report import VerificationReport, checked, informational
 
 __all__ = [
     "NoConsistentAction",
@@ -50,13 +50,6 @@ def dihedral_product(a: int, b: int) -> int:
     rb, eb = b % 6, b // 6
     rot = (ra - rb) % 6 if ea else (ra + rb) % 6
     return rot + 6 * ((ea + eb) % 2)
-
-
-def dihedral_name(d: int) -> str:
-    rot, ref = d % 6, d // 6
-    core = "r^%d" % rot if rot else ""
-    tail = "s" if ref else ""
-    return (core + tail) or "1"
 
 
 def _mat_mul(a: Mat2, b: Mat2, n: int) -> Mat2:
@@ -221,17 +214,10 @@ def verify_lemma52(n: int, cap: int = DEFAULT_CAP, allow_bad_n: bool = False) ->
         "determinants_are_units": data.determinants_are_units(),
     }
     elapsed = time.perf_counter() - start
-    anchor = "Lemma 5.2 (n = %d)" % n
+    claim_id, anchor = "lemma52.n%d" % n, "Lemma 5.2 (n = %d)" % n
     if not hypothesis_ok:
-        return VerificationReport(
-            claim_id="lemma52.n%d" % n,
-            anchor=anchor,
-            computed=computed,
-            expected=None,
-            provenance="hypothesis gcd(n, 6) = 1 violated",
-            status="informational",
-            wall_time=elapsed,
-        )
+        return informational(claim_id, anchor, computed, "hypothesis gcd(n, 6) = 1 violated",
+                             wall_time=elapsed)
     expected = {
         "order": 12 * n * n,
         "jordan_index": 12,
@@ -241,13 +227,4 @@ def verify_lemma52(n: int, cap: int = DEFAULT_CAP, allow_bad_n: bool = False) ->
         "det_z_minus_identity": 4 % n,
         "determinants_are_units": True,
     }
-    status = "pass" if computed == expected else "fail"
-    return VerificationReport(
-        claim_id="lemma52.n%d" % n,
-        anchor=anchor,
-        computed=computed,
-        expected=expected,
-        provenance="paper",
-        status=status,
-        wall_time=elapsed,
-    )
+    return checked(claim_id, anchor, computed, expected, "paper", wall_time=elapsed)

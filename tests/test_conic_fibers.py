@@ -108,6 +108,9 @@ def test_abelian_type_invariant_factors():
     assert AbelianType.from_factors((2, 2, 2)).two_rank == 3
     assert AbelianType.from_factors((3, 3, 3)).two_rank == 0
     assert AbelianType.from_factors((2, 4, 4)).order == 32
+    for bad in ((-2, 3), (0, 4), (1, -1)):
+        with pytest.raises(ValueError):
+            AbelianType.from_factors(bad)
 
 
 def test_admissible_types():

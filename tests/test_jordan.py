@@ -8,6 +8,7 @@ import oracles
 from cremonalab.corpus import small_group_corpus
 from cremonalab.groups import close_generators
 from cremonalab.jordan import jordan_index, normal_subgroups, report_fragment
+from cremonalab.semidirect import build_group, translation_subgroup
 
 SMALL = ("s3", "c6", "q8", "c4xc2", "a4", "s4")
 
@@ -91,3 +92,15 @@ def test_trivial_and_full_subgroups_always_present(corpus):
         lattice = normal_subgroups(group)
         sizes = {sub.order for sub in lattice}
         assert 1 in sizes and group.order in sizes, name
+
+
+@pytest.mark.parametrize("n, orders", [
+    (5, [1, 25, 50, 75, 150, 150, 150, 300]),
+    (7, [1, 49, 98, 147, 294, 294, 294, 588]),
+])
+def test_family_lattice_orders_and_translations(n, orders):
+    # eight normal subgroups, the translations of order n^2 among them
+    group = build_group(n)
+    lattice = normal_subgroups(group)
+    assert [sub.order for sub in lattice] == orders
+    assert translation_subgroup(group).members in {sub.members for sub in lattice}

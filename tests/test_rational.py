@@ -12,9 +12,9 @@ from cremonalab.rational import (
     cyclotomic_factor_indices,
     cyclotomic_polynomial,
     exact_det,
-    intersect_kernels,
     kernel_basis,
     poly_divmod,
+    solve_in_span,
 )
 
 small_int = st.integers(min_value=-6, max_value=6)
@@ -133,7 +133,22 @@ def test_cyclotomic_factor_indices():
         cyclotomic_factor_indices((1, 0, -2), 4)  # x^2 - 2 is no cyclotomic product
 
 
-def test_intersect_kernels():
-    # x = y plane meets x = 0 plane in the z axis
-    basis = intersect_kernels([[[1, -1, 0]], [[1, 0, 0]]], width=3)
-    assert basis == [(0, 0, 1)]
+@given(st.lists(small_int, min_size=4, max_size=4), st.lists(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=2, max_size=2),
+    min_size=1, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_solve_in_span_recovers_coordinates(row, coords):
+    # a kernel basis is independent; build targets from known coordinates
+    basis = kernel_basis([row], width=4)[:2]
+    coords = [c[: len(basis)] for c in coords]
+    targets = [[sum(c[j] * basis[j][i] for j in range(len(basis))) for i in range(4)]
+               for c in coords]
+    solved = solve_in_span(basis, targets)
+    assert [[solved[j][k] for j in range(len(basis))] for k in range(len(targets))] == coords
+
+
+def test_solve_in_span_rejects_escapes_and_dependent_bases():
+    with pytest.raises(ArithmeticError, match="escapes"):
+        solve_in_span([(1, 0, 0)], [[0, 1, 0]])
+    with pytest.raises(ArithmeticError, match="dependent"):
+        solve_in_span([(1, 1, 0), (2, 2, 0)], [[1, 1, 0]])

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cremonalab.cli import main
 from cremonalab.pole_cycles import configuration_rows
 from cremonalab.report import VerificationReport, checked, emit, exit_code, informational
 from cremonalab.suites import DOCUMENTED_CLAIM_IDS
@@ -165,19 +166,31 @@ def test_cli_jordan_bad_inputs(tmp_path):
     assert "invertible" in result.stderr
 
 
-def test_cli_report_md_and_parallel_match():
-    sequential = run_cli("report", "conic", "--trials", "20", "--emit", "md")
-    assert sequential.returncode == 0
-    assert "## conic" in sequential.stdout
+def test_cli_report_md_is_deterministic():
+    first = run_cli("report", "conic", "--trials", "20", "--emit", "md")
+    assert first.returncode == 0
+    assert "## conic" in first.stdout
     again = run_cli("report", "conic", "--trials", "20", "--emit", "md")
-    assert sequential.stdout == again.stdout
+    assert first.stdout == again.stdout
 
 
-def test_cli_usage_errors_exit_2():
+def test_cli_usage_errors_exit_2(capsys):
     assert run_cli("report", "everything").returncode == 2
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("verify", "lemma52", "--n", "five").returncode == 2
     assert run_cli().returncode == 2
+    # counts and caps must be positive, and --parallel is gone
+    for args in (
+        ("report", "conic", "--trials", "-3"),
+        ("report", "conic", "--trials", "0"),
+        ("conic", "simulate", "--trials", "0"),
+        ("verify", "lemma52", "--cap", "0"),
+        ("report", "dp5", "--cap", "-1"),
+        ("jordan", str(PKG_ROOT / "demos" / "groupfiles" / "s4.json"), "--cap", "0"),
+        ("report", "all", "--parallel"),
+    ):
+        assert main(list(args)) == 2, args
+        assert capsys.readouterr().out == "", args
 
 
 def test_documented_ids_appear_in_readme_and_suites():
