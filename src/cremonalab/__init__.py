@@ -5,135 +5,43 @@ their minimal abelian-normal index, reproduces an order-12n^2 family with
 that index equal to 12, enumerates boundary-cycle configurations with their
 dihedral symmetries, checks rational invariant lines in a 6-dimensional
 permutation representation, and stress-tests a fiber-swap index bound.
+
+Only the entry points the demos use and ``run_suite`` are re-exported here;
+everything else is imported from its submodule.
 """
 
 from .conic_fibers import (
-    BASE_ORDER_BOUND,
-    AbelianType,
-    FiberActionModel,
-    ModelError,
     SwapFailure,
     construct_no_swap_subgroup,
     greedy_selection,
     make_model,
     simulate,
-    swap_index_factor,
-    weak_geometric_constant,
 )
 from .corpus import small_group_corpus
-from .dp5 import (
-    HomomorphismFailure,
-    InvariantLineReport,
-    ProjectorMismatch,
-    Representation,
-    dp5_suite,
-    dual_representation,
-    fixed_space,
-    rational_invariant_lines,
-    s5_representation,
-    standard_subgroups,
-    verify_homomorphism,
-)
-from .groupfiles import GroupFileError, load_group, parse_group
-from .groups import (
-    DEFAULT_CAP,
-    CapExceeded,
-    FiniteGroup,
-    IncompatiblePayloads,
-    ModMatrix,
-    Permutation,
-    Subgroup,
-    close_generators,
-    conjugacy_classes,
-    sign_characters,
-)
-from .jordan import JordanCertificate, jordan_index, normal_subgroups, report_fragment
-from .pole_cycles import (
-    InvalidDegree,
-    PoleCycle,
-    SymmetryGroup,
-    base_pairs,
-    blow_up_node,
-    blow_up_smooth,
-    configuration_rows,
-    conservation_defect,
-    enumerate_configurations,
-    max_symmetry_by_degree,
-    symmetry_group,
-)
-from .report import VerificationReport, emit, exit_code
-from .semidirect import (
-    HypothesisViolated,
-    build_action_data,
-    build_group,
-    translation_subgroup,
-    verify_lemma52,
-)
-from .suites import SUITE_NAMES, UnknownSuite, run_suite
+from .dp5 import dp5_suite, s5_representation, verify_homomorphism
+from .jordan import jordan_index, normal_subgroups
+from .pole_cycles import configuration_rows, max_symmetry_by_degree
+from .semidirect import build_action_data, verify_lemma52
+from .suites import run_suite
 
 __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    "AbelianType",
-    "BASE_ORDER_BOUND",
-    "CapExceeded",
-    "DEFAULT_CAP",
-    "FiberActionModel",
-    "FiniteGroup",
-    "GroupFileError",
-    "HomomorphismFailure",
-    "HypothesisViolated",
-    "IncompatiblePayloads",
-    "InvalidDegree",
-    "InvariantLineReport",
-    "JordanCertificate",
-    "ModMatrix",
-    "ModelError",
-    "Permutation",
-    "PoleCycle",
-    "ProjectorMismatch",
-    "Representation",
-    "SUITE_NAMES",
-    "Subgroup",
     "SwapFailure",
-    "SymmetryGroup",
-    "UnknownSuite",
-    "VerificationReport",
-    "base_pairs",
-    "blow_up_node",
-    "blow_up_smooth",
     "build_action_data",
-    "build_group",
-    "close_generators",
     "configuration_rows",
-    "conjugacy_classes",
-    "conservation_defect",
     "construct_no_swap_subgroup",
     "dp5_suite",
-    "dual_representation",
-    "emit",
-    "enumerate_configurations",
-    "exit_code",
-    "fixed_space",
     "greedy_selection",
     "jordan_index",
-    "load_group",
     "make_model",
     "max_symmetry_by_degree",
     "normal_subgroups",
-    "parse_group",
-    "rational_invariant_lines",
-    "report_fragment",
     "run_suite",
     "s5_representation",
-    "sign_characters",
     "simulate",
     "small_group_corpus",
-    "standard_subgroups",
-    "swap_index_factor",
-    "symmetry_group",
-    "translation_subgroup",
     "verify_homomorphism",
     "verify_lemma52",
 ]

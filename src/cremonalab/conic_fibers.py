@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
-from .groups import FiniteGroup, Permutation, Subgroup, close_generators
+import numpy as np
+
+from .groups import FiniteGroup, Permutation, Subgroup, close_generators, cyclic_product
 
 __all__ = [
     "AbelianType",
@@ -99,10 +101,7 @@ class AbelianType:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.invariant_factors)
 
     def is_admissible(self) -> bool:
         """Whether the type occurs for an abelian action on a fibered surface.
@@ -122,35 +121,15 @@ class AbelianType:
         return False
 
 
-def _perm_order(perm: tuple[int, ...]) -> int:
-    order = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        order = order * length // gcd(order, length)
-    return order
-
-
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
 @dataclass
 class FiberActionModel:
     """Abelian group with a component action over a fibered base.
 
-    ``group`` realizes the product of cyclic factors as disjoint block
-    cycles, so the exponent vector of an element can be read off from how
-    far each block is rotated.  ``gen_perms`` gives each generator's
-    permutation of the 2 * fiber_count components, component ``2f + s``
-    being side ``s`` of fiber ``f``.
+    ``group`` is ``cyclic_product(factors)``, so the exponent vector of
+    element e is ``np.unravel_index(e, factors)``.  ``gen_perms`` gives each
+    generator's permutation of the 2 * fiber_count components, component
+    ``2f + s`` being side ``s`` of fiber ``f``; ``base`` is the group they
+    induce on the fibers.
     """
 
     group: FiniteGroup
@@ -158,10 +137,8 @@ class FiberActionModel:
     fiber_count: int
     marked: tuple[int, ...]
     gen_perms: tuple[tuple[int, ...], ...]
-    base_order: int
-    _offsets: tuple[int, ...] = field(repr=False)
-    _powers: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
-    _perm_cache: dict = field(default_factory=dict, repr=False)
+    base: FiniteGroup
+    _components: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def unmarked(self) -> tuple[int, ...]:
@@ -171,42 +148,14 @@ class FiberActionModel:
     def abelian_type(self) -> AbelianType:
         return AbelianType.from_factors(self.factors)
 
-    def exponents(self, element: int) -> tuple[int, ...]:
-        images = self.group.elements[element].images
-        return tuple(
-            (images[off] - off) % d for off, d in zip(self._offsets, self.factors)
-        )
-
     def component_perm(self, element: int) -> tuple[int, ...]:
-        cached = self._perm_cache.get(element)
-        if cached is not None:
-            return cached
-        perm = tuple(range(2 * self.fiber_count))
-        for i, e in enumerate(self.exponents(element)):
-            perm = _compose(self._powers[i][e], perm)
-        self._perm_cache[element] = perm
-        return perm
+        return self._components[element]
 
     def fiber_image(self, element: int, fiber: int) -> int:
         return self.component_perm(element)[2 * fiber] // 2
 
     def swaps_fiber(self, element: int, fiber: int) -> bool:
         return self.component_perm(element)[2 * fiber] == 2 * fiber + 1
-
-
-def _block_cycle_group(factors: Sequence[int]) -> tuple[FiniteGroup, tuple[int, ...]]:
-    degree = sum(factors)
-    offsets = []
-    gens = []
-    pos = 0
-    for d in factors:
-        offsets.append(pos)
-        images = list(range(degree))
-        for i in range(d):
-            images[pos + i] = pos + (i + 1) % d
-        gens.append(Permutation(tuple(images)))
-        pos += d
-    return close_generators(gens), tuple(offsets)
 
 
 def make_model(
@@ -224,9 +173,7 @@ def make_model(
     factors = tuple(int(d) for d in factors)
     if not factors or any(d < 1 for d in factors):
         raise ModelError("factors must be positive integers")
-    order = 1
-    for d in factors:
-        order *= d
+    order = prod(factors)
     if order > 4096:
         raise ModelError("group order %d too large for the model" % order)
     if fiber_count < 1:
@@ -250,14 +197,23 @@ def make_model(
         for f in marked:
             if perm[2 * f] // 2 != f:
                 raise ModelError("generator %d moves marked fiber %d" % (gi, f))
-        if factors[gi] % _perm_order(perm) != 0:
-            raise ModelError(
-                "generator %d has component order %d not dividing %d"
-                % (gi, _perm_order(perm), factors[gi])
-            )
-    for i in range(len(perms)):
-        for j in range(i + 1, len(perms)):
-            if _compose(perms[i], perms[j]) != _compose(perms[j], perms[i]):
+    # Row e of the component table is the product of the generator powers
+    # named by the digits of e, folded in the mixed-radix order of
+    # cyclic_product.  perm^d is the identity exactly when perm's order
+    # divides d.
+    identity = np.arange(width)
+    arrays = [np.asarray(p) for p in perms]
+    components = identity[None, :]
+    for gi, (d, perm) in enumerate(zip(factors, arrays)):
+        powers = [identity]
+        for _ in range(d):
+            powers.append(perm[powers[-1]])
+        if not np.array_equal(powers.pop(), identity):
+            raise ModelError("generator %d has component order not dividing %d" % (gi, d))
+        components = np.stack(powers)[:, components].transpose(1, 0, 2).reshape(-1, width)
+    for i in range(len(arrays)):
+        for j in range(i + 1, len(arrays)):
+            if not np.array_equal(arrays[i][arrays[j]], arrays[j][arrays[i]]):
                 raise ModelError("generators %d and %d do not commute" % (i, j))
 
     fiber_perms = [
@@ -267,22 +223,14 @@ def make_model(
     if max(base.element_order(i) for i in range(base.order)) != base.order:
         raise ModelError("induced fiber action is not cyclic")
 
-    group, offsets = _block_cycle_group(factors)
-    powers = []
-    for d, perm in zip(factors, perms):
-        table = [tuple(range(width))]
-        for _ in range(d - 1):
-            table.append(_compose(perm, table[-1]))
-        powers.append(tuple(table))
     return FiberActionModel(
-        group=group,
+        group=cyclic_product(factors),
         factors=factors,
         fiber_count=fiber_count,
         marked=marked,
         gen_perms=perms,
-        base_order=base.order,
-        _offsets=offsets,
-        _powers=tuple(powers),
+        base=base,
+        _components=tuple(map(tuple, components.tolist())),
     )
 
 
@@ -377,10 +325,11 @@ def construct_no_swap_subgroup(model: FiberActionModel) -> NoSwapConstruction:
     f0 = [m for m in a0 if all(model.fiber_image(m, f) == f for f in unmarked)]
     s_members = [m for m in f0 if all(not model.swaps_fiber(m, f) for f in unmarked)]
 
+    base = model.base
     lift = None
     for m in a0:
-        fiber_perm = tuple(model.fiber_image(m, f) for f in range(model.fiber_count))
-        if _perm_order(fiber_perm) == model.base_order == group.element_order(m):
+        fiber_perm = Permutation(tuple(model.fiber_image(m, f) for f in range(model.fiber_count)))
+        if base.element_order(base.find(fiber_perm)) == base.order == group.element_order(m):
             lift = m
             break
 

@@ -5,13 +5,15 @@ semidirect-product pairs defined elsewhere) that know how to compose and how to
 serialize themselves to a canonical byte key.  A group is closed breadth-first
 from a generator list; the element order is deterministic (identity first, then
 layer by layer, each layer sorted by canonical key), so two closures of the same
-generator list are byte-identical.
+generator list are byte-identical.  A product of cyclic groups is built
+directly, in mixed-radix order, by ``cyclic_product``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import prod
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
@@ -27,6 +29,7 @@ __all__ = [
     "FiniteGroup",
     "Subgroup",
     "close_generators",
+    "cyclic_product",
     "conjugacy_classes",
     "commutator_subgroup",
     "sign_characters",
@@ -413,6 +416,53 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
         generators=gen_indices,
         _parent=np.asarray(parent, dtype=np.int32),
         _via=np.asarray(via, dtype=np.int32),
+    )
+
+
+def cyclic_product(factors: Sequence[int]) -> FiniteGroup:
+    """Z/d_1 x ... x Z/d_k on disjoint block cycles, without a closure search.
+
+    Element i has exponent vector ``np.unravel_index(i, factors)`` (first
+    factor most significant) and is the permutation rotating block t by
+    digit t; generator t is the t-th unit vector, index 0 when d_t = 1.  The
+    Cayley table and the inverses are folds of cyclic ones, one factor at a
+    time, and an element's tree parent lowers its last nonzero digit by one.
+    """
+    factors = tuple(int(d) for d in factors)
+    if not factors or any(d < 1 for d in factors):
+        raise ValueError("factors must be a non-empty list of positive integers")
+    order = prod(factors)
+    if order > DEFAULT_CAP:
+        raise CapExceeded("product of cyclic factors exceeds cap=%d" % DEFAULT_CAP)
+
+    mul = np.zeros((1, 1), dtype=np.int32)
+    inverse = np.zeros(1, dtype=np.int32)
+    for d in factors:
+        r = np.arange(d, dtype=np.int32)
+        n = len(inverse)
+        cyclic = (r[:, None] + r) % d
+        mul = ((mul * d)[:, None, :, None] + cyclic[:, None, :]).reshape(n * d, n * d)
+        inverse = ((inverse * d)[:, None] + (-r) % d).reshape(n * d)
+    mul.flags.writeable = False
+    inverse.flags.writeable = False
+
+    digits = np.stack(np.unravel_index(np.arange(order), factors))
+    offsets = np.cumsum((0,) + factors[:-1])
+    blocks = [off + (np.arange(d) + e[:, None]) % d for off, d, e in zip(offsets, factors, digits)]
+    elements = tuple(Permutation(tuple(row)) for row in np.hstack(blocks).tolist())
+    strides = order // np.cumprod(factors)
+    via = len(factors) - 1 - np.argmax(digits[::-1] != 0, axis=0)
+    parent = np.arange(order) - strides[via]
+    parent[0] = via[0] = -1
+
+    return FiniteGroup(
+        elements=elements,
+        keys=tuple(e.key() for e in elements),
+        mul=mul,
+        inverse=inverse,
+        generators=tuple(int(s) if d > 1 else 0 for s, d in zip(strides, factors)),
+        _parent=parent.astype(np.int32),
+        _via=via.astype(np.int32),
     )
 
 

@@ -1,10 +1,14 @@
 """Core group machinery against naive oracles."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cremonalab.conic_fibers import FAMILY_REPRESENTATIVES
 from cremonalab.corpus import small_group_corpus
 from cremonalab.groups import (
     CapExceeded,
@@ -13,6 +17,7 @@ from cremonalab.groups import (
     Permutation,
     close_generators,
     commutator_subgroup,
+    cyclic_product,
     conjugacy_classes,
     minimal_generators,
     sign_characters,
@@ -196,3 +201,51 @@ def test_subgroup_view_consistency(s4):
 
 def test_serialize_is_stable(s4):
     assert s4.serialize() == close_generators(S4_GENS).serialize()
+
+
+def block_cycles(factors):
+    """One rotation per factor, each on its own block of points."""
+    degree, gens, offset = sum(factors), [], 0
+    for d in factors:
+        images = list(range(degree))
+        for i in range(d):
+            images[offset + i] = offset + (i + 1) % d
+        gens.append(Permutation(tuple(images)))
+        offset += d
+    return gens
+
+
+@pytest.mark.parametrize("factors", list(FAMILY_REPRESENTATIVES) + [(1,), (1, 3), (6, 4), (8, 8), (5, 1, 2)])
+def test_cyclic_product_matches_closure(factors):
+    direct = cyclic_product(factors)
+    closed = close_generators(block_cycles(factors))
+    assert set(direct.keys) == set(closed.keys)
+    to_closed = np.array([closed.find(e) for e in direct.elements])
+    assert np.array_equal(closed.mul[np.ix_(to_closed, to_closed)], to_closed[direct.mul])
+    assert np.array_equal(closed.inverse[to_closed], to_closed[direct.inverse])
+    assert [direct.keys[g] for g in direct.generators] == [closed.keys[g] for g in closed.generators]
+    assert len(sign_characters(direct)) == len(sign_characters(closed))
+    offsets = np.cumsum((0,) + factors[:-1])
+    for i, element in enumerate(direct.elements):
+        digits = np.unravel_index(i, factors)
+        for offset, d, e in zip(offsets, factors, digits):
+            block = element.images[offset:offset + d]
+            assert block == tuple(offset + (j + e) % d for j in range(d))
+
+
+def test_cyclic_product_rejects_bad_factors():
+    for bad in ((), (0,), (3, -1)):
+        with pytest.raises(ValueError):
+            cyclic_product(bad)
+    with pytest.raises(CapExceeded):
+        cyclic_product((1000, 1000))
+
+
+def test_cyclic_product_table_is_built_without_large_temporaries():
+    tracemalloc.start()
+    try:
+        group = cyclic_product((16, 16, 16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * group.mul.nbytes
