@@ -239,26 +239,22 @@ def _coset_order(group: FiniteGroup, element: int, members: set[int]) -> int:
     return order
 
 
-def _complex_note(rep: Representation, subgroup: Subgroup) -> tuple[int, ...]:
+def _complex_note(
+    rep: Representation, subgroup: Subgroup, derived_set: set[int], basis: list[tuple[int, ...]]
+) -> tuple[int, ...]:
     """Degrees of the cyclotomic factors acting on the commutator-fixed space.
 
-    The abelianization acts on the subspace fixed by the derived subgroup;
-    when that quotient is cyclic, the characteristic polynomial of a coset
-    generator factors into cyclotomics whose non-linear factors explain lines
-    that exist over an extension field but not over the rationals.  Returns
-    the empty tuple when the fixed space is zero or the quotient not cyclic.
+    ``derived_set`` is the subgroup's derived subgroup, as parent indices, and
+    ``basis`` spans the subspace it fixes.  The abelianization acts on that
+    subspace; when the quotient is cyclic, the characteristic polynomial of a
+    coset generator factors into cyclotomics whose non-linear factors explain
+    lines that exist over an extension field but not over the rationals.
+    Returns the empty tuple when the fixed space is zero or the quotient not
+    cyclic.
     """
-    group = rep.group
-    sub = subgroup.to_group()
-    derived_in_sub = commutator_subgroup(sub)
-    derived_parent = [group.find(sub.elements[m]) for m in derived_in_sub.members]
-    derived_gens = [group.find(sub.elements[m]) for m in derived_in_sub.generating_set()]
-
-    basis = _kernel_of_elements(rep, derived_gens)
     if not basis:
         return ()
-
-    derived_set = set(derived_parent)
+    group = rep.group
     quotient_order = subgroup.order // len(derived_set)
     if quotient_order == 1:
         generator = subgroup.members[0]
@@ -312,7 +308,9 @@ def rational_invariant_lines(
         if witness is None and basis:
             witness = basis[0]
 
-    fix_dim = len(_kernel_of_elements(rep, [group.find(sub.elements[m]) for m in commutator_subgroup(sub).generating_set()]))
+    derived = commutator_subgroup(sub)
+    derived_set = {group.find(sub.elements[m]) for m in derived.members}
+    fixed = _kernel_of_elements(rep, [group.find(sub.elements[m]) for m in derived.generating_set()])
     # a positive verdict certifies the linear-algebra condition only; whether
     # the corresponding hyperplane section is nodal is outside this model
     caveat = "" if witness is None else "line existence shown representation-theoretically; nodality of the section not checked"
@@ -322,8 +320,8 @@ def rational_invariant_lines(
         has_rational_line=witness is not None,
         line_character_dims=tuple(dims),
         witness=witness,
-        fix_space_dim=fix_dim,
-        complex_note=_complex_note(rep, subgroup),
+        fix_space_dim=len(fixed),
+        complex_note=_complex_note(rep, subgroup, derived_set, fixed),
         caveat=caveat,
     )
 

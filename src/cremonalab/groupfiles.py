@@ -17,7 +17,11 @@ from .groups import DEFAULT_CAP, FiniteGroup, ModMatrix, Permutation, close_gene
 from .rational import exact_det
 from .semidirect import build_group
 
-__all__ = ["GroupFileError", "parse_group", "load_group"]
+__all__ = ["MAX_DEGREE", "GroupFileError", "parse_group", "load_group"]
+
+# Permutation generators are built point by point, so the degree is bounded
+# before any of them is.
+MAX_DEGREE = 4096
 
 
 class GroupFileError(ValueError):
@@ -68,6 +72,8 @@ def parse_group(doc, cap: int = DEFAULT_CAP) -> FiniteGroup:
         raise GroupFileError("'generators' must be a non-empty array")
     if kind == "perm":
         degree = _require_int(doc, "degree", 1)
+        if degree > MAX_DEGREE:
+            raise GroupFileError("'degree' must be at most %d, got %d" % (MAX_DEGREE, degree))
         payloads = []
         for cycles in raw_gens:
             if not isinstance(cycles, list):

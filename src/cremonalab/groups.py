@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_CAP",
+    "MAX_TABLE_BYTES",
     "GroupError",
     "CapExceeded",
     "IncompatiblePayloads",
@@ -28,6 +29,7 @@ __all__ = [
     "ModMatrix",
     "FiniteGroup",
     "Subgroup",
+    "check_table_bytes",
     "close_generators",
     "cyclic_product",
     "conjugacy_classes",
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 100_000
+MAX_TABLE_BYTES = 1 << 30
 
 
 class GroupError(RuntimeError):
@@ -44,7 +47,7 @@ class GroupError(RuntimeError):
 
 
 class CapExceeded(GroupError):
-    """Closure grew past the element cap."""
+    """Closure grew past the element cap or its table past MAX_TABLE_BYTES."""
 
 
 class IncompatiblePayloads(GroupError):
@@ -176,13 +179,17 @@ class FiniteGroup:
     elements: tuple
     keys: tuple[bytes, ...]
     mul: np.ndarray
-    inverse: np.ndarray
     generators: tuple[int, ...]
     _parent: np.ndarray = field(repr=False)
     _via: np.ndarray = field(repr=False)
     _index: dict = field(repr=False, default_factory=dict)
+    inverse: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        # each row of mul permutes the indices, so its single 0 sits at the inverse
+        self.inverse = self.mul.argmin(axis=1).astype(np.int32)
+        self.mul.flags.writeable = False
+        self.inverse.flags.writeable = False
         if not self._index:
             self._index = {k: i for i, k in enumerate(self.keys)}
 
@@ -220,21 +227,23 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
 
+    def product_set(self, left: Sequence[int], right: Sequence[int]) -> tuple[int, ...]:
+        """Sorted indices of every product x y with x in ``left``, y in ``right``."""
+        mask = np.zeros(self.order, dtype=bool)
+        mask[self.mul[np.ix_(left, right)]] = True
+        return tuple(np.flatnonzero(mask).tolist())
+
     def subgroup_closure(self, seeds: Iterable[int]) -> tuple[int, ...]:
-        """Sorted member indices of the subgroup generated by ``seeds``."""
-        member = np.zeros(self.order, dtype=bool)
-        member[0] = True
-        gens = np.asarray(sorted({int(s) for s in seeds} - {0}), dtype=np.int64)
-        if gens.size == 0:
-            return (0,)
-        member[gens] = True
-        frontier = gens
-        while frontier.size:
-            prods = np.unique(self.mul[np.ix_(frontier, gens)])
-            fresh = prods[~member[prods]]
-            member[fresh] = True
-            frontier = fresh
-        return tuple(int(i) for i in np.flatnonzero(member))
+        """Sorted member indices of the subgroup generated by ``seeds``.
+
+        With the identity among the generators the product set only grows, and
+        a finite set closed under right multiplication by them is a subgroup.
+        """
+        gens = sorted({int(s) for s in seeds} | {0})
+        members, grown = (), tuple(gens)
+        while grown != members:
+            members, grown = grown, self.product_set(grown, gens)
+        return members
 
     def conjugation_closure(self, seeds: Iterable[int]) -> tuple[int, ...]:
         """Closure of a set under conjugation by the group generators."""
@@ -301,12 +310,7 @@ class Subgroup:
         return bool(np.array_equal(block, block.T))
 
     def is_normal(self) -> bool:
-        mem = set(self.members)
-        for g in self.parent.generators:
-            for x in self.members:
-                if self.parent.conjugate(g, x) not in mem:
-                    return False
-        return True
+        return self.parent.conjugation_closure(self.members) == self.members
 
     def to_group(self, cap: int = DEFAULT_CAP) -> FiniteGroup:
         """Re-close this subgroup as a standalone FiniteGroup."""
@@ -320,13 +324,21 @@ class Subgroup:
         return group
 
 
+def check_table_bytes(order: int) -> None:
+    """Raise CapExceeded when an int32 Cayley table of ``order`` exceeds MAX_TABLE_BYTES."""
+    if order * order * 4 > MAX_TABLE_BYTES:
+        raise CapExceeded("a Cayley table of order %d needs %d bytes, over MAX_TABLE_BYTES=%d"
+                          % (order, order * order * 4, MAX_TABLE_BYTES))
+
+
 def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Close a generator list into a FiniteGroup, breadth-first.
 
     Deterministic: the identity is element 0 and every subsequent layer is
     sorted by canonical payload key, so the element order depends only on the
     generator *set*.  Raises CapExceeded when the closure grows past ``cap``
-    and IncompatiblePayloads when generators cannot be composed.
+    or its table past MAX_TABLE_BYTES, and IncompatiblePayloads when
+    generators cannot be composed.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -340,80 +352,49 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
     index: dict[bytes, int] = {keys[0]: 0}
     parent: list[int] = [-1]
     via: list[int] = [-1]
+    # right[i][pos]: key of element i composed with generator pos, each composed
+    # once; the identity's row is the generator keys.
+    right: list[list[bytes]] = []
 
-    gen_payloads = list(gens)
-    layer = []
-    for pos, g in enumerate(gen_payloads):
-        k = g.key()
-        if k not in index and all(k != kk for kk, _ in layer):
-            layer.append((k, pos))
-    layer.sort()
-    for k, pos in layer:
-        index[k] = len(elements)
-        elements.append(gen_payloads[pos])
-        keys.append(k)
-        parent.append(0)
-        via.append(pos)
-
-    frontier = list(range(1, len(elements)))
+    frontier = [0]
     while frontier:
-        discovered: dict[bytes, tuple[int, int]] = {}
+        discovered: dict[bytes, tuple[int, int, Payload]] = {}
         for fi in frontier:
-            fp = elements[fi]
-            for pos, g in enumerate(gen_payloads):
-                prod = fp.compose(g)
+            row = []
+            for pos, g in enumerate(gens):
+                prod = g if fi == 0 else elements[fi].compose(g)
                 k = prod.key()
+                row.append(k)
                 if k not in index and k not in discovered:
-                    discovered[k] = (fi, pos)
+                    discovered[k] = (fi, pos, prod)
+            right.append(row)
         if len(elements) + len(discovered) > cap:
             raise CapExceeded("closure exceeds cap=%d" % cap)
+        check_table_bytes(len(elements) + len(discovered))
         frontier = []
         for k in sorted(discovered):
-            fi, pos = discovered[k]
+            fi, pos, prod = discovered[k]
+            frontier.append(len(elements))
             index[k] = len(elements)
-            elements.append(elements[fi].compose(gen_payloads[pos]))
+            elements.append(prod)
             keys.append(k)
             parent.append(fi)
             via.append(pos)
-            frontier.append(index[k])
-
-    order = len(elements)
-    gen_indices = tuple(index[g.key()] for g in gen_payloads)
 
     # Cayley table column by column: element j = element parent[j] . gen via[j],
-    # so column j is column via-gen evaluated after column parent[j].
-    mul = np.zeros((order, order), dtype=np.int32)
+    # so x . j is the via-gen right product of x . parent[j].
+    order = len(elements)
+    right_index = np.array([[index[k] for k in row] for row in right], dtype=np.int32)
+    mul = np.empty((order, order), dtype=np.int32)
     mul[:, 0] = np.arange(order, dtype=np.int32)
-    gen_cols: dict[int, np.ndarray] = {}
-    for pos, g in enumerate(gen_payloads):
-        gi = index[g.key()]
-        if gi in gen_cols:
-            continue
-        col = np.fromiter(
-            (index[elements[i].compose(g).key()] for i in range(order)),
-            dtype=np.int32,
-            count=order,
-        )
-        gen_cols[gi] = col
-    for gi, col in gen_cols.items():
-        mul[:, gi] = col
     for j in range(1, order):
-        if j in gen_cols:
-            continue
-        p, v = parent[j], via[j]
-        gcol = mul[:, gen_indices[v]]
-        mul[:, j] = gcol[mul[:, p]]
-
-    inverse = np.argmax(mul == 0, axis=1).astype(np.int32)
-    mul.flags.writeable = False
-    inverse.flags.writeable = False
+        mul[:, j] = right_index[mul[:, parent[j]], via[j]]
 
     return FiniteGroup(
         elements=tuple(elements),
         keys=tuple(keys),
         mul=mul,
-        inverse=inverse,
-        generators=gen_indices,
+        generators=tuple(index[k] for k in right[0]),
         _parent=np.asarray(parent, dtype=np.int32),
         _via=np.asarray(via, dtype=np.int32),
     )
@@ -425,8 +406,8 @@ def cyclic_product(factors: Sequence[int]) -> FiniteGroup:
     Element i has exponent vector ``np.unravel_index(i, factors)`` (first
     factor most significant) and is the permutation rotating block t by
     digit t; generator t is the t-th unit vector, index 0 when d_t = 1.  The
-    Cayley table and the inverses are folds of cyclic ones, one factor at a
-    time, and an element's tree parent lowers its last nonzero digit by one.
+    Cayley table is a fold of cyclic ones, one factor at a time, and an
+    element's tree parent lowers its last nonzero digit by one.
     """
     factors = tuple(int(d) for d in factors)
     if not factors or any(d < 1 for d in factors):
@@ -434,17 +415,14 @@ def cyclic_product(factors: Sequence[int]) -> FiniteGroup:
     order = prod(factors)
     if order > DEFAULT_CAP:
         raise CapExceeded("product of cyclic factors exceeds cap=%d" % DEFAULT_CAP)
+    check_table_bytes(order)
 
     mul = np.zeros((1, 1), dtype=np.int32)
-    inverse = np.zeros(1, dtype=np.int32)
     for d in factors:
         r = np.arange(d, dtype=np.int32)
-        n = len(inverse)
+        n = len(mul)
         cyclic = (r[:, None] + r) % d
         mul = ((mul * d)[:, None, :, None] + cyclic[:, None, :]).reshape(n * d, n * d)
-        inverse = ((inverse * d)[:, None] + (-r) % d).reshape(n * d)
-    mul.flags.writeable = False
-    inverse.flags.writeable = False
 
     digits = np.stack(np.unravel_index(np.arange(order), factors))
     offsets = np.cumsum((0,) + factors[:-1])
@@ -459,7 +437,6 @@ def cyclic_product(factors: Sequence[int]) -> FiniteGroup:
         elements=elements,
         keys=tuple(e.key() for e in elements),
         mul=mul,
-        inverse=inverse,
         generators=tuple(int(s) if d > 1 else 0 for s, d in zip(strides, factors)),
         _parent=parent.astype(np.int32),
         _via=via.astype(np.int32),

@@ -60,7 +60,8 @@ def normal_subgroups(group: FiniteGroup, cap: int = DEFAULT_CAP) -> NormalSubgro
     # ``found`` grows inside the loop, so every later member meets all earlier ones.
     for i, a in enumerate(found):
         for b in found[:i]:
-            joined = group.subgroup_closure(set(a) | set(b))
+            # for normal N and M the product set NM is a subgroup, hence their join
+            joined = group.product_set(a, b)
             if joined not in seen:
                 seen.add(joined)
                 found.append(joined)

@@ -15,7 +15,15 @@ import time
 from dataclasses import dataclass
 from math import gcd
 
-from .groups import DEFAULT_CAP, CapExceeded, FiniteGroup, IncompatiblePayloads, Subgroup, close_generators
+from .groups import (
+    DEFAULT_CAP,
+    CapExceeded,
+    FiniteGroup,
+    IncompatiblePayloads,
+    Subgroup,
+    check_table_bytes,
+    close_generators,
+)
 from .jordan import jordan_index, normal_subgroups
 from .report import VerificationReport, checked, informational
 
@@ -161,6 +169,7 @@ def build_group(n: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     expected = 12 * n * n
     if expected > cap:
         raise CapExceeded("group of order %d exceeds cap=%d" % (expected, cap))
+    check_table_bytes(expected)
     data = build_action_data(n)
     gens = [
         SemidirectPair(n, (1, 0), 0, data.rho),

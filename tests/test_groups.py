@@ -1,6 +1,8 @@
 """Core group machinery against naive oracles."""
 
+import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 
 import oracles
 from cremonalab.conic_fibers import FAMILY_REPRESENTATIVES
+from cremonalab import groups
 from cremonalab.corpus import small_group_corpus
+from cremonalab.groupfiles import load_group
 from cremonalab.groups import (
     CapExceeded,
     IncompatiblePayloads,
@@ -22,6 +26,7 @@ from cremonalab.groups import (
     minimal_generators,
     sign_characters,
 )
+from cremonalab.semidirect import build_group
 
 S4_GENS = [
     Permutation.from_cycles(4, [[1, 2]]),
@@ -37,6 +42,18 @@ def s4():
 @pytest.fixture(scope="module")
 def corpus():
     return small_group_corpus()
+
+
+@pytest.fixture(scope="module")
+def family5():
+    return build_group(5)
+
+
+@pytest.fixture(scope="module")
+def closure_cases(family5):
+    """Groups for the closure oracle, each with its table as nested lists."""
+    cases = [close_generators(S4_GENS), family5, cyclic_product((2, 4, 4))]
+    return [(group, oracles.table_of(group)) for group in cases]
 
 
 perm_images = st.permutations(range(5)).map(tuple)
@@ -86,17 +103,48 @@ def test_incompatible_payloads():
         close_generators([p3, ModMatrix.from_rows(5, [[0, 1], [1, 0]])])
 
 
+def assert_table_matches_compose(group):
+    # full table check against raw payload composition
+    for i in range(group.order):
+        for j in range(group.order):
+            composed = group.elements[i].compose(group.elements[j])
+            assert group.elements[int(group.mul[i, j])] == composed
+    # inverses from the table
+    assert group.inverse.dtype == np.int32
+    assert group.inverse.tolist() == oracles.inverse_row(oracles.table_of(group))
+
+
 def test_close_generators_s4(s4):
     assert s4.order == 24
     assert s4.identity == 0
-    # full table check against raw payload composition
-    for i in range(24):
-        for j in range(24):
-            composed = s4.elements[i].compose(s4.elements[j])
-            assert s4.elements[int(s4.mul[i, j])] == composed
-    # inverses from the table
-    for i in range(24):
-        assert int(s4.mul[i, int(s4.inverse[i])]) == 0
+    assert_table_matches_compose(s4)
+
+
+GROUPFILES = Path(__file__).resolve().parent.parent / "demos" / "groupfiles"
+P4 = Permutation.from_cycles(4, [[1, 2, 3, 4]])
+E4 = Permutation.identity_of_degree(4)
+
+
+def test_close_generators_table_matches_compose(family5):
+    assert_table_matches_compose(load_group(str(GROUPFILES / "special_linear_mod3.json")))
+    assert_table_matches_compose(family5)
+
+
+@pytest.mark.parametrize("gens, generators, via", [
+    ([P4, P4], (1, 1), [-1, 0, 0, 0]),
+    ([E4, P4], (0, 1), [-1, 1, 1, 1]),
+    ([P4, E4, P4], (1, 0, 1), [-1, 0, 0, 0]),
+], ids=["p_p", "e_p", "p_e_p"])
+def test_close_generators_repeated_and_identity_generators(gens, generators, via):
+    # a repeated generator is reached through its first position
+    group = close_generators(gens)
+    assert [e.images for e in group.elements] == [
+        (0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)]
+    assert group.generators == generators
+    assert group._parent.tolist() == [-1, 0, 1, 2]
+    assert group._via.tolist() == via
+    assert group.inverse.tolist() == [0, 3, 2, 1]
+    assert_table_matches_compose(group)
 
 
 def test_element_order_matches_oracle(s4):
@@ -115,18 +163,37 @@ def test_cap_exceeded():
         close_generators(S4_GENS, cap=10)
 
 
+def test_table_bytes_bound(monkeypatch):
+    monkeypatch.setattr(groups, "MAX_TABLE_BYTES", 1000)
+    with pytest.raises(CapExceeded, match="bytes"):
+        close_generators(S4_GENS)
+    with pytest.raises(CapExceeded, match="bytes"):
+        cyclic_product((32, 32))
+
+
 def test_generators_index_input_payloads(s4):
     for gi, payload in zip(s4.generators, S4_GENS):
         assert s4.elements[gi] == payload
 
 
-@given(st.sets(st.integers(min_value=0, max_value=23), max_size=4))
+@given(st.sets(st.integers(min_value=0, max_value=10**6), max_size=4))
 @settings(max_examples=25, deadline=None)
-def test_subgroup_closure_matches_oracle(seeds):
-    group = close_generators(S4_GENS)
-    table = oracles.table_of(group)
-    got = set(group.subgroup_closure(seeds))
-    assert got == set(oracles.close_under_product(table, seeds))
+def test_subgroup_closure_matches_oracle(closure_cases, seeds):
+    for group, table in closure_cases:
+        members = {s % group.order for s in seeds}
+        got = set(group.subgroup_closure(members))
+        assert got == set(oracles.close_under_product(table, members))
+
+
+def test_product_set_matches_oracle(corpus, family5):
+    rng = random.Random(11)
+    for name, group in list(corpus.items()) + [("family_n5", family5)]:
+        table = oracles.table_of(group)
+        for _ in range(20):
+            left = rng.sample(range(group.order), rng.randint(0, min(group.order, 15)))
+            right = rng.sample(range(group.order), rng.randint(0, min(group.order, 15)))
+            expected = sorted({table[x][y] for x in left for y in right})
+            assert list(group.product_set(left, right)) == expected, name
 
 
 def test_conjugacy_classes_s4(s4):

@@ -77,6 +77,16 @@ def test_known_indices(corpus):
         assert jordan_index(group).index == expected[name], name
 
 
+@pytest.mark.parametrize("build", [lambda: build_group(5), lambda: small_group_corpus()["s4"]],
+                         ids=["family_n5", "s4"])
+def test_normal_joins_are_product_sets(build):
+    group = build()
+    lattice = [sub.members for sub in normal_subgroups(group)]
+    for a in lattice:
+        for b in lattice:
+            assert group.product_set(a, b) == group.subgroup_closure(set(a) | set(b))
+
+
 def test_report_fragment_shape(corpus):
     fragment = report_fragment(corpus["s3"])
     assert fragment == {
@@ -97,6 +107,7 @@ def test_trivial_and_full_subgroups_always_present(corpus):
 @pytest.mark.parametrize("n, orders", [
     (5, [1, 25, 50, 75, 150, 150, 150, 300]),
     (7, [1, 49, 98, 147, 294, 294, 294, 588]),
+    (11, [1, 121, 242, 363, 726, 726, 726, 1452]),
 ])
 def test_family_lattice_orders_and_translations(n, orders):
     # eight normal subgroups, the translations of order n^2 among them

@@ -164,6 +164,12 @@ def test_cli_jordan_bad_inputs(tmp_path):
     result = run_cli("jordan", str(bad))
     assert result.returncode == 2
     assert "invertible" in result.stderr
+    # rejected before any generator of that degree is built
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"kind": "perm", "degree": 10**12, "generators": [[[1, 2]]]}))
+    result = run_cli("jordan", str(huge))
+    assert result.returncode == 2
+    assert "degree" in result.stderr
 
 
 def test_cli_report_md_is_deterministic():

@@ -1,5 +1,7 @@
 """Suite assembly: row identities, error capture, constants."""
 
+import time
+
 import pytest
 
 from cremonalab.report import emit, exit_code, passed
@@ -41,6 +43,15 @@ def test_bad_n_downgrades_with_allow_flag():
 def test_cap_errors_become_fail_rows():
     rows = run_suite("lemma52", ns=(7,), cap=100)
     assert rows[0].claim_id == "lemma52.n7"
+    assert rows[0].status == "fail"
+    assert "CapExceeded" in rows[0].computed["error"]
+
+
+def test_table_bytes_bound_fails_fast():
+    # order 99372 is under the element cap, but its table would need 39 GB
+    start = time.perf_counter()
+    rows = run_suite("lemma52", ns=(91,))
+    assert time.perf_counter() - start < 5
     assert rows[0].status == "fail"
     assert "CapExceeded" in rows[0].computed["error"]
 
