@@ -161,15 +161,13 @@ def _run_conic(args) -> int:
 
 def _run_jordan(args) -> int:
     try:
-        group = load_group(args.groupfile, cap=args.cap)
+        fragment = report_fragment(load_group(args.groupfile, cap=args.cap), cap=args.cap)
     except FileNotFoundError:
         sys.stderr.write("error: no such file: %s\n" % args.groupfile)
         return USAGE_EXIT
     except GroupFileError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return USAGE_EXIT
-    try:
-        fragment = report_fragment(group, cap=args.cap)
     except CapExceeded as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

@@ -6,13 +6,13 @@ serialize themselves to a canonical byte key.  A group is closed breadth-first
 from a generator list; the element order is deterministic (identity first, then
 layer by layer, each layer sorted by canonical key), so two closures of the same
 generator list are byte-identical.  A product of cyclic groups is built
-directly, in mixed-radix order, by ``cyclic_product``.
+directly, in mixed-radix order over exponent vectors, by ``cyclic_product``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 from typing import Iterable, Protocol, Sequence
 
@@ -136,10 +136,6 @@ class ModMatrix:
                 tuple(tuple(e % self.modulus for e in row) for row in self.entries),
             )
 
-    @staticmethod
-    def from_rows(modulus: int, rows: Sequence[Sequence[int]]) -> "ModMatrix":
-        return ModMatrix(modulus, tuple(tuple(int(e) % modulus for e in row) for row in rows))
-
     @property
     def dim(self) -> int:
         return len(self.entries)
@@ -174,15 +170,15 @@ class FiniteGroup:
 
     Element 0 is the identity.  ``mul[i, j]`` is the index of elements[i]
     composed with elements[j]; ``inverse[i]`` the index of the inverse.
+    ``keys`` and the key index behind ``find`` are derived from the payloads
+    on first use.
     """
 
     elements: tuple
-    keys: tuple[bytes, ...]
     mul: np.ndarray
     generators: tuple[int, ...]
     _parent: np.ndarray = field(repr=False)
     _via: np.ndarray = field(repr=False)
-    _index: dict = field(repr=False, default_factory=dict)
     inverse: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -190,8 +186,14 @@ class FiniteGroup:
         self.inverse = self.mul.argmin(axis=1).astype(np.int32)
         self.mul.flags.writeable = False
         self.inverse.flags.writeable = False
-        if not self._index:
-            self._index = {k: i for i, k in enumerate(self.keys)}
+
+    @cached_property
+    def keys(self) -> tuple[bytes, ...]:
+        return tuple(e.key() for e in self.elements)
+
+    @cached_property
+    def _index(self) -> dict[bytes, int]:
+        return {k: i for i, k in enumerate(self.keys)}
 
     @property
     def order(self) -> int:
@@ -270,15 +272,6 @@ class FiniteGroup:
     def subgroup(self, members: Iterable[int], gens: tuple[int, ...] | None = None) -> "Subgroup":
         return Subgroup(self, tuple(sorted(int(m) for m in set(members))), gens)
 
-    def serialize(self) -> bytes:
-        doc = {
-            "kind": getattr(self.elements[0], "kind", "?"),
-            "order": self.order,
-            "element_keys": [k.decode() for k in self.keys],
-            "generators": [int(g) for g in self.generators],
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
 
 @dataclass(frozen=True)
 class Subgroup:
@@ -348,8 +341,7 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
 
     ident = gens[0].identity()
     elements: list = [ident]
-    keys: list[bytes] = [ident.key()]
-    index: dict[bytes, int] = {keys[0]: 0}
+    index: dict[bytes, int] = {ident.key(): 0}
     parent: list[int] = [-1]
     via: list[int] = [-1]
     # right[i][pos]: key of element i composed with generator pos, each composed
@@ -377,7 +369,6 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
             frontier.append(len(elements))
             index[k] = len(elements)
             elements.append(prod)
-            keys.append(k)
             parent.append(fi)
             via.append(pos)
 
@@ -392,7 +383,6 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
 
     return FiniteGroup(
         elements=tuple(elements),
-        keys=tuple(keys),
         mul=mul,
         generators=tuple(index[k] for k in right[0]),
         _parent=np.asarray(parent, dtype=np.int32),
@@ -401,13 +391,15 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
 
 
 def cyclic_product(factors: Sequence[int]) -> FiniteGroup:
-    """Z/d_1 x ... x Z/d_k on disjoint block cycles, without a closure search.
+    """Z/d_1 x ... x Z/d_k as a Cayley table, without a closure search.
 
-    Element i has exponent vector ``np.unravel_index(i, factors)`` (first
-    factor most significant) and is the permutation rotating block t by
-    digit t; generator t is the t-th unit vector, index 0 when d_t = 1.  The
-    Cayley table is a fold of cyclic ones, one factor at a time, and an
-    element's tree parent lowers its last nonzero digit by one.
+    Element i is its exponent vector ``np.unravel_index(i, factors)`` (first
+    factor most significant), a tuple rather than a payload; generator t is
+    the t-th unit vector, index 0 when d_t = 1.  The Cayley table is a fold
+    of cyclic ones, one factor at a time, and an element's tree parent
+    lowers its last nonzero digit by one.  ``find``, ``keys``, ``to_group``
+    and the key orders of ``conjugacy_classes`` and ``jordan_index`` need
+    payloads, so they are for closed groups only.
     """
     factors = tuple(int(d) for d in factors)
     if not factors or any(d < 1 for d in factors):
@@ -425,17 +417,13 @@ def cyclic_product(factors: Sequence[int]) -> FiniteGroup:
         mul = ((mul * d)[:, None, :, None] + cyclic[:, None, :]).reshape(n * d, n * d)
 
     digits = np.stack(np.unravel_index(np.arange(order), factors))
-    offsets = np.cumsum((0,) + factors[:-1])
-    blocks = [off + (np.arange(d) + e[:, None]) % d for off, d, e in zip(offsets, factors, digits)]
-    elements = tuple(Permutation(tuple(row)) for row in np.hstack(blocks).tolist())
     strides = order // np.cumprod(factors)
     via = len(factors) - 1 - np.argmax(digits[::-1] != 0, axis=0)
     parent = np.arange(order) - strides[via]
     parent[0] = via[0] = -1
 
     return FiniteGroup(
-        elements=elements,
-        keys=tuple(e.key() for e in elements),
+        elements=tuple(map(tuple, digits.T.tolist())),
         mul=mul,
         generators=tuple(int(s) if d > 1 else 0 for s, d in zip(strides, factors)),
         _parent=parent.astype(np.int32),

@@ -143,18 +143,16 @@ def satisfies_fano_bound(cycle: PoleCycle) -> bool:
     return True
 
 
+def _dihedral_images(components: tuple[Component, ...]) -> Iterator[tuple[Component, ...]]:
+    """The len(components) rotations of the ring, then those of its reversal."""
+    for seq in (components, components[::-1]):
+        for shift in range(len(seq)):
+            yield seq[shift:] + seq[:shift]
+
+
 def canonical_components(components: tuple[Component, ...]) -> tuple[Component, ...]:
     """Least rotation/reflection representative of the component tuple."""
-    length = len(components)
-    best = None
-    seqs = (components, tuple(reversed(components)))
-    for seq in seqs:
-        for shift in range(length):
-            cand = seq[shift:] + seq[:shift]
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+    return min(_dihedral_images(components))
 
 
 def symmetry_group(cycle: PoleCycle) -> SymmetryGroup:
@@ -173,15 +171,9 @@ def symmetry_group(cycle: PoleCycle) -> SymmetryGroup:
         if comps[0] == comps[1]:
             return SymmetryGroup(4, "klein4")
         return SymmetryGroup(2, "c2")
-    rotations = 0
-    for shift in range(length):
-        if comps[shift:] + comps[:shift] == comps:
-            rotations += 1
-    reversed_comps = tuple(reversed(comps))
-    reflects = any(
-        reversed_comps[shift:] + reversed_comps[:shift] == comps
-        for shift in range(length)
-    )
+    fixed = [image == comps for image in _dihedral_images(comps)]
+    rotations = sum(fixed[:length])
+    reflects = any(fixed[length:])
     order = rotations * (2 if reflects else 1)
     if order == 1:
         return SymmetryGroup(1, "trivial")

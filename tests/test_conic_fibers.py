@@ -221,6 +221,14 @@ def test_selection_is_union_of_orbits():
                 assert perm[c] in chosen
 
 
+def test_conic_path_builds_no_element_keys():
+    # the model group carries exponent vectors; nothing on the conic path needs keys
+    for t in range(50):
+        model = random_model(0, t)
+        construct_no_swap_subgroup(model)
+        assert "keys" not in vars(model.group), t
+
+
 def test_simulation_is_deterministic_and_clean():
     first = simulate(0, 60)
     second = simulate(0, 60)

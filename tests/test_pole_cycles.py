@@ -14,6 +14,7 @@ from cremonalab.pole_cycles import (
     base_pairs,
     blow_up_node,
     blow_up_smooth,
+    canonical_components,
     conservation_defect,
     conservation_violations,
     configuration_rows,
@@ -139,6 +140,13 @@ def test_symmetry_group_matches_brute_force(sample_cycles):
         else:
             assert sym.kind == "cyclic(%d)" % rotations
         assert (2 * cycle.length) % sym.order == 0
+        comps = cycle.components
+        reflected_comps = tuple(reversed(comps))
+        naive = min(
+            [comps[s:] + comps[:s] for s in range(len(comps))]
+            + [reflected_comps[s:] + reflected_comps[:s] for s in range(len(comps))]
+        )
+        assert canonical_components(comps) == naive
 
 
 @given(st.integers(min_value=3, max_value=8), st.data())

@@ -172,6 +172,16 @@ def test_cli_jordan_bad_inputs(tmp_path):
     assert "degree" in result.stderr
 
 
+@pytest.mark.parametrize("name", ["s4.json", "family_n5.json"])
+def test_cli_jordan_cap_exceeded_while_loading(name):
+    # the closure outgrows --cap inside load_group, before any report
+    result = run_cli("jordan", str(PKG_ROOT / "demos" / "groupfiles" / name), "--cap", "5")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and "cap=5" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_cli_report_md_is_deterministic():
     first = run_cli("report", "conic", "--trials", "20", "--emit", "md")
     assert first.returncode == 0
