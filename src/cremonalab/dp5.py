@@ -117,10 +117,11 @@ def _matrix_from_columns(columns) -> np.ndarray:
 def s5_representation(verify: bool = True) -> Representation:
     """Integral 6-dimensional representation of the degree-5 symmetric group.
 
-    Built by breadth-first closure from a transposition and a 5-cycle; every
-    element's matrix is the parent's matrix times the generator's, matching
-    the composition order used by the closure.  With ``verify`` the whole
-    multiplication table is checked against matrix products.
+    Built by closure from a transposition and a 5-cycle; along the group's
+    breadth-first ``tree`` every element's matrix is its tree parent's matrix
+    times the generator's, matching the composition order of the table.  With
+    ``verify`` the whole multiplication table is checked against matrix
+    products.
     """
     swap = Permutation.from_cycles(5, [[1, 2]])
     cycle = Permutation.from_cycles(5, [[1, 2, 3, 4, 5]])
@@ -131,9 +132,7 @@ def s5_representation(verify: bool = True) -> Representation:
     )
     mats = np.zeros((group.order, 6, 6), dtype=np.int64)
     mats[0] = np.eye(6, dtype=np.int64)
-    for j in range(1, group.order):
-        parent = int(group._parent[j])
-        via = int(group._via[j])
+    for j, parent, via in group.tree(group.generators):
         mats[j] = mats[parent] @ genmats[via]
     mats.flags.writeable = False
     rep = Representation(group=group, mats=mats, labels=LABELS)
@@ -176,7 +175,7 @@ def standard_subgroups(group: FiniteGroup) -> list[tuple[str, Subgroup]]:
     10 (5-cycle with an inverting involution), 5 (the cycle alone).
     """
     full = group.subgroup(range(group.order), gens=group.generators)
-    alt = commutator_subgroup(group)
+    alt = commutator_subgroup(full)
 
     five = group.find(Permutation.from_cycles(5, [[1, 3, 4, 5, 2]]))
     c5_members = group.subgroup_closure([five])
@@ -204,13 +203,13 @@ def standard_subgroups(group: FiniteGroup) -> list[tuple[str, Subgroup]]:
     return named
 
 
-def _kernel_of_elements(rep: Representation, indices, shift: int = 1) -> list[tuple[int, ...]]:
-    # kernel of stacked (rho(g) - shift*I); shift is +-1
+def _kernel_of_elements(rep: Representation, indices, signs=None) -> list[tuple[int, ...]]:
+    # kernel of stacked (rho(g) - sign_g * I); each sign is +-1, all +1 by default
     width = rep.dim
     eye = np.eye(width, dtype=np.int64)
     rows: list[list[int]] = []
-    for g in indices:
-        rows.extend((rep.mats[g] - shift * eye).tolist())
+    for g, sign in zip(indices, signs or [1] * len(indices)):
+        rows.extend((rep.mats[g] - sign * eye).tolist())
     return kernel_basis(rows, width=width)
 
 
@@ -244,7 +243,7 @@ def _complex_note(
 ) -> tuple[int, ...]:
     """Degrees of the cyclotomic factors acting on the commutator-fixed space.
 
-    ``derived_set`` is the subgroup's derived subgroup, as parent indices, and
+    ``derived_set`` holds the members of the subgroup's derived subgroup, and
     ``basis`` spans the subspace it fixes.  The abelianization acts on that
     subspace; when the quotient is cyclic, the characteristic polynomial of a
     coset generator factors into cyclotomics whose non-linear factors explain
@@ -290,27 +289,19 @@ def rational_invariant_lines(
     character.  The verdict is conjugation-invariant: conjugating the
     subgroup transports invariant lines by the conjugating matrix.
     """
-    group = rep.group
-    sub = subgroup.to_group()
-    sub_gens = sub.generators
-    parent_gens = [group.find(sub.elements[g]) for g in sub_gens]
+    gens = subgroup.generating_set()
+    positions = [subgroup.members.index(g) for g in gens]
 
     dims: list[int] = []
     witness: tuple[int, ...] | None = None
-    for chi in sign_characters(sub):
-        width = rep.dim
-        eye = np.eye(width, dtype=np.int64)
-        rows: list[list[int]] = []
-        for gi, pg in zip(sub_gens, parent_gens):
-            rows.extend((rep.mats[pg] - chi[gi] * eye).tolist())
-        basis = kernel_basis(rows, width=width)
+    for chi in sign_characters(subgroup):
+        basis = _kernel_of_elements(rep, gens, [chi[pos] for pos in positions])
         dims.append(len(basis))
         if witness is None and basis:
             witness = basis[0]
 
-    derived = commutator_subgroup(sub)
-    derived_set = {group.find(sub.elements[m]) for m in derived.members}
-    fixed = _kernel_of_elements(rep, [group.find(sub.elements[m]) for m in derived.generating_set()])
+    derived = commutator_subgroup(subgroup)
+    fixed = _kernel_of_elements(rep, derived.generating_set())
     # a positive verdict certifies the linear-algebra condition only; whether
     # the corresponding hyperplane section is nodal is outside this model
     caveat = "" if witness is None else "line existence shown representation-theoretically; nodality of the section not checked"
@@ -321,7 +312,7 @@ def rational_invariant_lines(
         line_character_dims=tuple(dims),
         witness=witness,
         fix_space_dim=len(fixed),
-        complex_note=_complex_note(rep, subgroup, derived_set, fixed),
+        complex_note=_complex_note(rep, subgroup, set(derived.members), fixed),
         caveat=caveat,
     )
 

@@ -7,6 +7,10 @@ from a generator list; the element order is deterministic (identity first, then
 layer by layer, each layer sorted by canonical key), so two closures of the same
 generator list are byte-identical.  A product of cyclic groups is built
 directly, in mixed-radix order over exponent vectors, by ``cyclic_product``.
+
+Every group and subgroup operation works from the Cayley table alone: a
+subgroup stays a member list inside its parent.  Only ``find`` and ``keys``
+need payloads, and ``jordan_index`` reads keys only to break a real tie.
 """
 
 from __future__ import annotations
@@ -177,8 +181,6 @@ class FiniteGroup:
     elements: tuple
     mul: np.ndarray
     generators: tuple[int, ...]
-    _parent: np.ndarray = field(repr=False)
-    _via: np.ndarray = field(repr=False)
     inverse: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -226,9 +228,6 @@ class FiniteGroup:
             n += 1
         return n
 
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
-
     def product_set(self, left: Sequence[int], right: Sequence[int]) -> tuple[int, ...]:
         """Sorted indices of every product x y with x in ``left``, y in ``right``."""
         mask = np.zeros(self.order, dtype=bool)
@@ -247,11 +246,14 @@ class FiniteGroup:
             members, grown = grown, self.product_set(grown, gens)
         return members
 
-    def conjugation_closure(self, seeds: Iterable[int]) -> tuple[int, ...]:
-        """Closure of a set under conjugation by the group generators."""
+    def conjugation_closure(
+        self, seeds: Iterable[int], by: Sequence[int] | None = None
+    ) -> tuple[int, ...]:
+        """Closure of a set under conjugation by ``by`` (default: the group generators)."""
         closed = set(int(s) for s in seeds)
         frontier = list(closed)
-        gens = [g for g in self.generators] + [int(self.inverse[g]) for g in self.generators]
+        by = self.generators if by is None else by
+        gens = [int(g) for g in by] + [int(self.inverse[g]) for g in by]
         while frontier:
             x = frontier.pop()
             for g in gens:
@@ -261,13 +263,22 @@ class FiniteGroup:
                     frontier.append(y)
         return tuple(sorted(closed))
 
-    def normal_closure(self, seeds: Iterable[int]) -> tuple[int, ...]:
-        """Members of the smallest normal subgroup containing ``seeds``.
+    def tree(self, gens: Sequence[int]) -> list[tuple[int, int, int]]:
+        """Breadth-first spanning tree of the subgroup generated by ``gens``.
 
-        The subgroup generated by a conjugation-invariant set is normal, so
-        conjugation closure followed by subgroup closure is enough.
+        One ``(x, parent, pos)`` triple per non-identity member, in discovery
+        order, with x = parent . gens[pos]; each parent precedes its children.
         """
-        return self.subgroup_closure(self.conjugation_closure(seeds))
+        reached, steps = [0], []
+        seen = {0}
+        for x in reached:  # ``reached`` grows while it is walked
+            for pos, g in enumerate(gens):
+                y = int(self.mul[x, g])
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+                    steps.append((y, x, pos))
+        return steps
 
     def subgroup(self, members: Iterable[int], gens: tuple[int, ...] | None = None) -> "Subgroup":
         return Subgroup(self, tuple(sorted(int(m) for m in set(members))), gens)
@@ -304,17 +315,6 @@ class Subgroup:
 
     def is_normal(self) -> bool:
         return self.parent.conjugation_closure(self.members) == self.members
-
-    def to_group(self, cap: int = DEFAULT_CAP) -> FiniteGroup:
-        """Re-close this subgroup as a standalone FiniteGroup."""
-        gens = self.generating_set()
-        payloads = [self.parent.elements[g] for g in gens]
-        if not payloads:
-            payloads = [self.parent.elements[0]]
-        group = close_generators(payloads, cap=cap)
-        if group.order != self.order:
-            raise GroupError("subgroup closure mismatch: %d vs %d" % (group.order, self.order))
-        return group
 
 
 def check_table_bytes(order: int) -> None:
@@ -385,8 +385,6 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
         elements=tuple(elements),
         mul=mul,
         generators=tuple(index[k] for k in right[0]),
-        _parent=np.asarray(parent, dtype=np.int32),
-        _via=np.asarray(via, dtype=np.int32),
     )
 
 
@@ -396,10 +394,9 @@ def cyclic_product(factors: Sequence[int]) -> FiniteGroup:
     Element i is its exponent vector ``np.unravel_index(i, factors)`` (first
     factor most significant), a tuple rather than a payload; generator t is
     the t-th unit vector, index 0 when d_t = 1.  The Cayley table is a fold
-    of cyclic ones, one factor at a time, and an element's tree parent
-    lowers its last nonzero digit by one.  ``find``, ``keys``, ``to_group``
-    and the key orders of ``conjugacy_classes`` and ``jordan_index`` need
-    payloads, so they are for closed groups only.
+    of cyclic ones, one factor at a time.  Only ``find`` and ``keys`` need
+    payloads, so they are for closed groups only; every other operation,
+    ``jordan_index`` included, works on this group too.
     """
     factors = tuple(int(d) for d in factors)
     if not factors or any(d < 1 for d in factors):
@@ -418,24 +415,17 @@ def cyclic_product(factors: Sequence[int]) -> FiniteGroup:
 
     digits = np.stack(np.unravel_index(np.arange(order), factors))
     strides = order // np.cumprod(factors)
-    via = len(factors) - 1 - np.argmax(digits[::-1] != 0, axis=0)
-    parent = np.arange(order) - strides[via]
-    parent[0] = via[0] = -1
-
     return FiniteGroup(
         elements=tuple(map(tuple, digits.T.tolist())),
         mul=mul,
         generators=tuple(int(s) if d > 1 else 0 for s, d in zip(strides, factors)),
-        _parent=parent.astype(np.int32),
-        _via=via.astype(np.int32),
     )
 
 
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Conjugacy classes as sorted index tuples.
+    """Conjugacy classes as sorted index tuples, in order of their smallest member.
 
-    The identity class comes first; the rest are sorted by (size, smallest
-    member key).
+    The identity class (0,) comes first.
     """
     seen = np.zeros(group.order, dtype=bool)
     classes: list[tuple[int, ...]] = []
@@ -444,17 +434,18 @@ def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
             orbit = group.conjugation_closure([start])
             seen[list(orbit)] = True
             classes.append(orbit)
-    # start 0 is the identity, whose class is itself
-    identity_class, rest = classes[0], classes[1:]
-    rest.sort(key=lambda c: (len(c), min(group.keys[m] for m in c)))
-    return tuple([identity_class] + rest)
+    return tuple(classes)
 
 
-def commutator_subgroup(group: FiniteGroup) -> Subgroup:
-    """Derived subgroup: normal closure of the generator-pair commutators."""
-    seeds = {group.commutator(a, b) for a in group.generators for b in group.generators}
-    members = group.normal_closure(seeds)
-    return group.subgroup(members)
+def commutator_subgroup(sub: Subgroup) -> Subgroup:
+    """Derived subgroup of ``sub``, inside the same parent group.
+
+    The commutators of ``sub``'s generators, closed under conjugation by those
+    generators, generate a subgroup normal in ``sub``: the derived subgroup.
+    """
+    group, gens = sub.parent, sub.generating_set()
+    seeds = {group.commutator(a, b) for a in gens for b in gens}
+    return group.subgroup(group.subgroup_closure(group.conjugation_closure(seeds, by=gens)))
 
 
 def minimal_generators(group: FiniteGroup, members: Sequence[int]) -> tuple[int, ...]:
@@ -476,29 +467,24 @@ def minimal_generators(group: FiniteGroup, members: Sequence[int]) -> tuple[int,
     return tuple(chosen)
 
 
-def sign_characters(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """All homomorphisms to {+1, -1}, each as a value tuple over elements.
+def sign_characters(sub: Subgroup) -> tuple[tuple[int, ...], ...]:
+    """All homomorphisms from ``sub`` to {+1, -1}, trivial first.
 
-    Candidate generator assignments are propagated along the closure tree and
-    kept when multiplicativity holds against every generator column.  The
-    trivial character is first.
+    Each is a value tuple aligned with ``sub.members``.  Every sign assignment
+    to the generators is propagated along ``tree`` and kept when it is
+    multiplicative against each generator column.
     """
-    gen_positions = list(range(len(group.generators)))
-    k = group.order
+    group, gens = sub.parent, sub.generating_set()
+    steps = group.tree(gens)
+    members = np.asarray(sub.members)
     found: set[tuple[int, ...]] = set()
-    for bits in range(1 << len(gen_positions)):
-        eps = [1 if not (bits >> p) & 1 else -1 for p in gen_positions]
-        chi = np.ones(k, dtype=np.int64)
-        ok = True
-        for j in range(1, k):
-            chi[j] = chi[group._parent[j]] * eps[group._via[j]]
-        for pos, gi in enumerate(group.generators):
-            if chi[gi] != eps[pos]:
-                ok = False  # duplicate generators with clashing signs
-                break
-            if not np.array_equal(chi[group.mul[:, gi]], chi * chi[gi]):
-                ok = False
-                break
-        if ok:
-            found.add(tuple(int(v) for v in chi))
+    for bits in range(1 << len(gens)):
+        eps = [-1 if (bits >> pos) & 1 else 1 for pos in range(len(gens))]
+        chi = [0] * group.order
+        chi[0] = 1
+        for x, parent, pos in steps:
+            chi[x] = chi[parent] * eps[pos]
+        values = np.asarray(chi)
+        if all(np.array_equal(values[group.mul[members, g]], values[members] * values[g]) for g in gens):
+            found.add(tuple(values[members].tolist()))
     return tuple(sorted(found, reverse=True))

@@ -75,20 +75,16 @@ def jordan_index(
 ) -> JordanCertificate:
     """Minimal index of an abelian normal subgroup, with its witness.
 
-    Ties are broken by largest subgroup first (same thing as minimal index)
-    and then by smallest serialized member key.
+    The witness is an abelian normal subgroup of maximal order; when several
+    share that order, the one with the smallest serialized member key.
     """
     if lattice is None:
         lattice = normal_subgroups(group, cap=cap)
-    best: Subgroup | None = None
-    for sub, ab in zip(lattice.subgroups, lattice.abelian):
-        if not ab:
-            continue
-        if best is None or sub.order > best.order or (
-            sub.order == best.order and sub.key() < best.key()
-        ):
-            best = sub
-    assert best is not None  # the trivial subgroup is always abelian normal
+    # the trivial subgroup is always abelian normal, so ``abelian`` is non-empty
+    abelian = [sub for sub, ab in zip(lattice.subgroups, lattice.abelian) if ab]
+    top = max(sub.order for sub in abelian)
+    ties = [sub for sub in abelian if sub.order == top]
+    best = ties[0] if len(ties) == 1 else min(ties, key=Subgroup.key)
     index = group.order // best.order
     return JordanCertificate(
         group_order=group.order,

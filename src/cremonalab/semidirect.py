@@ -184,13 +184,12 @@ def build_group(n: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
 
 
 def translation_subgroup(group: FiniteGroup) -> Subgroup:
-    """The subgroup of pure translations (trivial dihedral part)."""
+    """The subgroup of pure translations (trivial dihedral part).
+
+    ``build_group`` lists the two unit translations first among its generators.
+    """
     members = [i for i, e in enumerate(group.elements) if e.twist == 0]
-    gens = tuple(
-        group.find(SemidirectPair(group.elements[0].modulus, v, 0, group.elements[0].rho))
-        for v in ((1, 0), (0, 1))
-    )
-    return group.subgroup(members, gens=gens)
+    return group.subgroup(members, gens=group.generators[:2])
 
 
 def verify_lemma52(n: int, cap: int = DEFAULT_CAP, allow_bad_n: bool = False) -> VerificationReport:

@@ -13,6 +13,7 @@ import oracles
 from cremonalab.conic_fibers import FAMILY_REPRESENTATIVES
 from cremonalab import groups
 from cremonalab.corpus import small_group_corpus
+from cremonalab.dp5 import s5_representation, standard_subgroups
 from cremonalab.groupfiles import load_group
 from cremonalab.groups import (
     CapExceeded,
@@ -57,6 +58,11 @@ def closure_cases(family5):
 
 
 perm_images = st.permutations(range(5)).map(tuple)
+
+
+def whole(group):
+    """The group as a subgroup of itself, generated by its generators."""
+    return group.subgroup(range(group.order), gens=group.generators)
 
 
 def test_from_cycles_examples():
@@ -130,19 +136,16 @@ def test_close_generators_table_matches_compose(family5):
     assert_table_matches_compose(family5)
 
 
-@pytest.mark.parametrize("gens, generators, via", [
-    ([P4, P4], (1, 1), [-1, 0, 0, 0]),
-    ([E4, P4], (0, 1), [-1, 1, 1, 1]),
-    ([P4, E4, P4], (1, 0, 1), [-1, 0, 0, 0]),
+@pytest.mark.parametrize("gens, generators", [
+    ([P4, P4], (1, 1)),
+    ([E4, P4], (0, 1)),
+    ([P4, E4, P4], (1, 0, 1)),
 ], ids=["p_p", "e_p", "p_e_p"])
-def test_close_generators_repeated_and_identity_generators(gens, generators, via):
-    # a repeated generator is reached through its first position
+def test_close_generators_repeated_and_identity_generators(gens, generators):
     group = close_generators(gens)
     assert [e.images for e in group.elements] == [
         (0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)]
     assert group.generators == generators
-    assert group._parent.tolist() == [-1, 0, 1, 2]
-    assert group._via.tolist() == via
     assert group.inverse.tolist() == [0, 3, 2, 1]
     assert_table_matches_compose(group)
 
@@ -212,27 +215,27 @@ def test_conjugacy_classes_s4(s4):
 def test_normal_closure_is_minimal_normal(s4):
     table = oracles.table_of(s4)
     transposition = s4.find(Permutation.from_cycles(4, [[1, 2]]))
-    closure = set(s4.normal_closure([transposition]))
+    closure = set(s4.subgroup_closure(s4.conjugation_closure([transposition])))
     assert oracles.is_normal_subset(table, closure)
     # the only normal subgroup containing a transposition is the whole group
     assert len(closure) == 24
     three_cycle = s4.find(Permutation.from_cycles(4, [[1, 2, 3]]))
-    closure = set(s4.normal_closure([three_cycle]))
+    closure = set(s4.subgroup_closure(s4.conjugation_closure([three_cycle])))
     assert oracles.is_normal_subset(table, closure)
     assert len(closure) == 12
 
 
 def test_commutator_subgroup_s4_is_order_12(s4):
-    derived = commutator_subgroup(s4)
+    derived = commutator_subgroup(whole(s4))
     assert derived.order == 12
     assert all(s4.elements[i].images != (1, 0, 2, 3) for i in derived.members)
     klein = small_group_corpus()["c4xc2"]
-    assert commutator_subgroup(klein).order == 1
+    assert commutator_subgroup(whole(klein)).order == 1
 
 
 def test_sign_characters_multiplicative(corpus):
     for name, group in corpus.items():
-        chars = sign_characters(group)
+        chars = sign_characters(whole(group))
         assert chars[0] == tuple([1] * group.order), name
         for chi in chars:
             assert set(chi) <= {1, -1}
@@ -244,9 +247,50 @@ def test_sign_characters_multiplicative(corpus):
 
 def test_sign_character_counts(s4, corpus):
     # index-2 kernels: S4 has one (A4), C4xC2 has three
-    assert len(sign_characters(s4)) == 2
-    assert len(sign_characters(corpus["c4xc2"])) == 4
-    assert len(sign_characters(corpus["a4"])) == 1
+    assert len(sign_characters(whole(s4))) == 2
+    assert len(sign_characters(whole(corpus["c4xc2"]))) == 4
+    assert len(sign_characters(whole(corpus["a4"]))) == 1
+
+
+def assert_matches_reclosure(sub):
+    """sign_characters and commutator_subgroup of ``sub`` against a re-closure of its payloads."""
+    group = sub.parent
+    closed = close_generators([group.elements[g] for g in sub.generating_set()])
+    to_parent = [group.find(p) for p in closed.elements]
+    assert sorted(to_parent) == list(sub.members)
+    table = oracles.table_of(closed)
+    inv = oracles.inverse_row(table)
+    commutators = {table[table[a][b]][table[inv[a]][inv[b]]]
+                   for a in range(closed.order) for b in range(closed.order)}
+    derived = oracles.normal_closure_oracle(table, commutators)
+    assert commutator_subgroup(sub).members == tuple(sorted(to_parent[m] for m in derived))
+    # every sign character kills commutators and squares, and they are all of
+    # the quotient by the subgroup those generate, an elementary abelian 2-group
+    squares = {table[a][a] for a in range(closed.order)}
+    kernel = oracles.close_under_product(table, derived | squares)
+    chars = sign_characters(sub)
+    assert len(chars) == closed.order // len(kernel)
+    assert chars[0] == (1,) * sub.order
+    assert len(set(chars)) == len(chars)
+    position = {m: i for i, m in enumerate(sub.members)}
+    for chi in chars:
+        assert set(chi) <= {1, -1}
+        for a in sub.members:
+            for b in sub.members:
+                assert chi[position[int(group.mul[a, b])]] == chi[position[a]] * chi[position[b]]
+
+
+def test_s4_subgroups_match_reclosure(s4):
+    members = oracles.all_subgroups(oracles.table_of(s4))
+    assert len(members) == 30
+    for m in members:
+        assert_matches_reclosure(s4.subgroup(m))
+
+
+def test_dp5_subgroups_match_reclosure():
+    group = s5_representation(verify=False).group
+    for _, sub in standard_subgroups(group):
+        assert_matches_reclosure(sub)
 
 
 def test_minimal_generators_generate(s4):
@@ -258,12 +302,10 @@ def test_minimal_generators_generate(s4):
 
 def test_subgroup_view_consistency(s4):
     table = oracles.table_of(s4)
-    derived = commutator_subgroup(s4)
+    derived = commutator_subgroup(whole(s4))
     assert derived.is_normal() == oracles.is_normal_subset(table, derived.members)
     assert derived.is_abelian() == oracles.is_abelian_subset(table, derived.members)
     assert derived.index == 2
-    as_group = derived.to_group()
-    assert as_group.order == derived.order
 
 
 def block_cycles(factors):
@@ -297,7 +339,7 @@ def test_cyclic_product_matches_closure(factors):
     assert np.array_equal(closed.mul[np.ix_(to_closed, to_closed)], to_closed[direct.mul])
     assert np.array_equal(closed.inverse[to_closed], to_closed[direct.inverse])
     assert to_closed[list(direct.generators)].tolist() == list(closed.generators)
-    assert len(sign_characters(direct)) == len(sign_characters(closed))
+    assert len(sign_characters(whole(direct))) == len(sign_characters(whole(closed)))
 
 
 def test_cyclic_product_rejects_bad_factors():

@@ -5,8 +5,9 @@ import random
 import pytest
 
 import oracles
+from cremonalab.conic_fibers import FAMILY_REPRESENTATIVES
 from cremonalab.corpus import small_group_corpus
-from cremonalab.groups import close_generators
+from cremonalab.groups import close_generators, conjugacy_classes, cyclic_product
 from cremonalab.jordan import jordan_index, normal_subgroups, report_fragment
 from cremonalab.semidirect import build_group, translation_subgroup
 
@@ -115,3 +116,18 @@ def test_family_lattice_orders_and_translations(n, orders):
     lattice = normal_subgroups(group)
     assert [sub.order for sub in lattice] == orders
     assert translation_subgroup(group).members in {sub.members for sub in lattice}
+
+
+@pytest.mark.parametrize("factors", list(FAMILY_REPRESENTATIVES) + [(6, 4)], ids=str)
+def test_cyclic_product_lattice_needs_no_payloads(factors):
+    # elements of a cyclic_product are exponent tuples, which have no key
+    group = cyclic_product(factors)
+    table = oracles.table_of(group)
+    classes = conjugacy_classes(group)
+    assert {frozenset(c) for c in classes} == {
+        oracles.conjugation_orbit(table, [g]) for g in range(group.order)}
+    assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+    computed = {frozenset(sub.members) for sub in normal_subgroups(group)}
+    assert computed == oracles.normal_subgroups_oracle(table)
+    assert jordan_index(group).index == oracles.jordan_index_oracle(table)
+    assert "keys" not in vars(group)

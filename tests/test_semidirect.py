@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cremonalab.jordan import jordan_index, normal_subgroups
 from cremonalab.semidirect import (
     HypothesisViolated,
     SemidirectPair,
@@ -56,6 +57,16 @@ def test_group_order_and_translations(n):
     assert trans.is_abelian()
     assert trans.is_normal()
     assert all(group.elements[i].twist == 0 for i in trans.members)
+    assert [group.elements[g].vector for g in trans.gens] == [(1, 0), (0, 1)]
+    assert all(group.elements[g].twist == 0 for g in trans.gens)
+
+
+def test_lemma52_path_builds_no_element_keys():
+    group = build_group(5)
+    lattice = normal_subgroups(group)
+    jordan_index(group, lattice=lattice)
+    translation_subgroup(group)
+    assert "keys" not in vars(group)
 
 
 def test_commutator_with_translation_is_twisted_difference():
@@ -99,6 +110,16 @@ def test_bad_n_raises_unless_allowed():
     assert row.status == "informational"
     assert row.expected is None
     assert row.computed["determinants_are_units"] is False
+
+
+def test_bad_n_three_tie_is_broken_by_key():
+    # two abelian normal subgroups of order 9 tie; the smaller member key wins,
+    # and that one is not the translation subgroup
+    row = verify_lemma52(3, allow_bad_n=True)
+    assert row.status == "informational"
+    assert row.computed["jordan_index"] == 12
+    assert row.computed["witness_order"] == 9
+    assert row.computed["witness_is_translation_subgroup"] is False
 
 
 def test_build_action_data_rejects_tiny_modulus():
