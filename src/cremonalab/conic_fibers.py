@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import gcd, prod
-from typing import Iterable, Sequence
+from functools import lru_cache
+from math import gcd, lcm, prod
+from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
-from .groups import FiniteGroup, Permutation, Subgroup, close_generators, cyclic_product
+from .groups import FiniteGroup, Subgroup, cyclic_product
 
 __all__ = [
     "AbelianType",
@@ -128,8 +127,8 @@ class FiberActionModel:
     ``group`` is ``cyclic_product(factors)``, so the exponent vector of
     element e is ``np.unravel_index(e, factors)``.  ``gen_perms`` gives each
     generator's permutation of the 2 * fiber_count components, component
-    ``2f + s`` being side ``s`` of fiber ``f``; ``base`` is the group they
-    induce on the fibers.
+    ``2f + s`` being side ``s`` of fiber ``f``; ``base_order`` is the order
+    of the cyclic group they induce on the fibers.
     """
 
     group: FiniteGroup
@@ -137,7 +136,7 @@ class FiberActionModel:
     fiber_count: int
     marked: tuple[int, ...]
     gen_perms: tuple[tuple[int, ...], ...]
-    base: FiniteGroup
+    base_order: int
     _components: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
@@ -158,6 +157,26 @@ class FiberActionModel:
         return self.component_perm(element)[2 * fiber] == 2 * fiber + 1
 
 
+def _fiber_row(components: tuple[int, ...]) -> tuple[int, ...]:
+    """The fiber permutation a component permutation induces."""
+    return tuple([c // 2 for c in components[::2]])
+
+
+def _cycle_lcm(perm: tuple[int, ...]) -> int:
+    """Order of a permutation: the lcm of its cycle lengths."""
+    seen = [False] * len(perm)
+    order = 1
+    for start in range(len(perm)):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = perm[x]
+            length += 1
+        if length:
+            order = lcm(order, length)
+    return order
+
+
 def make_model(
     factors: Sequence[int],
     fiber_count: int,
@@ -170,6 +189,16 @@ def make_model(
     fixes the marked fibers, commutes with the others, has order dividing
     its cyclic factor, and that the induced action on fibers is cyclic.
     """
+    return _assemble_model(factors, fiber_count, marked, gen_perms, cyclic_product)
+
+
+def _assemble_model(
+    factors: Sequence[int],
+    fiber_count: int,
+    marked: Sequence[int],
+    gen_perms: Sequence[Sequence[int]],
+    group_of: Callable[[tuple[int, ...]], FiniteGroup],
+) -> FiberActionModel:
     factors = tuple(int(d) for d in factors)
     if not factors or any(d < 1 for d in factors):
         raise ModelError("factors must be positive integers")
@@ -201,36 +230,38 @@ def make_model(
     # named by the digits of e, folded in the mixed-radix order of
     # cyclic_product.  perm^d is the identity exactly when perm's order
     # divides d.
-    identity = np.arange(width)
-    arrays = [np.asarray(p) for p in perms]
-    components = identity[None, :]
-    for gi, (d, perm) in enumerate(zip(factors, arrays)):
+    identity = tuple(range(width))
+    components = (identity,)
+    for gi, (d, perm) in enumerate(zip(factors, perms)):
         powers = [identity]
         for _ in range(d):
-            powers.append(perm[powers[-1]])
-        if not np.array_equal(powers.pop(), identity):
+            powers.append(tuple(map(perm.__getitem__, powers[-1])))
+        if powers.pop() != identity:
             raise ModelError("generator %d has component order not dividing %d" % (gi, d))
-        components = np.stack(powers)[:, components].transpose(1, 0, 2).reshape(-1, width)
-    for i in range(len(arrays)):
-        for j in range(i + 1, len(arrays)):
-            if not np.array_equal(arrays[i][arrays[j]], arrays[j][arrays[i]]):
+        components = tuple(
+            [tuple(map(power.__getitem__, row)) for row in components for power in powers]
+        )
+    for i, pi in enumerate(perms):
+        for j in range(i + 1, len(perms)):
+            pj = perms[j]
+            if tuple(map(pi.__getitem__, pj)) != tuple(map(pj.__getitem__, pi)):
                 raise ModelError("generators %d and %d do not commute" % (i, j))
 
-    fiber_perms = [
-        Permutation(tuple(p[2 * f] // 2 for f in range(fiber_count))) for p in perms
-    ]
-    base = close_generators(fiber_perms)
-    if max(base.element_order(i) for i in range(base.order)) != base.order:
+    # The fiber rows of the component table are the whole induced action,
+    # and a cyclic group has an element whose order is the group order.
+    fiber_rows = {_fiber_row(row) for row in components}
+    base_order = len(fiber_rows)
+    if all(_cycle_lcm(row) != base_order for row in fiber_rows):
         raise ModelError("induced fiber action is not cyclic")
 
     return FiberActionModel(
-        group=cyclic_product(factors),
+        group=group_of(factors),
         factors=factors,
         fiber_count=fiber_count,
         marked=marked,
         gen_perms=perms,
-        base=base,
-        _components=tuple(map(tuple, components.tolist())),
+        base_order=base_order,
+        _components=components,
     )
 
 
@@ -314,22 +345,21 @@ def construct_no_swap_subgroup(model: FiberActionModel) -> NoSwapConstruction:
     bound.  The returned subgroup always admits a selection.
     """
     group = model.group
-    marked = model.marked
-    unmarked = model.unmarked
+    rows = model._components
+    marked_sides = [2 * f for f in model.marked]
+    unmarked_sides = [2 * f for f in model.unmarked]
 
-    a0 = [
-        m
-        for m in range(group.order)
-        if all(not model.swaps_fiber(m, f) for f in marked)
-    ]
-    f0 = [m for m in a0 if all(model.fiber_image(m, f) == f for f in unmarked)]
-    s_members = [m for m in f0 if all(not model.swaps_fiber(m, f) for f in unmarked)]
+    # a0: no marked fiber swapped; f0: every unmarked fiber fixed as well;
+    # s_members: no unmarked fiber swapped either.
+    a0 = [m for m, row in enumerate(rows) if all(row[c] != c + 1 for c in marked_sides)]
+    f0 = [m for m in a0 if all(rows[m][c] // 2 == c // 2 for c in unmarked_sides)]
+    s_members = [m for m in f0 if all(rows[m][c] != c + 1 for c in unmarked_sides)]
 
-    base = model.base
+    # The base is cyclic, so an element's fiber order equals |base| exactly
+    # when its fiber permutation generates the base.
     lift = None
     for m in a0:
-        fiber_perm = Permutation(tuple(model.fiber_image(m, f) for f in range(model.fiber_count)))
-        if base.element_order(base.find(fiber_perm)) == base.order == group.element_order(m):
+        if _cycle_lcm(_fiber_row(rows[m])) == model.base_order == group.element_order(m):
             lift = m
             break
 
@@ -363,6 +393,11 @@ def construct_no_swap_subgroup(model: FiberActionModel) -> NoSwapConstruction:
 
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+# random_model draws from 63 factor tuples, each of order at most 64, so
+# keeping their tables costs under 1 MB; make_model builds a fresh table.
+_random_model_group = lru_cache(maxsize=64)(cyclic_product)
 
 
 def random_model(seed: int, trial: int) -> FiberActionModel:
@@ -438,7 +473,7 @@ def random_model(seed: int, trial: int) -> FiberActionModel:
                 perms[gi][2 * f] = 2 * f + 1
                 perms[gi][2 * f + 1] = 2 * f
 
-    return make_model(factors, fiber_count, marked, perms)
+    return _assemble_model(factors, fiber_count, marked, perms, _random_model_group)
 
 
 def simulate(seed: int, trials: int) -> dict:

@@ -14,6 +14,7 @@ relevant restricted action so those invisible lines are still accounted for.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -317,11 +318,14 @@ def rational_invariant_lines(
     )
 
 
-def dp5_suite(rep: Representation | None = None) -> list[InvariantLineReport]:
-    """Reports for the five standard subgroups, in SUBGROUP_NAMES order."""
+def dp5_suite(
+    rep: Representation | None = None, names: Sequence[str] = SUBGROUP_NAMES
+) -> list[InvariantLineReport]:
+    """Reports for the named standard subgroups (default all five), in SUBGROUP_NAMES order."""
     if rep is None:
         rep = s5_representation()
     return [
         rational_invariant_lines(rep, sub, name)
         for name, sub in standard_subgroups(rep.group)
+        if name in names
     ]

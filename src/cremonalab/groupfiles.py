@@ -17,11 +17,15 @@ from .groups import DEFAULT_CAP, FiniteGroup, ModMatrix, Permutation, close_gene
 from .rational import exact_det
 from .semidirect import build_group
 
-__all__ = ["MAX_DEGREE", "GroupFileError", "parse_group", "load_group"]
+__all__ = ["MAX_DEGREE", "MAX_MATRIX_DIM", "GroupFileError", "parse_group", "load_group"]
 
 # Permutation generators are built point by point, so the degree is bounded
 # before any of them is.
 MAX_DEGREE = 4096
+# Each matrix generator's determinant is computed exactly before any closure
+# cap applies, so its dimension is bounded first (Bareiss takes about 0.01 s
+# at 32 x 32 with six-digit entries).
+MAX_MATRIX_DIM = 32
 
 
 class GroupFileError(ValueError):
@@ -38,11 +42,14 @@ def _require_int(doc: dict, key: str, minimum: int) -> int:
 def _matrix_rows(raw, modulus: int) -> tuple[tuple[int, ...], ...]:
     if not isinstance(raw, list) or not raw:
         raise GroupFileError("matrix generator must be a non-empty array")
-    if all(isinstance(e, int) and not isinstance(e, bool) for e in raw):
-        k = isqrt(len(raw))
-        if k * k != len(raw):
+    flat = all(isinstance(e, int) and not isinstance(e, bool) for e in raw)
+    dim = isqrt(len(raw)) if flat else len(raw)
+    if dim > MAX_MATRIX_DIM:
+        raise GroupFileError("matrix dimension %d exceeds MAX_MATRIX_DIM=%d" % (dim, MAX_MATRIX_DIM))
+    if flat:
+        if dim * dim != len(raw):
             raise GroupFileError("flat matrix of length %d is not square" % len(raw))
-        rows = [raw[i * k:(i + 1) * k] for i in range(k)]
+        rows = [raw[i * dim:(i + 1) * dim] for i in range(dim)]
     elif all(isinstance(row, list) for row in raw):
         rows = raw
         if any(len(row) != len(rows) for row in rows):

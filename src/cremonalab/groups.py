@@ -249,11 +249,14 @@ class FiniteGroup:
     def conjugation_closure(
         self, seeds: Iterable[int], by: Sequence[int] | None = None
     ) -> tuple[int, ...]:
-        """Closure of a set under conjugation by ``by`` (default: the group generators)."""
+        """Closure of a set under conjugation by ``by`` (default: the group generators).
+
+        Conjugation by g permutes the finite closed set, so the set is closed
+        under conjugation by g's inverse too, and the inverses are not added.
+        """
         closed = set(int(s) for s in seeds)
         frontier = list(closed)
-        by = self.generators if by is None else by
-        gens = [int(g) for g in by] + [int(self.inverse[g]) for g in by]
+        gens = [int(g) for g in (self.generators if by is None else by)]
         while frontier:
             x = frontier.pop()
             for g in gens:

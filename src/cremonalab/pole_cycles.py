@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "PoleCycle",
@@ -29,6 +29,7 @@ __all__ = [
     "enumerate_configurations",
     "max_symmetry_by_degree",
     "configuration_rows",
+    "random_word_ends",
     "conservation_violations",
 ]
 
@@ -221,10 +222,10 @@ def enumerate_configurations(degree: int) -> list[tuple[PoleCycle, SymmetryGroup
     return out
 
 
-def max_symmetry_by_degree() -> dict[int, int]:
-    """Largest symmetry order occurring at each degree from 1 to 6."""
+def max_symmetry_by_degree(degrees: Iterable[int] = range(1, 7)) -> dict[int, int]:
+    """Largest symmetry order occurring at each given degree (default 1 to 6)."""
     table: dict[int, int] = {}
-    for degree in range(1, 7):
+    for degree in degrees:
         configs = enumerate_configurations(degree)
         table[degree] = max(sym.order for _, sym in configs)
     return table
@@ -247,24 +248,42 @@ def configuration_rows(degree: int) -> list[dict]:
     return rows
 
 
-def conservation_violations(seed: int, words_per_base: int, max_moves: int = 8) -> dict[str, int]:
-    """Count conservation-law violations over random words, per base pair.
+def random_word_ends(
+    seed: int, words_per_base: int, max_moves: int = 8
+) -> Iterator[tuple[str, tuple[Component, ...], int]]:
+    """``(base name, components, K^2)`` at the end of each random word.
 
     Each base pair gets its own derived random stream, so adding bases or
-    changing word counts for one base never disturbs the others.
+    changing word counts for one base never disturbs the others.  A word
+    takes up to ``max_moves`` moves, each drawn uniformly from the
+    Fano-filtered successors (node moves first, then smooth moves), and
+    stops early at K^2 = 1 or when no successor survives the filter.  The
+    successors depend only on the component tuple, so each tuple's are
+    built once per call from real blow-ups and looked up after that.
     """
-    out: dict[str, int] = {}
+    successors: dict[tuple[Component, ...], tuple[tuple[Component, ...], ...]] = {}
     for base in base_pairs():
         rng = random.Random("%d:%s" % (seed, base.base_name))
-        bad = 0
         for _ in range(words_per_base):
-            cycle = base
+            components, k2 = base.components, base.k2
             for _ in range(rng.randrange(max_moves + 1)):
-                options = [c for c in _successors(cycle) if satisfies_fano_bound(c)]
-                if not options or cycle.k2 <= 1:
+                options = successors.get(components)
+                if options is None:
+                    cycle = PoleCycle(components, k2, base.base_name)
+                    options = successors[components] = tuple(
+                        c.components for c in _successors(cycle) if satisfies_fano_bound(c)
+                    )
+                if not options or k2 <= 1:
                     break
-                cycle = options[rng.randrange(len(options))]
-            if conservation_defect(cycle) != 0:
-                bad += 1
-        out[base.base_name] = bad
+                components = options[rng.randrange(len(options))]
+                k2 -= 1
+            yield base.base_name, components, k2
+
+
+def conservation_violations(seed: int, words_per_base: int, max_moves: int = 8) -> dict[str, int]:
+    """Count conservation-law violations over random words, per base pair."""
+    out = {base.base_name: 0 for base in base_pairs()}
+    for name, components, k2 in random_word_ends(seed, words_per_base, max_moves):
+        if conservation_defect(PoleCycle(components, k2, name)) != 0:
+            out[name] += 1
     return out

@@ -113,14 +113,16 @@ def normal_subgroups_oracle(table: list[list[int]]) -> set[frozenset[int]]:
     return {s for s in all_subgroups(table) if is_normal_subset(table, s)}
 
 
-def conjugation_orbit(table: list[list[int]], seeds) -> frozenset[int]:
+def conjugation_orbit(table: list[list[int]], seeds, by=None) -> frozenset[int]:
+    """Orbit of the seeds under conjugation by every element of the subgroup
+    generated by ``by`` (default: the whole group)."""
     inv = inverse_row(table)
-    n = len(table)
+    conjugators = range(len(table)) if by is None else close_under_product(table, by)
     orbit = set(seeds)
     work = list(orbit)
     while work:
         x = work.pop()
-        for g in range(n):
+        for g in conjugators:
             c = table[table[g][x]][inv[g]]
             if c not in orbit:
                 orbit.add(c)
@@ -296,3 +298,35 @@ def cycle_symmetries(components) -> list[tuple[str, int]]:
         if rev[r:] + rev[:r] == comps:
             found.append(("ref", r))
     return found
+
+
+# --- random blow-up words -------------------------------------------------
+
+def pole_cycle_walk_ends(seed: int, words_per_base: int, max_moves: int = 8):
+    """``(base name, components, K^2)`` at the end of each random word, walked
+    on whole ``PoleCycle`` objects: every step builds each Fano-filtered
+    successor, node moves first, and draws one of them.  The reference the
+    memoized walk must match word by word."""
+    import random
+
+    from cremonalab.pole_cycles import (
+        base_pairs,
+        blow_up_node,
+        blow_up_smooth,
+        satisfies_fano_bound,
+    )
+
+    ends = []
+    for base in base_pairs():
+        rng = random.Random("%d:%s" % (seed, base.base_name))
+        for _ in range(words_per_base):
+            cycle = base
+            for _ in range(rng.randrange(max_moves + 1)):
+                options = [blow_up_node(cycle, i) for i in range(cycle.length)]
+                options += [blow_up_smooth(cycle, i) for i in range(cycle.length)]
+                options = [c for c in options if satisfies_fano_bound(c)]
+                if not options or cycle.k2 <= 1:
+                    break
+                cycle = options[rng.randrange(len(options))]
+            ends.append((base.base_name, cycle.components, cycle.k2))
+    return ends

@@ -1,9 +1,13 @@
 """Fiber-swap models: selections, the no-swap subgroup and its index bound."""
 
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import cremonalab
+from cremonalab import conic_fibers
 from cremonalab.conic_fibers import (
     AbelianType,
     ModelError,
@@ -17,6 +21,7 @@ from cremonalab.conic_fibers import (
     swap_scan,
     weak_geometric_constant,
 )
+from cremonalab.groups import Permutation, close_generators
 
 
 def identity_perm(fibers):
@@ -227,6 +232,61 @@ def test_conic_path_builds_no_element_keys():
         model = random_model(0, t)
         construct_no_swap_subgroup(model)
         assert "keys" not in vars(model.group), t
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_fiber_orders_match_a_closure_of_the_base(seed):
+    # the model reads |base| and fiber orders off its component table; here
+    # the induced fiber action is closed as a group and searched instead
+    for t in range(300):
+        model = random_model(seed, t)
+        fibers = range(model.fiber_count)
+        base = close_generators(
+            [Permutation(tuple(p[2 * f] // 2 for f in fibers)) for p in model.gen_perms])
+        assert model.base_order == base.order, t
+        assert max(base.element_order(i) for i in range(base.order)) == base.order, t
+        candidates = [m for m in range(model.group.order)
+                      if not any(model.swaps_fiber(m, f) for f in model.marked)]
+        expected_lift = None
+        for m in candidates:
+            row = model.component_perm(m)
+            fiber_order = base.element_order(
+                base.find(Permutation(tuple(model.fiber_image(m, f) for f in fibers))))
+            assert conic_fibers._cycle_lcm(conic_fibers._fiber_row(row)) == fiber_order
+            if expected_lift is None and (
+                    fiber_order == base.order == model.group.element_order(m)):
+                expected_lift = m
+        built = construct_no_swap_subgroup(model)
+        if built.clean_lift:
+            assert built.lift_generator == expected_lift, t
+        else:
+            assert built.lift_generator is None and built.flag == "no_clean_lift", t
+
+
+def test_fiber_order_is_the_lcm_of_unequal_cycles():
+    # fibers (0 1)(2 3 4): the induced action is cyclic of order 6, which no
+    # single cycle length shows; random models only draw equal-length cycles
+    perm = []
+    for image in (1, 0, 3, 4, 2):
+        perm += [2 * image, 2 * image + 1]
+    model = make_model((6,), 5, (), [perm])
+    assert model.base_order == 6
+    built = construct_no_swap_subgroup(model)
+    assert built.clean_lift and built.lift_generator == model.group.generators[0]
+    assert built.index == 1
+
+
+def test_conic_path_runs_no_closure(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("close_generators called on the conic path")
+
+    for info in pkgutil.iter_modules(cremonalab.__path__):
+        module = importlib.import_module("cremonalab." + info.name)
+        if hasattr(module, "close_generators"):
+            monkeypatch.setattr(module, "close_generators", refuse)
+    assert not hasattr(conic_fibers, "close_generators")
+    conic_fibers._random_model_group.cache_clear()
+    assert simulate(0, 50)["trials"] == 50
 
 
 def test_simulation_is_deterministic_and_clean():

@@ -14,7 +14,8 @@ from cremonalab.conic_fibers import FAMILY_REPRESENTATIVES
 from cremonalab import groups
 from cremonalab.corpus import small_group_corpus
 from cremonalab.dp5 import s5_representation, standard_subgroups
-from cremonalab.groupfiles import load_group
+from cremonalab import groupfiles
+from cremonalab.groupfiles import GroupFileError, load_group, parse_group
 from cremonalab.groups import (
     CapExceeded,
     IncompatiblePayloads,
@@ -174,6 +175,22 @@ def test_table_bytes_bound(monkeypatch):
         cyclic_product((32, 32))
 
 
+def test_matrix_dimension_bound_precedes_determinant(monkeypatch):
+    # the determinant is the first costly step, so the bound must come before it
+    def no_det(rows):
+        raise AssertionError("exact_det reached")
+
+    monkeypatch.setattr(groupfiles, "MAX_MATRIX_DIM", 1)
+    monkeypatch.setattr(groupfiles, "exact_det", no_det)
+    for gen in ([[1, 1], [0, 1]], [1, 1, 0, 1]):
+        doc = {"kind": "modmatrix", "modulus": 3, "generators": [gen]}
+        with pytest.raises(GroupFileError, match="MAX_MATRIX_DIM=1"):
+            parse_group(doc)
+    monkeypatch.undo()
+    doc = {"kind": "modmatrix", "modulus": 3, "generators": [[[1, 1], [0, 1]]]}
+    assert parse_group(doc).order == 3
+
+
 def test_generators_index_input_payloads(s4):
     for gi, payload in zip(s4.generators, S4_GENS):
         assert s4.elements[gi] == payload
@@ -210,6 +227,21 @@ def test_conjugacy_classes_s4(s4):
         members = set(cls)
         for g in range(s4.order):
             assert {s4.conjugate(g, x) for x in cls} == members
+
+
+def test_conjugation_closure_matches_oracle_orbits(s4, family5):
+    # conjugating by generators alone (no inverses) reaches the whole orbit
+    # under the subgroup they generate, for every proper generator subset too
+    rng = random.Random(3)
+    for group in (s4, family5):
+        table = oracles.table_of(group)
+        gens = list(group.generators)
+        subsets = [None] + [[g] for g in gens] + [gens[:-1], gens[1:]]
+        for by in subsets:
+            for _ in range(12):
+                seeds = rng.sample(range(group.order), rng.randint(1, 3))
+                expected = oracles.conjugation_orbit(table, seeds, by=by)
+                assert group.conjugation_closure(seeds, by=by) == tuple(sorted(expected))
 
 
 def test_normal_closure_is_minimal_normal(s4):

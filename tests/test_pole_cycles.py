@@ -20,6 +20,7 @@ from cremonalab.pole_cycles import (
     configuration_rows,
     enumerate_configurations,
     max_symmetry_by_degree,
+    random_word_ends,
     satisfies_fano_bound,
     symmetry_group,
 )
@@ -80,6 +81,38 @@ def test_conservation_violations_counter_is_zero():
         "conic_line": 0,
         "nodal_cubic": 0,
     }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_memoized_walk_matches_pole_cycle_walk(seed):
+    # word by word: equal violation counts alone would prove nothing, both read 0
+    ends = list(random_word_ends(seed, 1000))
+    assert len(ends) == 3000
+    assert ends == oracles.pole_cycle_walk_ends(seed, 1000)
+
+
+def test_conservation_holds_on_every_reachable_cycle():
+    # Exhausts what the sampled row samples: the enumeration witnesses at
+    # degrees 8..1, closed under Fano-filtered moves, cover every reachable
+    # cycle up to relabeling the ring, and relabeling keeps the defect.
+    witnesses = {d: enumerate_configurations(d) for d in range(1, 9)}
+    assert sum(len(configs) for configs in witnesses.values()) == 49
+    reached = [cycle for configs in witnesses.values() for cycle, _ in configs]
+    seen = {(c.components, c.k2) for c in reached}
+    for cycle in reached:  # ``reached`` grows while it is walked
+        if cycle.k2 <= 1:
+            continue
+        moves = [blow_up_node(cycle, i) for i in range(cycle.length)]
+        moves += [blow_up_smooth(cycle, i) for i in range(cycle.length)]
+        for succ in moves:
+            if satisfies_fano_bound(succ) and (succ.components, succ.k2) not in seen:
+                seen.add((succ.components, succ.k2))
+                reached.append(succ)
+    for cycle in reached:
+        assert conservation_defect(cycle) == 0, (cycle.components, cycle.k2)
+    for degree, configs in witnesses.items():
+        classes = {canonical_components(c.components) for c in reached if c.k2 == degree}
+        assert classes == {canonical_components(c.components) for c, _ in configs}
 
 
 def test_genus_one_node_blow_up_splits_the_loop():

@@ -98,3 +98,17 @@ def test_emit_empty_reports():
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit([], "yaml")
+
+
+def test_prop44_and_dp5_rows_are_timed_one_by_one():
+    # each row carries its own measurement, not a share of one shared timer
+    prop44 = {r.claim_id: r.wall_time for r in run_suite("prop44")}
+    degree_times = [prop44["prop44.deg%d" % d] for d in range(1, 7)]
+    assert all(t > 0 for t in degree_times)
+    assert len(set(degree_times)) > 1
+    # degree 1 is reached by eight rounds of moves, degree 6 by three
+    assert prop44["prop44.deg1"] > prop44["prop44.deg6"]
+    dp5 = {r.claim_id: r.wall_time for r in run_suite("dp5")}
+    line_times = [dp5["prop57.%s" % name] for name in ("s5", "a5", "g5_4", "g5_2", "c5")]
+    assert all(t > 0 for t in line_times)
+    assert len(set(line_times)) > 1
