@@ -4,7 +4,8 @@ Commands: ``verify lemma52 --n <list>``, ``enumerate --degree <d>``,
 ``dp5 check``, ``conic simulate --seed <s> --trials <t>``,
 ``jordan <groupfile>``, ``report <suite>``.  Exit codes: 0 all-pass,
 1 any fail, 2 usage error.  Output is deterministic for fixed options
-and seeds.
+and seeds, except that ``verify`` and ``report`` add each row's measured
+wall time when given ``--times``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ ENUMERATE_COLUMNS = ("labels", "genus", "K2", "symmetry_order", "symmetry_kind",
                      "witness_base", "witness_word")
 DP5_COLUMNS = ("name", "order", "rational_line_exists", "fix_space_dim",
                "complex_note", "caveat")
+TIMES_HELP = "add each row's measured wall time in seconds (output no longer canonical)"
 
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
@@ -63,6 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="record hypothesis-violating n as informational instead of failing")
     p_verify.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p_verify.add_argument("--emit", choices=["json", "md"], default="json")
+    p_verify.add_argument("--times", action="store_true", help=TIMES_HELP)
 
     p_enum = sub.add_parser("enumerate", help="boundary-cycle configurations for one degree")
     p_enum.add_argument("--degree", type=int, required=True)
@@ -88,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p_report.add_argument("--seed", type=int, default=0)
     p_report.add_argument("--trials", type=_positive_int, default=500)
+    p_report.add_argument("--times", action="store_true", help=TIMES_HELP)
     return parser
 
 
@@ -114,7 +118,7 @@ def _emit_table(rows: list[dict], columns, fmt: str, meta: dict | None = None) -
 
 def _run_verify(args) -> int:
     rows = suites.run_suite("lemma52", ns=args.n, cap=args.cap, allow_bad_n=args.allow_bad_n)
-    sys.stdout.write(report.emit(rows, args.emit))
+    sys.stdout.write(report.emit(rows, args.emit, include_times=args.times))
     return report.exit_code(rows)
 
 
@@ -177,7 +181,7 @@ def _run_jordan(args) -> int:
 
 def _run_report(args) -> int:
     rows = suites.run_suite(args.suite, seed=args.seed, trials=args.trials, cap=args.cap)
-    sys.stdout.write(report.emit(rows, args.emit))
+    sys.stdout.write(report.emit(rows, args.emit, include_times=args.times))
     return report.exit_code(rows)
 
 

@@ -4,7 +4,8 @@ The accepted document shape is
 ``{"kind": "perm" | "modmatrix" | "lemma52", "degree": k, "modulus": n,
 "generators": [...]}`` where permutation generators are lists of cycles in
 1-based point labels and matrix generators are row-major integer arrays
-reduced mod n.  Matrix generators must be invertible mod n; the order-12n^2
+reduced mod n.  Matrix generators must be invertible mod n (the determinant is
+taken after reduction, and an error reports it mod n); the order-12n^2
 family needs only ``modulus``.
 """
 
@@ -59,12 +60,13 @@ def _matrix_rows(raw, modulus: int) -> tuple[tuple[int, ...], ...]:
                 raise GroupFileError("matrix entries must be integers")
     else:
         raise GroupFileError("matrix generator must be a flat or nested integer array")
-    det = exact_det(rows)
-    if gcd(int(det) % modulus, modulus) != 1:
-        raise GroupFileError(
-            "matrix generator is not invertible mod %d (det = %d)" % (modulus, int(det))
-        )
-    return tuple(tuple(int(e) % modulus for e in row) for row in rows)
+    # the determinant mod n only depends on the entries mod n, and reducing
+    # first keeps Bareiss off the raw (possibly huge) integers
+    reduced = tuple(tuple(e % modulus for e in row) for row in rows)
+    det = exact_det(reduced) % modulus
+    if gcd(det, modulus) != 1:
+        raise GroupFileError("matrix generator is not invertible mod %d (det = %d)" % (modulus, det))
+    return reduced
 
 
 def parse_group(doc, cap: int = DEFAULT_CAP) -> FiniteGroup:

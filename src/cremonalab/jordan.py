@@ -3,12 +3,19 @@
 The Jordan index is the minimal index of an abelian normal subgroup.  A group
 is a union of conjugacy classes and every normal subgroup is generated by the
 classes it contains, so the full lattice of normal subgroups is the closure of
-the class normal-closures under pairwise join.
+the class normal-closures under pairwise join.  A pair where one member
+contains the other joins to the larger one, so only the other pairs are
+multiplied out.  Each member keeps a generating seed set (its class, or the
+union of its two factors' seeds), and its abelian flag is read off those
+seeds: a subgroup is abelian exactly when its generators commute pairwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .groups import DEFAULT_CAP, CapExceeded, FiniteGroup, Subgroup, conjugacy_classes
 
@@ -44,30 +51,48 @@ class JordanCertificate:
     witness_is_normal: bool
 
 
+def _commute(group: FiniteGroup, left: Sequence[int], right: Sequence[int]) -> bool:
+    """Whether every element of ``left`` commutes with every element of ``right``."""
+    right = np.asarray(right)
+    return all(np.array_equal(group.mul[x, right], group.mul[right, x]) for x in left)
+
+
 def normal_subgroups(group: FiniteGroup, cap: int = DEFAULT_CAP) -> NormalSubgroupLattice:
     """Enumerate every normal subgroup of ``group``.
 
     Seeds are the normal closures of the conjugacy classes (each class is
     already conjugation-invariant, so its subgroup closure is normal); the
     seed set is then closed under pairwise join, each unordered pair joined
-    once.  Sorted by (order, member tuple): trivial subgroup first, whole
-    group last.
+    once and only when neither member contains the other.  Sorted by (order,
+    member tuple): trivial subgroup first, whole group last.
     """
     if group.order > cap:
         raise CapExceeded("group order %d exceeds cap=%d" % (group.order, cap))
-    found = list(dict.fromkeys(group.subgroup_closure(cls) for cls in conjugacy_classes(group)))
-    seen = set(found)
-    # ``found`` grows inside the loop, so every later member meets all earlier ones.
-    for i, a in enumerate(found):
-        for b in found[:i]:
+    # members -> (member set, generating seeds, abelian)
+    found: dict[tuple[int, ...], tuple[frozenset[int], tuple[int, ...], bool]] = {}
+    for cls in conjugacy_classes(group):
+        members = group.subgroup_closure(cls)
+        if members not in found:
+            found[members] = (frozenset(members), cls, _commute(group, cls, cls))
+    # ``pending`` grows inside the loop, so every later member meets all earlier ones.
+    pending = list(found)
+    for i, a in enumerate(pending):
+        a_set, a_seeds, a_abelian = found[a]
+        for b in pending[:i]:
+            b_set, b_seeds, b_abelian = found[b]
+            if a_set <= b_set or b_set <= a_set:
+                continue
             # for normal N and M the product set NM is a subgroup, hence their join
             joined = group.product_set(a, b)
-            if joined not in seen:
-                seen.add(joined)
-                found.append(joined)
+            if joined not in found:
+                abelian = a_abelian and b_abelian and _commute(group, a_seeds, b_seeds)
+                seeds = tuple(sorted(set(a_seeds) | set(b_seeds)))
+                found[joined] = (frozenset(joined), seeds, abelian)
+                pending.append(joined)
 
-    subgroups = tuple(group.subgroup(m) for m in sorted(found, key=lambda m: (len(m), m)))
-    return NormalSubgroupLattice(subgroups, tuple(s.is_abelian() for s in subgroups))
+    ordered = sorted(found, key=lambda m: (len(m), m))
+    return NormalSubgroupLattice(tuple(group.subgroup(m) for m in ordered),
+                                 tuple(found[m][2] for m in ordered))
 
 
 def jordan_index(

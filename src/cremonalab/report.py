@@ -120,8 +120,8 @@ def _emit_markdown(rows, include_times: bool) -> str:
         header = "| claim | anchor | computed | expected | provenance | status |"
         sep = "| --- | --- | --- | --- | --- | --- |"
         if include_times:
-            header = header[:-1] + " seconds |"
-            sep = sep[:-1] + " --- |"
+            header += " seconds |"
+            sep += " --- |"
         lines.append(header)
         lines.append(sep)
         for r in rows:

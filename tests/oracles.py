@@ -160,6 +160,26 @@ def normal_subgroups_small_closure_oracle(table: list[list[int]]) -> set[frozens
     return found
 
 
+def normal_subgroup_lattice_oracle(group):
+    """``(members, abelian flags)`` of every normal subgroup of a FiniteGroup,
+    sorted by (order, members): the class closures closed under every pairwise
+    product-set join, containments included, and each member's flag read off
+    its full |N| x |N| block by ``Subgroup.is_abelian``.  The reference that
+    ``jordan.normal_subgroups`` must match member for member and flag for flag."""
+    from cremonalab.groups import conjugacy_classes
+
+    found = list(dict.fromkeys(group.subgroup_closure(cls) for cls in conjugacy_classes(group)))
+    seen = set(found)
+    for i, a in enumerate(found):
+        for b in found[:i]:
+            joined = group.product_set(a, b)
+            if joined not in seen:
+                seen.add(joined)
+                found.append(joined)
+    members = sorted(found, key=lambda m: (len(m), m))
+    return members, [group.subgroup(m).is_abelian() for m in members]
+
+
 def jordan_index_oracle(table: list[list[int]]) -> int:
     n = len(table)
     best = n

@@ -1,6 +1,7 @@
 """Core group machinery against naive oracles."""
 
 import random
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -189,6 +190,24 @@ def test_matrix_dimension_bound_precedes_determinant(monkeypatch):
     monkeypatch.undo()
     doc = {"kind": "modmatrix", "modulus": 3, "generators": [[[1, 1], [0, 1]]]}
     assert parse_group(doc).order == 3
+
+
+def test_huge_matrix_entries_are_reduced_before_the_determinant():
+    # 3000-digit entries: Bareiss on the raw integers ran for over a minute
+    big = 10**2999
+    rows = [[7 * (big + 31 * i + j) + (i == j) for j in range(32)] for i in range(32)]
+    start = time.perf_counter()
+    assert parse_group({"kind": "modmatrix", "modulus": 7, "generators": [rows]}).order == 1
+    rows[3] = [7 * big] * 32
+    with pytest.raises(GroupFileError, match=r"not invertible mod 7 \(det = 0\)"):
+        parse_group({"kind": "modmatrix", "modulus": 7, "generators": [rows]})
+    assert time.perf_counter() - start < 1.0
+
+
+def test_non_invertible_error_prints_the_determinant_mod_n():
+    doc = {"kind": "modmatrix", "modulus": 4, "generators": [[[6, 0], [0, 1]]]}
+    with pytest.raises(GroupFileError, match=r"\(det = 2\)"):
+        parse_group(doc)
 
 
 def test_generators_index_input_payloads(s4):

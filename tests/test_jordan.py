@@ -7,7 +7,7 @@ import pytest
 import oracles
 from cremonalab.conic_fibers import FAMILY_REPRESENTATIVES
 from cremonalab.corpus import small_group_corpus
-from cremonalab.groups import close_generators, conjugacy_classes, cyclic_product
+from cremonalab.groups import FiniteGroup, Subgroup, close_generators, conjugacy_classes, cyclic_product
 from cremonalab.jordan import jordan_index, normal_subgroups, report_fragment
 from cremonalab.semidirect import build_group, translation_subgroup
 
@@ -109,6 +109,8 @@ def test_trivial_and_full_subgroups_always_present(corpus):
     (5, [1, 25, 50, 75, 150, 150, 150, 300]),
     (7, [1, 49, 98, 147, 294, 294, 294, 588]),
     (11, [1, 121, 242, 363, 726, 726, 726, 1452]),
+    (13, [1, 169, 338, 507, 1014, 1014, 1014, 2028]),
+    (17, [1, 289, 578, 867, 1734, 1734, 1734, 3468]),
 ])
 def test_family_lattice_orders_and_translations(n, orders):
     # eight normal subgroups, the translations of order n^2 among them
@@ -131,3 +133,54 @@ def test_cyclic_product_lattice_needs_no_payloads(factors):
     assert computed == oracles.normal_subgroups_oracle(table)
     assert jordan_index(group).index == oracles.jordan_index_oracle(table)
     assert "keys" not in vars(group)
+
+
+LATTICE_GROUPS = (
+    [pytest.param(lambda name=name: small_group_corpus()[name], id=name)
+     for name in sorted(small_group_corpus())]
+    + [pytest.param(lambda f=f: cyclic_product(f), id="cyclic%s" % (f,))
+       for f in FAMILY_REPRESENTATIVES]
+    + [pytest.param(lambda n=n: build_group(n), id="family_n%d" % n) for n in (5, 7)]
+)
+
+
+@pytest.mark.parametrize("build", LATTICE_GROUPS)
+def test_lattice_matches_all_pairs_oracle_and_block_flags(build):
+    # the containment skip and the seed-based flags change nothing
+    group = build()
+    lattice = normal_subgroups(group)
+    members, flags = oracles.normal_subgroup_lattice_oracle(group)
+    assert [sub.members for sub in lattice] == members
+    assert list(lattice.abelian) == flags
+    assert list(lattice.abelian) == [sub.is_abelian() for sub in lattice]
+
+
+def test_lattice_joins_only_incomparable_pairs(monkeypatch):
+    # 22 of the 28 pairs of the eight members are containments; none needs a
+    # join and no flag needs an |N| x |N| block
+    group = build_group(5)
+    joins, depth = [], [0]
+    product_set, subgroup_closure = FiniteGroup.product_set, FiniteGroup.subgroup_closure
+
+    def counting_product_set(self, left, right):
+        if not depth[0]:
+            joins.append((set(left), set(right)))
+        return product_set(self, left, right)
+
+    def closure(self, seeds):
+        depth[0] += 1
+        try:
+            return subgroup_closure(self, seeds)
+        finally:
+            depth[0] -= 1
+
+    def no_block(self):
+        raise AssertionError("Subgroup.is_abelian reached")
+
+    monkeypatch.setattr(FiniteGroup, "product_set", counting_product_set)
+    monkeypatch.setattr(FiniteGroup, "subgroup_closure", closure)
+    monkeypatch.setattr(Subgroup, "is_abelian", no_block)
+    lattice = normal_subgroups(group)
+    assert len(lattice) == 8
+    assert len(joins) == 6
+    assert not any(a <= b or b <= a for a, b in joins)

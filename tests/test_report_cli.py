@@ -182,6 +182,29 @@ def test_cli_jordan_cap_exceeded_while_loading(name):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma52", "--n", "5,7"],
+    ["report", "lemma52"],
+], ids=["verify", "report"])
+def test_times_flag_adds_positive_row_times(capsys, argv):
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--times"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert all(row.pop("wall_time") > 0 for row in timed["reports"])
+    # with the times taken out, the document is the default one byte for byte
+    assert json.dumps(timed, sort_keys=True, indent=2) + "\n" == plain
+    assert "wall_time" not in plain
+
+
+def test_times_flag_adds_a_seconds_column_to_markdown(capsys):
+    assert main(["verify", "lemma52", "--n", "5", "--emit", "md", "--times"]) == 0
+    table = capsys.readouterr().out
+    assert "| status | seconds |" in table
+    (row,) = [line for line in table.splitlines() if line.startswith("| lemma52.n5 |")]
+    assert float(row.split("|")[-2]) > 0
+
+
 def test_cli_report_md_is_deterministic():
     first = run_cli("report", "conic", "--trials", "20", "--emit", "md")
     assert first.returncode == 0
