@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import conic_fibers, dp5, pole_cycles, report, suites
-from .groups import DEFAULT_CAP, CapExceeded
+from .groups import DEFAULT_CAP, GroupError
 from .groupfiles import GroupFileError, load_group
 from .jordan import report_fragment
 
@@ -165,14 +165,14 @@ def _run_conic(args) -> int:
 
 def _run_jordan(args) -> int:
     try:
-        fragment = report_fragment(load_group(args.groupfile, cap=args.cap), cap=args.cap)
+        fragment = report_fragment(load_group(args.groupfile, cap=args.cap))
     except FileNotFoundError:
         sys.stderr.write("error: no such file: %s\n" % args.groupfile)
         return USAGE_EXIT
     except GroupFileError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return USAGE_EXIT
-    except CapExceeded as exc:
+    except GroupError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     sys.stdout.write(json.dumps(fragment, sort_keys=True, indent=2) + "\n")

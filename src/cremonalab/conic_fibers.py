@@ -91,10 +91,6 @@ class AbelianType:
         return AbelianType(tuple(lst))
 
     @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
-    @property
     def two_rank(self) -> int:
         return sum(1 for d in self.invariant_factors if d % 2 == 0)
 
@@ -127,34 +123,19 @@ class FiberActionModel:
     ``group`` is ``cyclic_product(factors)``, so the exponent vector of
     element e is ``np.unravel_index(e, factors)``.  ``gen_perms`` gives each
     generator's permutation of the 2 * fiber_count components, component
-    ``2f + s`` being side ``s`` of fiber ``f``; ``base_order`` is the order
-    of the cyclic group they induce on the fibers.
+    ``2f + s`` being side ``s`` of fiber ``f``; ``components[e]`` is element
+    e's permutation of them.  ``base_order`` is the order of the cyclic group
+    the generators induce on the fibers.
     """
 
     group: FiniteGroup
     factors: tuple[int, ...]
+    abelian_type: AbelianType
     fiber_count: int
     marked: tuple[int, ...]
     gen_perms: tuple[tuple[int, ...], ...]
     base_order: int
-    _components: tuple[tuple[int, ...], ...] = field(repr=False)
-
-    @property
-    def unmarked(self) -> tuple[int, ...]:
-        marked = set(self.marked)
-        return tuple(f for f in range(self.fiber_count) if f not in marked)
-
-    def abelian_type(self) -> AbelianType:
-        return AbelianType.from_factors(self.factors)
-
-    def component_perm(self, element: int) -> tuple[int, ...]:
-        return self._components[element]
-
-    def fiber_image(self, element: int, fiber: int) -> int:
-        return self.component_perm(element)[2 * fiber] // 2
-
-    def swaps_fiber(self, element: int, fiber: int) -> bool:
-        return self.component_perm(element)[2 * fiber] == 2 * fiber + 1
+    components: tuple[tuple[int, ...], ...] = field(repr=False)
 
 
 def _fiber_row(components: tuple[int, ...]) -> tuple[int, ...]:
@@ -257,11 +238,12 @@ def _assemble_model(
     return FiberActionModel(
         group=group_of(factors),
         factors=factors,
+        abelian_type=AbelianType.from_factors(factors),
         fiber_count=fiber_count,
         marked=marked,
         gen_perms=perms,
         base_order=base_order,
-        _components=components,
+        components=components,
     )
 
 
@@ -289,7 +271,7 @@ def greedy_selection(model: FiberActionModel, members: Sequence[int]) -> Compone
             continue
         reached: dict[int, tuple[int, int]] = {}
         for a in member_list:
-            image = model.component_perm(a)[2 * f]
+            image = model.components[a][2 * f]
             f2, s2 = divmod(image, 2)
             if f2 in reached and reached[f2][0] != s2:
                 other = reached[f2][1]
@@ -305,7 +287,7 @@ def swap_scan(model: FiberActionModel, members: Sequence[int]) -> tuple[int, int
     """Exhaustive oracle: first (element, fiber) pair where a member fixes a
     fiber and exchanges its components, or None."""
     for a in sorted(int(m) for m in members):
-        perm = model.component_perm(a)
+        perm = model.components[a]
         for f in range(model.fiber_count):
             if perm[2 * f] == 2 * f + 1:
                 return (a, f)
@@ -317,7 +299,7 @@ def selection_invariant(
 ) -> bool:
     chosen = set(selection.components())
     for a in members:
-        if {model.component_perm(a)[x] for x in chosen} != chosen:
+        if {model.components[a][x] for x in chosen} != chosen:
             return False
     return True
 
@@ -329,7 +311,6 @@ class NoSwapConstruction:
     clean_lift: bool
     lift_generator: int | None
     rank_bound: int
-    flag: str | None
     selection: ComponentSelection
 
 
@@ -340,20 +321,20 @@ def construct_no_swap_subgroup(model: FiberActionModel) -> NoSwapConstruction:
     swap-free part of the fiber stabilizer, then look for one element whose
     order equals the base image order both as a group element and on fibers.
     That element together with the swap-free part generates the subgroup;
-    when no such element exists the swap-free part alone is returned and the
-    construction is flagged, since the index may then exceed the 2-rank
-    bound.  The returned subgroup always admits a selection.
+    when no such element exists the swap-free part alone is returned without
+    a clean lift, since the index may then exceed the 2-rank bound.  The
+    returned subgroup always admits a selection.
     """
     group = model.group
-    rows = model._components
+    rows = model.components
     marked_sides = [2 * f for f in model.marked]
-    unmarked_sides = [2 * f for f in model.unmarked]
 
-    # a0: no marked fiber swapped; f0: every unmarked fiber fixed as well;
-    # s_members: no unmarked fiber swapped either.
+    # a0: no marked fiber swapped.  The swap-free part of the fiber
+    # stabilizer (every fiber fixed, none swapped; marked fibers are fixed by
+    # every element) fixes every component: it is the kernel of the component
+    # action, the rows equal to the identity row 0, and already a subgroup.
     a0 = [m for m, row in enumerate(rows) if all(row[c] != c + 1 for c in marked_sides)]
-    f0 = [m for m in a0 if all(rows[m][c] // 2 == c // 2 for c in unmarked_sides)]
-    s_members = [m for m in f0 if all(rows[m][c] != c + 1 for c in unmarked_sides)]
+    kernel = tuple(m for m, row in enumerate(rows) if row == rows[0])
 
     # The base is cyclic, so an element's fiber order equals |base| exactly
     # when its fiber permutation generates the base.
@@ -363,30 +344,23 @@ def construct_no_swap_subgroup(model: FiberActionModel) -> NoSwapConstruction:
             lift = m
             break
 
-    flag = None
+    sub = None
     if lift is not None:
-        members = group.subgroup_closure(list(s_members) + [lift])
-        sub = group.subgroup(members)
+        sub = group.subgroup(group.subgroup_closure((*kernel, lift)))
         try:
             selection = greedy_selection(model, sub.members)
-            clean = True
         except SwapFailure:
-            lift, sub, clean, flag = None, None, False, "no_clean_lift"
-    else:
-        sub, clean, flag = None, False, "no_clean_lift"
+            lift, sub = None, None
     if sub is None:
-        members = group.subgroup_closure(s_members) if s_members else (0,)
-        sub = group.subgroup(members)
+        sub = group.subgroup(kernel)
         selection = greedy_selection(model, sub.members)
 
-    rank_bound = 2 ** model.abelian_type().two_rank
     return NoSwapConstruction(
         subgroup=sub,
         index=group.order // sub.order,
-        clean_lift=clean,
+        clean_lift=lift is not None,
         lift_generator=lift,
-        rank_bound=rank_bound,
-        flag=flag,
+        rank_bound=2 ** model.abelian_type.two_rank,
         selection=selection,
     )
 
@@ -493,7 +467,7 @@ def simulate(seed: int, trials: int) -> dict:
     index_histogram: dict[int, int] = {}
     for t in range(trials):
         model = random_model(seed, t)
-        if not model.abelian_type().is_admissible():
+        if not model.abelian_type.is_admissible():
             inadmissible += 1
         try:
             cons = construct_no_swap_subgroup(model)

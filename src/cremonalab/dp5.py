@@ -36,7 +36,6 @@ from .rational import (
 )
 
 __all__ = [
-    "LABELS",
     "SUBGROUP_NAMES",
     "HomomorphismFailure",
     "ProjectorMismatch",
@@ -44,21 +43,18 @@ __all__ = [
     "InvariantLineReport",
     "s5_representation",
     "verify_homomorphism",
-    "dual_representation",
     "standard_subgroups",
     "fixed_space",
     "rational_invariant_lines",
     "dp5_suite",
 ]
 
-LABELS = ("s12", "s13", "s21", "s23", "s31", "s32")
-
 SUBGROUP_NAMES = ("s5", "a5", "g5_4", "g5_2", "c5")
 
 # Images of the basis vectors under the two generators, as matrix columns in
-# the LABELS order.  The transposition permutes labels; the 5-cycle sends a
-# label to a signed combination because two of the six classes trade places
-# with differences of the others.
+# the label order s12, s13, s21, s23, s31, s32.  The transposition permutes
+# labels; the 5-cycle sends a label to a signed combination because two of
+# the six classes trade places with differences of the others.
 _SWAP_COLUMNS = (
     (0, 0, 1, 0, 0, 0),
     (0, 0, 0, 1, 0, 0),
@@ -89,14 +85,10 @@ class ProjectorMismatch(RuntimeError):
 class Representation:
     group: FiniteGroup
     mats: np.ndarray
-    labels: tuple[str, ...]
 
     @property
     def dim(self) -> int:
         return self.mats.shape[1]
-
-    def matrix(self, index: int) -> np.ndarray:
-        return self.mats[index]
 
 
 @dataclass(frozen=True)
@@ -104,7 +96,6 @@ class InvariantLineReport:
     name: str
     subgroup_order: int
     has_rational_line: bool
-    line_character_dims: tuple[int, ...]
     witness: tuple[int, ...] | None
     fix_space_dim: int
     complex_note: tuple[int, ...]
@@ -136,7 +127,7 @@ def s5_representation(verify: bool = True) -> Representation:
     for j, parent, via in group.tree(group.generators):
         mats[j] = mats[parent] @ genmats[via]
     mats.flags.writeable = False
-    rep = Representation(group=group, mats=mats, labels=LABELS)
+    rep = Representation(group=group, mats=mats)
     if verify:
         verify_homomorphism(rep)
     return rep
@@ -159,14 +150,6 @@ def verify_homomorphism(rep: Representation) -> int:
         if det not in (1, -1):
             raise HomomorphismFailure("non-unimodular matrix at %d (det %d)" % (j, det))
     return order * order
-
-
-def dual_representation(rep: Representation) -> Representation:
-    """Inverse-transpose of every matrix; a homomorphism again."""
-    inv = rep.group.inverse
-    mats = rep.mats[inv].transpose(0, 2, 1).copy()
-    mats.flags.writeable = False
-    return Representation(group=rep.group, mats=mats, labels=rep.labels)
 
 
 def standard_subgroups(group: FiniteGroup) -> list[tuple[str, Subgroup]]:
@@ -293,16 +276,15 @@ def rational_invariant_lines(
     gens = subgroup.generating_set()
     positions = [subgroup.members.index(g) for g in gens]
 
-    dims: list[int] = []
     witness: tuple[int, ...] | None = None
     for chi in sign_characters(subgroup):
         basis = _kernel_of_elements(rep, gens, [chi[pos] for pos in positions])
-        dims.append(len(basis))
-        if witness is None and basis:
+        if basis:
             witness = basis[0]
+            break
 
     derived = commutator_subgroup(subgroup)
-    fixed = _kernel_of_elements(rep, derived.generating_set())
+    fixed = fixed_space(rep, derived)
     # a positive verdict certifies the linear-algebra condition only; whether
     # the corresponding hyperplane section is nodal is outside this model
     caveat = "" if witness is None else "line existence shown representation-theoretically; nodality of the section not checked"
@@ -310,7 +292,6 @@ def rational_invariant_lines(
         name=name,
         subgroup_order=subgroup.order,
         has_rational_line=witness is not None,
-        line_character_dims=tuple(dims),
         witness=witness,
         fix_space_dim=len(fixed),
         complex_note=_complex_note(rep, subgroup, set(derived.members), fixed),

@@ -18,7 +18,8 @@ from .groups import DEFAULT_CAP, FiniteGroup, ModMatrix, Permutation, close_gene
 from .rational import exact_det
 from .semidirect import build_group
 
-__all__ = ["MAX_DEGREE", "MAX_MATRIX_DIM", "GroupFileError", "parse_group", "load_group"]
+__all__ = ["MAX_DEGREE", "MAX_MATRIX_DIM", "MAX_MODULUS_BITS", "GroupFileError", "parse_group",
+           "load_group"]
 
 # Permutation generators are built point by point, so the degree is bounded
 # before any of them is.
@@ -27,6 +28,10 @@ MAX_DEGREE = 4096
 # cap applies, so its dimension is bounded first (Bareiss takes about 0.01 s
 # at 32 x 32 with six-digit entries).
 MAX_MATRIX_DIM = 32
+# Bareiss works on entries below the modulus, and its cost grows with their
+# size: at 32 x 32 about 0.04 s with 64-bit entries and 0.4 s with 256-bit
+# ones (2-vCPU host).
+MAX_MODULUS_BITS = 64
 
 
 class GroupFileError(ValueError):
@@ -94,6 +99,9 @@ def parse_group(doc, cap: int = DEFAULT_CAP) -> FiniteGroup:
         return close_generators(payloads, cap=cap)
     if kind == "modmatrix":
         modulus = _require_int(doc, "modulus", 2)
+        if modulus.bit_length() > MAX_MODULUS_BITS:
+            raise GroupFileError("'modulus' has %d bits, more than MAX_MODULUS_BITS=%d"
+                                 % (modulus.bit_length(), MAX_MODULUS_BITS))
         payloads = [ModMatrix(modulus, _matrix_rows(raw, modulus)) for raw in raw_gens]
         dims = {p.dim for p in payloads}
         if len(dims) != 1:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import DEFAULT_CAP, CapExceeded, FiniteGroup, Subgroup, conjugacy_classes
+from .groups import FiniteGroup, GroupError, Subgroup, conjugacy_classes
 
 __all__ = [
     "NormalSubgroupLattice",
@@ -44,11 +44,8 @@ class NormalSubgroupLattice:
 
 @dataclass(frozen=True)
 class JordanCertificate:
-    group_order: int
     index: int
     witness: Subgroup
-    witness_is_abelian: bool
-    witness_is_normal: bool
 
 
 def _commute(group: FiniteGroup, left: Sequence[int], right: Sequence[int]) -> bool:
@@ -57,7 +54,7 @@ def _commute(group: FiniteGroup, left: Sequence[int], right: Sequence[int]) -> b
     return all(np.array_equal(group.mul[x, right], group.mul[right, x]) for x in left)
 
 
-def normal_subgroups(group: FiniteGroup, cap: int = DEFAULT_CAP) -> NormalSubgroupLattice:
+def normal_subgroups(group: FiniteGroup) -> NormalSubgroupLattice:
     """Enumerate every normal subgroup of ``group``.
 
     Seeds are the normal closures of the conjugacy classes (each class is
@@ -66,8 +63,6 @@ def normal_subgroups(group: FiniteGroup, cap: int = DEFAULT_CAP) -> NormalSubgro
     once and only when neither member contains the other.  Sorted by (order,
     member tuple): trivial subgroup first, whole group last.
     """
-    if group.order > cap:
-        raise CapExceeded("group order %d exceeds cap=%d" % (group.order, cap))
     # members -> (member set, generating seeds, abelian)
     found: dict[tuple[int, ...], tuple[frozenset[int], tuple[int, ...], bool]] = {}
     for cls in conjugacy_classes(group):
@@ -96,34 +91,33 @@ def normal_subgroups(group: FiniteGroup, cap: int = DEFAULT_CAP) -> NormalSubgro
 
 
 def jordan_index(
-    group: FiniteGroup, cap: int = DEFAULT_CAP, lattice: NormalSubgroupLattice | None = None
+    group: FiniteGroup, lattice: NormalSubgroupLattice | None = None
 ) -> JordanCertificate:
     """Minimal index of an abelian normal subgroup, with its witness.
 
     The witness is an abelian normal subgroup of maximal order; when several
-    share that order, the one with the smallest serialized member key.
+    share that order, the one with the smallest serialized member key.  It is
+    checked on its whole member table, independently of the lattice's
+    seed-based flags, and a witness that fails raises GroupError.
     """
     if lattice is None:
-        lattice = normal_subgroups(group, cap=cap)
+        lattice = normal_subgroups(group)
     # the trivial subgroup is always abelian normal, so ``abelian`` is non-empty
     abelian = [sub for sub, ab in zip(lattice.subgroups, lattice.abelian) if ab]
     top = max(sub.order for sub in abelian)
     ties = [sub for sub in abelian if sub.order == top]
     best = ties[0] if len(ties) == 1 else min(ties, key=Subgroup.key)
-    index = group.order // best.order
-    return JordanCertificate(
-        group_order=group.order,
-        index=index,
-        witness=best,
-        witness_is_abelian=best.is_abelian(),
-        witness_is_normal=best.is_normal(),
-    )
+    if not best.is_abelian():
+        raise GroupError("jordan witness of order %d is not abelian" % best.order)
+    if not best.is_normal():
+        raise GroupError("jordan witness of order %d is not normal" % best.order)
+    return JordanCertificate(index=group.order // best.order, witness=best)
 
 
-def report_fragment(group: FiniteGroup, cap: int = DEFAULT_CAP) -> dict:
+def report_fragment(group: FiniteGroup) -> dict:
     """JSON-able summary: order, jordan index, witness order, lattice size."""
-    lattice = normal_subgroups(group, cap=cap)
-    cert = jordan_index(group, cap=cap, lattice=lattice)
+    lattice = normal_subgroups(group)
+    cert = jordan_index(group, lattice=lattice)
     return {
         "order": group.order,
         "jordan_index": cert.index,

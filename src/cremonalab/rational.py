@@ -194,16 +194,10 @@ def poly_divmod(
     return quot, rem
 
 
-_CYCLOTOMIC_CACHE: dict[int, tuple[int, ...]] = {}
-
-
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     """Integer coefficients of the d-th cyclotomic polynomial, highest first."""
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
-    cached = _CYCLOTOMIC_CACHE.get(d)
-    if cached is not None:
-        return cached
     # x^d - 1 divided by the cyclotomic polynomials of all proper divisors
     num: list[Fraction] = [Fraction(1)] + [Fraction(0)] * (d - 1) + [Fraction(-1)]
     for e in range(1, d):
@@ -211,9 +205,7 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
             num, rem = poly_divmod(num, cyclotomic_polynomial(e))
             if rem:
                 raise ArithmeticError("cyclotomic division left a remainder")
-    out = tuple(int(c) for c in num)
-    _CYCLOTOMIC_CACHE[d] = out
-    return out
+    return tuple(int(c) for c in num)
 
 
 def cyclotomic_factor_indices(

@@ -39,8 +39,6 @@ __all__ = [
     "verify_lemma52",
 ]
 
-DIHEDRAL_ORDER = 12
-
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 
@@ -209,8 +207,8 @@ def verify_lemma52(n: int, cap: int = DEFAULT_CAP, allow_bad_n: bool = False) ->
     start = time.perf_counter()
     data = build_action_data(n)
     group = build_group(n, cap=cap)
-    lattice = normal_subgroups(group, cap=cap)
-    cert = jordan_index(group, cap=cap, lattice=lattice)
+    lattice = normal_subgroups(group)
+    cert = jordan_index(group, lattice=lattice)
     translations = translation_subgroup(group)
     computed = {
         "order": group.order,

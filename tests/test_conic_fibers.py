@@ -28,13 +28,25 @@ def identity_perm(fibers):
     return list(range(2 * fibers))
 
 
+def swaps_fiber(model, element, fiber):
+    return model.components[element][2 * fiber] == 2 * fiber + 1
+
+
+def fiber_image(model, element, fiber):
+    return model.components[element][2 * fiber] // 2
+
+
+def kernel(model):
+    """Indices of the elements that fix every component."""
+    return [m for m, row in enumerate(model.components) if row == model.components[0]]
+
+
 def test_no_swap_model_keeps_whole_group():
     model = make_model((2, 2), 2, (), [identity_perm(2), identity_perm(2)])
     built = construct_no_swap_subgroup(model)
     assert built.index == 1
     assert built.subgroup.order == model.group.order == 4
     assert built.clean_lift
-    assert built.flag is None
     selection = greedy_selection(model, range(model.group.order))
     assert selection.components() == (0, 2)
 
@@ -76,7 +88,7 @@ def test_entangled_order_four_generator_degrades_without_clean_lift():
     assert built.subgroup.order == 1
     assert built.index == 4
     assert not built.clean_lift
-    assert built.flag == "no_clean_lift"
+    assert list(built.subgroup.members) == kernel(model)
     assert built.rank_bound == 2
     # this configuration sits outside the sampled regime: the bound fails here
     assert built.index > built.rank_bound
@@ -156,7 +168,7 @@ def test_greedy_agrees_with_swap_scan_on_random_subgroups():
         if failed is not None:
             element, fiber = failed
             assert element in set(members)
-            assert model.swaps_fiber(element, fiber)
+            assert swaps_fiber(model, element, fiber)
 
 
 def relabel(model, sigma, flips):
@@ -207,12 +219,12 @@ def test_swap_bits_compose_by_xor():
             for b in gens:
                 ab = group.product(a, b)
                 for f in range(model.fiber_count):
-                    if model.fiber_image(b, f) != f:
+                    if fiber_image(model, b, f) != f:
                         continue
-                    if model.fiber_image(a, f) != f:
+                    if fiber_image(model, a, f) != f:
                         continue
-                    expected = model.swaps_fiber(a, f) != model.swaps_fiber(b, f)
-                    assert model.swaps_fiber(ab, f) == expected
+                    expected = swaps_fiber(model, a, f) != swaps_fiber(model, b, f)
+                    assert swaps_fiber(model, ab, f) == expected
 
 
 def test_selection_is_union_of_orbits():
@@ -221,7 +233,7 @@ def test_selection_is_union_of_orbits():
         built = construct_no_swap_subgroup(model)
         chosen = set(built.selection.components())
         for m in built.subgroup.members:
-            perm = model.component_perm(m)
+            perm = model.components[m]
             for c in chosen:
                 assert perm[c] in chosen
 
@@ -245,13 +257,15 @@ def test_fiber_orders_match_a_closure_of_the_base(seed):
             [Permutation(tuple(p[2 * f] // 2 for f in fibers)) for p in model.gen_perms])
         assert model.base_order == base.order, t
         assert max(base.element_order(i) for i in range(base.order)) == base.order, t
+        members = kernel(model)
+        assert model.group.subgroup_closure(members) == tuple(members), t
         candidates = [m for m in range(model.group.order)
-                      if not any(model.swaps_fiber(m, f) for f in model.marked)]
+                      if not any(swaps_fiber(model, m, f) for f in model.marked)]
         expected_lift = None
         for m in candidates:
-            row = model.component_perm(m)
+            row = model.components[m]
             fiber_order = base.element_order(
-                base.find(Permutation(tuple(model.fiber_image(m, f) for f in fibers))))
+                base.find(Permutation(tuple(fiber_image(model, m, f) for f in fibers))))
             assert conic_fibers._cycle_lcm(conic_fibers._fiber_row(row)) == fiber_order
             if expected_lift is None and (
                     fiber_order == base.order == model.group.element_order(m)):
@@ -260,7 +274,7 @@ def test_fiber_orders_match_a_closure_of_the_base(seed):
         if built.clean_lift:
             assert built.lift_generator == expected_lift, t
         else:
-            assert built.lift_generator is None and built.flag == "no_clean_lift", t
+            assert built.lift_generator is None, t
 
 
 def test_fiber_order_is_the_lcm_of_unequal_cycles():

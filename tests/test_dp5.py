@@ -6,8 +6,8 @@ import pytest
 import oracles
 from cremonalab.dp5 import (
     SUBGROUP_NAMES,
+    Representation,
     dp5_suite,
-    dual_representation,
     fixed_space,
     rational_invariant_lines,
     s5_representation,
@@ -111,6 +111,13 @@ def test_suite_rows_are_ordered_and_complete(rep):
     assert by_name["c5"].complex_note == (1, 1, 4)
     assert by_name["s5"].fix_space_dim == 0
     assert by_name["c5"].fix_space_dim == 6
+
+
+def dual_representation(rep):
+    """Inverse-transpose of every matrix; a homomorphism again."""
+    mats = rep.mats[rep.group.inverse].transpose(0, 2, 1).copy()
+    mats.flags.writeable = False
+    return Representation(group=rep.group, mats=mats)
 
 
 def test_dual_representation_same_verdicts(rep):

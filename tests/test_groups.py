@@ -204,6 +204,21 @@ def test_huge_matrix_entries_are_reduced_before_the_determinant():
     assert time.perf_counter() - start < 1.0
 
 
+def test_modulus_bound_precedes_the_generators(monkeypatch):
+    # Bareiss slows with the entry size, so a modulus past the bound is
+    # refused before any generator is read
+    def no_rows(raw, modulus):
+        raise AssertionError("generator read")
+
+    monkeypatch.setattr(groupfiles, "_matrix_rows", no_rows)
+    doc = {"kind": "modmatrix", "modulus": 2**64 + 1, "generators": [[[-1]]]}
+    with pytest.raises(GroupFileError, match="MAX_MODULUS_BITS=64"):
+        parse_group(doc)
+    monkeypatch.undo()
+    doc["modulus"] = 2**64 - 1
+    assert parse_group(doc).order == 2
+
+
 def test_non_invertible_error_prints_the_determinant_mod_n():
     doc = {"kind": "modmatrix", "modulus": 4, "generators": [[[6, 0], [0, 1]]]}
     with pytest.raises(GroupFileError, match=r"\(det = 2\)"):

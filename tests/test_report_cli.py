@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from cremonalab.cli import main
+from cremonalab.groups import Subgroup
 from cremonalab.pole_cycles import configuration_rows
 from cremonalab.report import VerificationReport, checked, emit, exit_code, informational
 from cremonalab.suites import DOCUMENTED_CLAIM_IDS
@@ -170,6 +171,11 @@ def test_cli_jordan_bad_inputs(tmp_path):
     result = run_cli("jordan", str(huge))
     assert result.returncode == 2
     assert "degree" in result.stderr
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"kind": "modmatrix", "modulus": 2**64, "generators": [[[-1]]]}))
+    result = run_cli("jordan", str(wide))
+    assert result.returncode == 2
+    assert "MAX_MODULUS_BITS=64" in result.stderr
 
 
 @pytest.mark.parametrize("name", ["s4.json", "family_n5.json"])
@@ -180,6 +186,20 @@ def test_cli_jordan_cap_exceeded_while_loading(name):
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and "cap=5" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_failed_witness_check_fails_the_row_and_the_jordan_command(monkeypatch, capsys):
+    # jordan_index checks its witness on the whole member table; a witness
+    # that fails the check must fail the verdict, not ride along unread
+    monkeypatch.setattr(Subgroup, "is_normal", lambda self: False)
+    assert main(["verify", "lemma52", "--n", "5"]) == 1
+    (row,) = json.loads(capsys.readouterr().out)["reports"]
+    assert row["claim_id"] == "lemma52.n5" and row["status"] == "fail"
+    assert row["computed"]["error"].startswith("GroupError: ")
+    assert main(["jordan", str(PKG_ROOT / "demos" / "groupfiles" / "s4.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: jordan witness of order 4 is not normal"]
 
 
 @pytest.mark.parametrize("argv", [
