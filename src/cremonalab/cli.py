@@ -169,6 +169,9 @@ def _run_jordan(args) -> int:
     except FileNotFoundError:
         sys.stderr.write("error: no such file: %s\n" % args.groupfile)
         return USAGE_EXIT
+    except OSError as exc:
+        sys.stderr.write("error: cannot read %s: %s\n" % (args.groupfile, exc.strerror or exc))
+        return USAGE_EXIT
     except GroupFileError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return USAGE_EXIT

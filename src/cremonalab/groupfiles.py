@@ -117,4 +117,6 @@ def load_group(path: str, cap: int = DEFAULT_CAP) -> FiniteGroup:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GroupFileError("not valid JSON: %s" % exc) from exc
+        except UnicodeDecodeError as exc:
+            raise GroupFileError("not UTF-8 text: %s" % exc) from exc
     return parse_group(doc, cap=cap)

@@ -234,6 +234,20 @@ class FiniteGroup:
         mask[self.mul[np.ix_(left, right)]] = True
         return tuple(np.flatnonzero(mask).tolist())
 
+    def normal_join(self, normal: Sequence[int], other: Sequence[int]) -> tuple[int, ...]:
+        """Sorted indices of the join of subgroups ``normal`` (normal) and ``other``.
+
+        With N normal, NM is a subgroup and the union of the cosets x N for x
+        in M: one row gather per coset instead of an |N| x |M| product block.
+        """
+        normal = np.asarray(normal)
+        mask = np.zeros(self.order, dtype=bool)
+        mask[normal] = True
+        for x in other:
+            if not mask[x]:
+                mask[self.mul[x, normal]] = True
+        return tuple(np.flatnonzero(mask).tolist())
+
     def subgroup_closure(self, seeds: Iterable[int]) -> tuple[int, ...]:
         """Sorted member indices of the subgroup generated by ``seeds``.
 
@@ -352,6 +366,7 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
     right: list[list[bytes]] = []
 
     frontier = [0]
+    layers = [1]  # index where each BFS layer after the identity starts
     while frontier:
         discovered: dict[bytes, tuple[int, int, Payload]] = {}
         for fi in frontier:
@@ -367,6 +382,7 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
             raise CapExceeded("closure exceeds cap=%d" % cap)
         check_table_bytes(len(elements) + len(discovered))
         frontier = []
+        layers.append(len(elements) + len(discovered))
         for k in sorted(discovered):
             fi, pos, prod = discovered[k]
             frontier.append(len(elements))
@@ -375,14 +391,25 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
             parent.append(fi)
             via.append(pos)
 
-    # Cayley table column by column: element j = element parent[j] . gen via[j],
-    # so x . j is the via-gen right product of x . parent[j].
+    # Element j = element parent[j] . gen via[j], and each BFS layer is a
+    # contiguous index range whose parents lie in earlier layers.  First the
+    # generators' left products: g . j is the via-gen right product of
+    # g . parent[j], filled one layer at a time.
     order = len(elements)
     right_index = np.array([[index[k] for k in row] for row in right], dtype=np.int32)
+    parent_arr = np.array(parent, dtype=np.intp)
+    via_arr = np.array(via, dtype=np.intp)
+    left = np.empty((len(gens), order), dtype=np.intp)  # take's native index type
+    left[:, 0] = right_index[0]
+    for start, stop in zip(layers, layers[1:]):
+        left[:, start:stop] = right_index[left[:, parent_arr[start:stop]], via_arr[start:stop]]
+    # Then the Cayley table row by row: i . x = parent[i] . (gen via[i] . x),
+    # one contiguous gather per row (every index is in range, so "clip" only
+    # skips the bounds check and the buffered write of the default mode).
     mul = np.empty((order, order), dtype=np.int32)
-    mul[:, 0] = np.arange(order, dtype=np.int32)
-    for j in range(1, order):
-        mul[:, j] = right_index[mul[:, parent[j]], via[j]]
+    mul[0] = np.arange(order, dtype=np.int32)
+    for i in range(1, order):
+        mul[parent[i]].take(left[via[i]], out=mul[i], mode="clip")
 
     return FiniteGroup(
         elements=tuple(elements),

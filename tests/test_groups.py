@@ -136,6 +136,8 @@ E4 = Permutation.identity_of_degree(4)
 def test_close_generators_table_matches_compose(family5):
     assert_table_matches_compose(load_group(str(GROUPFILES / "special_linear_mod3.json")))
     assert_table_matches_compose(family5)
+    for group in small_group_corpus().values():
+        assert_table_matches_compose(group)
 
 
 @pytest.mark.parametrize("gens, generators", [
@@ -223,6 +225,39 @@ def test_non_invertible_error_prints_the_determinant_mod_n():
     doc = {"kind": "modmatrix", "modulus": 4, "generators": [[[6, 0], [0, 1]]]}
     with pytest.raises(GroupFileError, match=r"\(det = 2\)"):
         parse_group(doc)
+
+
+# JSON-shaped group documents: the three kinds, small degrees and moduli, and
+# generators shaped as cycle lists or matrices (nested or flat) of small ints;
+# at every level one draw in five is junk (a string, bool, float, null or list;
+# a null reads as a missing key)
+_junk = (st.text(max_size=2) | st.booleans() | st.none() | st.floats(-2, 9, width=16)
+         | st.lists(st.integers(0, 3), max_size=2))
+
+
+def _or_junk(strategy):
+    return st.integers(0, 4).flatmap(lambda k: _junk if k == 0 else strategy)
+
+
+_entries = _or_junk(st.integers(min_value=-1, max_value=5))
+_generator = _or_junk(st.lists(st.lists(_entries, max_size=4), max_size=3)
+                      | st.lists(_entries, max_size=9))
+_group_docs = _or_junk(st.fixed_dictionaries(
+    {"kind": _or_junk(st.sampled_from(["perm", "modmatrix", "lemma52"])),
+     "generators": _or_junk(st.lists(_generator, min_size=1, max_size=3)),
+     "degree": _or_junk(st.integers(min_value=0, max_value=5)),
+     "modulus": _or_junk(st.integers(min_value=1, max_value=7))}))
+
+
+@given(_group_docs)
+@settings(max_examples=300, deadline=None)
+def test_parse_group_returns_a_group_or_a_named_error(doc):
+    try:
+        group = parse_group(doc, cap=64)
+    except (GroupFileError, groups.GroupError):
+        return
+    assert isinstance(group, groups.FiniteGroup)
+    assert group.order <= 64
 
 
 def test_generators_index_input_payloads(s4):
@@ -420,6 +455,18 @@ def test_cyclic_product_table_is_built_without_large_temporaries():
     tracemalloc.start()
     try:
         group = cyclic_product((16, 16, 16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * group.mul.nbytes
+
+
+def test_closed_table_is_filled_without_a_second_table():
+    # a row fill needs no transposed or column-major copy of the table,
+    # which alone would be another mul.nbytes
+    tracemalloc.start()
+    try:
+        group = build_group(11)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -78,14 +78,21 @@ def test_known_indices(corpus):
         assert jordan_index(group).index == expected[name], name
 
 
-@pytest.mark.parametrize("build", [lambda: build_group(5), lambda: small_group_corpus()["s4"]],
-                         ids=["family_n5", "s4"])
+@pytest.mark.parametrize(
+    "build",
+    [pytest.param(lambda name=name: small_group_corpus()[name], id=name)
+     for name in sorted(small_group_corpus())]
+    + [pytest.param(lambda n=n: build_group(n), id="family_n%d" % n) for n in (5, 7)])
 def test_normal_joins_are_product_sets(build):
+    # the coset join, the product block and the closure of the union agree on
+    # every ordered pair of lattice members, whichever is the coset base
     group = build()
     lattice = [sub.members for sub in normal_subgroups(group)]
     for a in lattice:
         for b in lattice:
-            assert group.product_set(a, b) == group.subgroup_closure(set(a) | set(b))
+            joined = group.normal_join(a, b)
+            assert joined == group.product_set(a, b)
+            assert joined == group.subgroup_closure(set(a) | set(b))
 
 
 def test_report_fragment_shape(corpus):
@@ -159,26 +166,17 @@ def test_lattice_joins_only_incomparable_pairs(monkeypatch):
     # 22 of the 28 pairs of the eight members are containments; none needs a
     # join and no flag needs an |N| x |N| block
     group = build_group(5)
-    joins, depth = [], [0]
-    product_set, subgroup_closure = FiniteGroup.product_set, FiniteGroup.subgroup_closure
+    joins = []
+    normal_join = FiniteGroup.normal_join
 
-    def counting_product_set(self, left, right):
-        if not depth[0]:
-            joins.append((set(left), set(right)))
-        return product_set(self, left, right)
-
-    def closure(self, seeds):
-        depth[0] += 1
-        try:
-            return subgroup_closure(self, seeds)
-        finally:
-            depth[0] -= 1
+    def counting_normal_join(self, normal, other):
+        joins.append((set(normal), set(other)))
+        return normal_join(self, normal, other)
 
     def no_block(self):
         raise AssertionError("Subgroup.is_abelian reached")
 
-    monkeypatch.setattr(FiniteGroup, "product_set", counting_product_set)
-    monkeypatch.setattr(FiniteGroup, "subgroup_closure", closure)
+    monkeypatch.setattr(FiniteGroup, "normal_join", counting_normal_join)
     monkeypatch.setattr(Subgroup, "is_abelian", no_block)
     lattice = normal_subgroups(group)
     assert len(lattice) == 8

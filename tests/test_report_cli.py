@@ -176,6 +176,15 @@ def test_cli_jordan_bad_inputs(tmp_path):
     result = run_cli("jordan", str(wide))
     assert result.returncode == 2
     assert "MAX_MODULUS_BITS=64" in result.stderr
+    # a directory and a file that is not UTF-8 end in one error line, not a traceback
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\x7fELF\xff\xfe\x00\x80")
+    for path, message in ((tmp_path, "cannot read"), (binary, "not UTF-8")):
+        result = run_cli("jordan", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and message in result.stderr
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("name", ["s4.json", "family_n5.json"])
