@@ -92,6 +92,9 @@ def parse_group(doc, cap: int = DEFAULT_CAP) -> FiniteGroup:
         for cycles in raw_gens:
             if not isinstance(cycles, list):
                 raise GroupFileError("permutation generator must be an array of cycles")
+            # True - 1 == 0, so a boolean would pass for the point 1
+            if any(isinstance(p, bool) for cycle in cycles if isinstance(cycle, list) for p in cycle):
+                raise GroupFileError("cycle points must be integers, got %r" % (cycles,))
             try:
                 payloads.append(Permutation.from_cycles(degree, cycles))
             except (ValueError, TypeError) as exc:

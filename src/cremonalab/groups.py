@@ -11,6 +11,9 @@ directly, in mixed-radix order over exponent vectors, by ``cyclic_product``.
 Every group and subgroup operation works from the Cayley table alone: a
 subgroup stays a member list inside its parent.  Only ``find`` and ``keys``
 need payloads, and ``jordan_index`` reads keys only to break a real tie.
+Subgroups are generated one way, by Dimino's coset extension: subgroup
+closures, the lattice joins built on them and greedy generating sets all
+read ``FiniteGroup._extend``.
 """
 
 from __future__ import annotations
@@ -228,37 +231,36 @@ class FiniteGroup:
             n += 1
         return n
 
-    def product_set(self, left: Sequence[int], right: Sequence[int]) -> tuple[int, ...]:
-        """Sorted indices of every product x y with x in ``left``, y in ``right``."""
-        mask = np.zeros(self.order, dtype=bool)
-        mask[self.mul[np.ix_(left, right)]] = True
-        return tuple(np.flatnonzero(mask).tolist())
+    def _extend(self, seeds: Iterable[int]) -> tuple[np.ndarray, list[int]]:
+        """Dimino's coset extension: membership mask and kept generators of <seeds>.
 
-    def normal_join(self, normal: Sequence[int], other: Sequence[int]) -> tuple[int, ...]:
-        """Sorted indices of the join of subgroups ``normal`` (normal) and ``other``.
-
-        With N normal, NM is a subgroup and the union of the cosets x N for x
-        in M: one row gather per coset instead of an |N| x |M| product block.
+        Seeds are taken in order; one already in the subgroup H found so far
+        is skipped, and any other is kept as a generator and extends H to the
+        union of the left cosets y H, one row gather each.  The cosets are
+        closed under left multiplication by the generators, so the
+        representatives are the products g y that fall outside every coset so
+        far (Holt, Eick and O'Brien, Handbook of Computational Group Theory).
         """
-        normal = np.asarray(normal)
         mask = np.zeros(self.order, dtype=bool)
-        mask[normal] = True
-        for x in other:
-            if not mask[x]:
-                mask[self.mul[x, normal]] = True
-        return tuple(np.flatnonzero(mask).tolist())
+        mask[0] = True
+        gens: list[int] = []
+        for s in seeds:
+            if mask[s]:
+                continue
+            gens.append(int(s))
+            members = np.flatnonzero(mask)
+            reps = [0]  # ``reps`` grows while it is walked
+            for y in reps:
+                for g in gens:
+                    z = self.mul[g, y]
+                    if not mask[z]:
+                        mask[self.mul[z, members]] = True
+                        reps.append(z)
+        return mask, gens
 
     def subgroup_closure(self, seeds: Iterable[int]) -> tuple[int, ...]:
-        """Sorted member indices of the subgroup generated by ``seeds``.
-
-        With the identity among the generators the product set only grows, and
-        a finite set closed under right multiplication by them is a subgroup.
-        """
-        gens = sorted({int(s) for s in seeds} | {0})
-        members, grown = (), tuple(gens)
-        while grown != members:
-            members, grown = grown, self.product_set(grown, gens)
-        return members
+        """Sorted member indices of the subgroup generated by ``seeds``."""
+        return tuple(np.flatnonzero(self._extend(seeds)[0]).tolist())
 
     def conjugation_closure(
         self, seeds: Iterable[int], by: Sequence[int] | None = None
@@ -377,10 +379,11 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
                 row.append(k)
                 if k not in index and k not in discovered:
                     discovered[k] = (fi, pos, prod)
+                    # checked per product: a whole layer can be far past the cap
+                    if len(elements) + len(discovered) > cap:
+                        raise CapExceeded("closure exceeds cap=%d" % cap)
+                    check_table_bytes(len(elements) + len(discovered))
             right.append(row)
-        if len(elements) + len(discovered) > cap:
-            raise CapExceeded("closure exceeds cap=%d" % cap)
-        check_table_bytes(len(elements) + len(discovered))
         frontier = []
         layers.append(len(elements) + len(discovered))
         for k in sorted(discovered):
@@ -479,22 +482,13 @@ def commutator_subgroup(sub: Subgroup) -> Subgroup:
 
 
 def minimal_generators(group: FiniteGroup, members: Sequence[int]) -> tuple[int, ...]:
-    """Greedy small generating set for a subgroup, scanning members in order."""
-    target = set(members)
-    chosen: list[int] = []
-    closure = {0}
-    for m in members:
-        if m in closure:
-            continue
-        chosen.append(int(m))
-        closure = set(group.subgroup_closure(chosen))
-        if closure == target:
-            break
-    if closure != target:
+    """Greedy small generating set for a subgroup: each member, in order, that
+    the ones kept before it do not generate."""
+    closure, chosen = group._extend(members)
+    # the closure holds every member, so it is the member set when no larger
+    if np.count_nonzero(closure) != len(set(members)):
         raise GroupError("member list is not closed")
-    if not chosen:
-        chosen = [0]
-    return tuple(chosen)
+    return tuple(chosen) or (0,)
 
 
 def sign_characters(sub: Subgroup) -> tuple[tuple[int, ...], ...]:

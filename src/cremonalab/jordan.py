@@ -5,11 +5,10 @@ is a union of conjugacy classes and every normal subgroup is generated by the
 classes it contains, so the full lattice of normal subgroups is the closure of
 the class normal-closures under pairwise join.  A pair where one member
 contains the other joins to the larger one, so only the other pairs are
-joined, each as a union of cosets of its larger member
-(``FiniteGroup.normal_join``).  Each member keeps a generating seed set (its
-class, or the union of its two factors' seeds), and its abelian flag is read
-off those seeds: a subgroup is abelian exactly when its generators commute
-pairwise.
+joined.  Each member keeps a generating seed set (its class, or the union of
+its two factors' seeds); a join is the subgroup closure of that union, and
+the abelian flag is read off the seeds: a subgroup is abelian exactly when
+its generators commute pairwise.
 """
 
 from __future__ import annotations
@@ -79,11 +78,10 @@ def normal_subgroups(group: FiniteGroup) -> NormalSubgroupLattice:
             b_set, b_seeds, b_abelian = found[b]
             if a_set <= b_set or b_set <= a_set:
                 continue
-            # fewest cosets when the larger member is the coset base
-            joined = group.normal_join(a, b) if len(a) >= len(b) else group.normal_join(b, a)
+            seeds = tuple(sorted(set(a_seeds) | set(b_seeds)))
+            joined = group.subgroup_closure(seeds)
             if joined not in found:
                 abelian = a_abelian and b_abelian and _commute(group, a_seeds, b_seeds)
-                seeds = tuple(sorted(set(a_seeds) | set(b_seeds)))
                 found[joined] = (frozenset(joined), seeds, abelian)
                 pending.append(joined)
 

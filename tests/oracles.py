@@ -160,6 +160,24 @@ def normal_subgroups_small_closure_oracle(table: list[list[int]]) -> set[frozens
     return found
 
 
+def product_set(table: list[list[int]], left, right) -> tuple[int, ...]:
+    """Sorted products x y with x in ``left`` and y in ``right``."""
+    return tuple(sorted({table[x][y] for x in left for y in right}))
+
+
+def greedy_generators(table: list[list[int]], members) -> tuple[int, ...]:
+    """Each member, in order, that the ones kept before it do not generate,
+    re-closed from scratch after every kept one; ``(0,)`` for the trivial
+    subgroup."""
+    kept: list[int] = []
+    closure = frozenset({0})
+    for m in members:
+        if m not in closure:
+            kept.append(m)
+            closure = close_under_product(table, kept)
+    return tuple(kept) or (0,)
+
+
 def normal_subgroup_lattice_oracle(group):
     """``(members, abelian flags)`` of every normal subgroup of a FiniteGroup,
     sorted by (order, members): the class closures closed under every pairwise
@@ -168,11 +186,12 @@ def normal_subgroup_lattice_oracle(group):
     ``jordan.normal_subgroups`` must match member for member and flag for flag."""
     from cremonalab.groups import conjugacy_classes
 
+    table = table_of(group)
     found = list(dict.fromkeys(group.subgroup_closure(cls) for cls in conjugacy_classes(group)))
     seen = set(found)
     for i, a in enumerate(found):
         for b in found[:i]:
-            joined = group.product_set(a, b)
+            joined = product_set(table, a, b)
             if joined not in seen:
                 seen.add(joined)
                 found.append(joined)

@@ -170,6 +170,23 @@ def test_cap_exceeded():
         close_generators(S4_GENS, cap=10)
 
 
+def test_cap_is_checked_as_each_product_is_found(monkeypatch):
+    # the 15 transpositions of S6 fit the cap, their 225 products do not: the
+    # cap must stop the closure within the first few of them
+    gens = [Permutation.from_cycles(6, [[a, b]]) for a in range(1, 7) for b in range(a + 1, 7)]
+    calls = []
+    compose = Permutation.compose
+
+    def counting_compose(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(Permutation, "compose", counting_compose)
+    with pytest.raises(CapExceeded, match="cap=20"):
+        close_generators(gens, cap=20)
+    assert len(calls) < 2 * len(gens)
+
+
 def test_table_bytes_bound(monkeypatch):
     monkeypatch.setattr(groups, "MAX_TABLE_BYTES", 1000)
     with pytest.raises(CapExceeded, match="bytes"):
@@ -272,17 +289,6 @@ def test_subgroup_closure_matches_oracle(closure_cases, seeds):
         members = {s % group.order for s in seeds}
         got = set(group.subgroup_closure(members))
         assert got == set(oracles.close_under_product(table, members))
-
-
-def test_product_set_matches_oracle(corpus, family5):
-    rng = random.Random(11)
-    for name, group in list(corpus.items()) + [("family_n5", family5)]:
-        table = oracles.table_of(group)
-        for _ in range(20):
-            left = rng.sample(range(group.order), rng.randint(0, min(group.order, 15)))
-            right = rng.sample(range(group.order), rng.randint(0, min(group.order, 15)))
-            expected = sorted({table[x][y] for x in left for y in right})
-            assert list(group.product_set(left, right)) == expected, name
 
 
 def test_conjugacy_classes_s4(s4):
@@ -392,6 +398,31 @@ def test_dp5_subgroups_match_reclosure():
     group = s5_representation(verify=False).group
     for _, sub in standard_subgroups(group):
         assert_matches_reclosure(sub)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: close_generators(S4_GENS), lambda: build_group(5), lambda: build_group(7),
+    lambda: cyclic_product((2, 4, 4)),
+], ids=["s4", "family_n5", "family_n7", "cyclic(2, 4, 4)"])
+def test_class_closures_match_normal_closure_oracle(build):
+    # the seeds the lattice closes first: one whole conjugacy class at a time
+    group = build()
+    table = oracles.table_of(group)
+    for cls in conjugacy_classes(group):
+        expected = oracles.normal_closure_oracle(table, cls)
+        assert group.subgroup_closure(cls) == tuple(sorted(expected))
+
+
+def test_minimal_generators_match_greedy_oracle(s4):
+    dp5 = s5_representation(verify=False).group
+    cases = [(s4, sorted(map(sorted, oracles.all_subgroups(oracles.table_of(s4)))))]
+    cases.append((dp5, [sub.members for _, sub in standard_subgroups(dp5)]))
+    assert [len(subs) for _, subs in cases] == [30, 5]
+    for group, subs in cases:
+        table = oracles.table_of(group)
+        for members in subs:
+            expected = oracles.greedy_generators(table, members)
+            assert minimal_generators(group, members) == expected
 
 
 def test_minimal_generators_generate(s4):

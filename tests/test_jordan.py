@@ -84,15 +84,14 @@ def test_known_indices(corpus):
      for name in sorted(small_group_corpus())]
     + [pytest.param(lambda n=n: build_group(n), id="family_n%d" % n) for n in (5, 7)])
 def test_normal_joins_are_product_sets(build):
-    # the coset join, the product block and the closure of the union agree on
-    # every ordered pair of lattice members, whichever is the coset base
+    # the closure of the union of two normal members is their product set, on
+    # every pair of lattice members
     group = build()
+    table = oracles.table_of(group)
     lattice = [sub.members for sub in normal_subgroups(group)]
-    for a in lattice:
-        for b in lattice:
-            joined = group.normal_join(a, b)
-            assert joined == group.product_set(a, b)
-            assert joined == group.subgroup_closure(set(a) | set(b))
+    for i, a in enumerate(lattice):
+        for b in lattice[:i + 1]:
+            assert group.subgroup_closure(set(a) | set(b)) == oracles.product_set(table, a, b)
 
 
 def test_report_fragment_shape(corpus):
@@ -166,19 +165,33 @@ def test_lattice_joins_only_incomparable_pairs(monkeypatch):
     # 22 of the 28 pairs of the eight members are containments; none needs a
     # join and no flag needs an |N| x |N| block
     group = build_group(5)
-    joins = []
-    normal_join = FiniteGroup.normal_join
+    classes = {frozenset(cls) for cls in conjugacy_classes(group)}
+    calls = []
+    closure = FiniteGroup.subgroup_closure
 
-    def counting_normal_join(self, normal, other):
-        joins.append((set(normal), set(other)))
-        return normal_join(self, normal, other)
+    def recording_closure(self, seeds):
+        seeds = tuple(seeds)
+        members = closure(self, seeds)
+        calls.append((frozenset(seeds), frozenset(members)))
+        return members
 
     def no_block(self):
         raise AssertionError("Subgroup.is_abelian reached")
 
-    monkeypatch.setattr(FiniteGroup, "normal_join", counting_normal_join)
+    monkeypatch.setattr(FiniteGroup, "subgroup_closure", recording_closure)
     monkeypatch.setattr(Subgroup, "is_abelian", no_block)
     lattice = normal_subgroups(group)
+    # A member's seeds are its class, or the union of the seeds of the two
+    # members it joins; any closure beyond the class closures is a join.
+    seeded: dict[frozenset, frozenset] = {}
+    joins = []
+    for seeds, members in calls:
+        if seeds not in classes:
+            pairs = [(a, b) for x, a in seeded.items() for y, b in seeded.items() if x | y == seeds]
+            assert pairs
+            joins.append(pairs)
+        if members not in seeded.values():
+            seeded[seeds] = members
     assert len(lattice) == 8
     assert len(joins) == 6
-    assert not any(a <= b or b <= a for a, b in joins)
+    assert not any(a <= b or b <= a for pairs in joins for a, b in pairs)

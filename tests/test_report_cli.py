@@ -171,6 +171,12 @@ def test_cli_jordan_bad_inputs(tmp_path):
     result = run_cli("jordan", str(huge))
     assert result.returncode == 2
     assert "degree" in result.stderr
+    # a boolean is not the point 1, though True - 1 == 0
+    boolean = tmp_path / "boolean.json"
+    boolean.write_text(json.dumps({"kind": "perm", "degree": 3, "generators": [[[True, 2]]]}))
+    result = run_cli("jordan", str(boolean))
+    assert result.returncode == 2
+    assert "cycle points must be integers" in result.stderr
     wide = tmp_path / "wide.json"
     wide.write_text(json.dumps({"kind": "modmatrix", "modulus": 2**64, "generators": [[[-1]]]}))
     result = run_cli("jordan", str(wide))
