@@ -12,7 +12,7 @@ from cremonalab import dp5_suite, s5_representation, verify_homomorphism
 
 
 def main() -> None:
-    rep = s5_representation(verify=False)
+    rep = s5_representation()
     pairs = verify_homomorphism(rep)
     print("homomorphism verified over %d pairs, all determinants +-1" % pairs)
     print()

@@ -9,11 +9,14 @@ one-dimensional eigenspace with eigenvalues +-1 is defined over the rationals.
 Eigenlines for non-real characters exist over an extension field only; the
 ``complex_note`` field records the degrees of the cyclotomic factors of the
 relevant restricted action so those invisible lines are still accounted for.
+Every subspace here is an exact kernel from ``rational.kernel_basis``, and
+the cyclotomic degrees are read off the dimensions of such kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 import numpy as np
@@ -26,14 +29,7 @@ from .groups import (
     commutator_subgroup,
     sign_characters,
 )
-from .rational import (
-    charpoly,
-    cyclotomic_factor_indices,
-    cyclotomic_polynomial,
-    exact_det,
-    kernel_basis,
-    solve_in_span,
-)
+from .rational import exact_det, kernel_basis
 
 __all__ = [
     "SUBGROUP_NAMES",
@@ -106,14 +102,13 @@ def _matrix_from_columns(columns) -> np.ndarray:
     return np.array(columns, dtype=np.int64).T
 
 
-def s5_representation(verify: bool = True) -> Representation:
+def s5_representation() -> Representation:
     """Integral 6-dimensional representation of the degree-5 symmetric group.
 
     Built by closure from a transposition and a 5-cycle; along the group's
     breadth-first ``tree`` every element's matrix is its tree parent's matrix
-    times the generator's, matching the composition order of the table.  With
-    ``verify`` the whole multiplication table is checked against matrix
-    products.
+    times the generator's, matching the composition order of the table.
+    ``verify_homomorphism`` checks the result.
     """
     swap = Permutation.from_cycles(5, [[1, 2]])
     cycle = Permutation.from_cycles(5, [[1, 2, 3, 4, 5]])
@@ -127,10 +122,7 @@ def s5_representation(verify: bool = True) -> Representation:
     for j, parent, via in group.tree(group.generators):
         mats[j] = mats[parent] @ genmats[via]
     mats.flags.writeable = False
-    rep = Representation(group=group, mats=mats)
-    if verify:
-        verify_homomorphism(rep)
-    return rep
+    return Representation(group=group, mats=mats)
 
 
 def verify_homomorphism(rep: Representation) -> int:
@@ -223,21 +215,24 @@ def _coset_order(group: FiniteGroup, element: int, members: set[int]) -> int:
 
 
 def _complex_note(
-    rep: Representation, subgroup: Subgroup, derived_set: set[int], basis: list[tuple[int, ...]]
+    rep: Representation, subgroup: Subgroup, derived: Subgroup, basis: list[tuple[int, ...]]
 ) -> tuple[int, ...]:
     """Degrees of the cyclotomic factors acting on the commutator-fixed space.
 
-    ``derived_set`` holds the members of the subgroup's derived subgroup, and
-    ``basis`` spans the subspace it fixes.  The abelianization acts on that
-    subspace; when the quotient is cyclic, the characteristic polynomial of a
-    coset generator factors into cyclotomics whose non-linear factors explain
-    lines that exist over an extension field but not over the rationals.
-    Returns the empty tuple when the fixed space is zero or the quotient not
-    cyclic.
+    ``basis`` spans the subspace W fixed by the subgroup's derived subgroup,
+    on which the abelianization acts.  When the quotient is cyclic, a coset
+    generator g of order N splits W into m_d copies of the Phi_d-piece for
+    each d dividing N.  The part of W fixed by g^d has dimension k_d, the sum
+    of m_e phi(e) over e dividing d, so the m_d follow from kernel dimensions
+    in increasing d.  Non-linear factors explain lines that exist over an
+    extension field but not over the rationals.  Returns the empty tuple
+    when W is zero or the quotient not cyclic; raises ArithmeticError when g
+    does not preserve W or the dimensions admit no such splitting.
     """
     if not basis:
         return ()
     group = rep.group
+    derived_set = set(derived.members)
     quotient_order = subgroup.order // len(derived_set)
     if quotient_order == 1:
         generator = subgroup.members[0]
@@ -253,14 +248,29 @@ def _complex_note(
         if generator is None:
             return ()
 
-    mat = rep.mats[generator]
-    targets = [(mat @ np.array(v, dtype=np.int64)).tolist() for v in basis]
-    coords = solve_in_span(basis, targets)
-    # coords columns are images; charpoly wants the matrix acting on coordinates
-    restriction = [[coords[i][j] for j in range(len(basis))] for i in range(len(basis))]
-    poly = charpoly(restriction)
-    indices = cyclotomic_factor_indices(poly, group.element_order(generator))
-    return tuple(sorted(len(cyclotomic_polynomial(d)) - 1 for d in indices))
+    derived_gens = derived.generating_set()
+    images = rep.mats[generator] @ np.array(basis, dtype=np.int64).T
+    eye = np.eye(rep.dim, dtype=np.int64)
+    if any(((rep.mats[h] - eye) @ images).any() for h in derived_gens):
+        raise ArithmeticError("coset generator moves the fixed space")
+    order = group.element_order(generator)
+    pieces: dict[int, int] = {}  # d -> m_d phi(d), the dimension of the Phi_d-piece
+    degrees: list[int] = []
+    power = generator
+    for d in range(1, order + 1):
+        if order % d == 0:
+            fixed_dim = len(_kernel_of_elements(rep, (*derived_gens, power)))
+            rest = fixed_dim - sum(dim for e, dim in pieces.items() if d % e == 0)
+            phi = sum(1 for j in range(1, d + 1) if gcd(j, d) == 1)
+            copies, remainder = divmod(rest, phi)
+            if copies < 0 or remainder:
+                raise ArithmeticError("kernel dimensions admit no cyclotomic splitting")
+            pieces[d] = rest
+            degrees.extend([phi] * copies)
+        power = group.product(power, generator)
+    if fixed_dim != len(basis):
+        raise ArithmeticError("g^N fixes %d dimensions, not dim W = %d" % (fixed_dim, len(basis)))
+    return tuple(sorted(degrees))
 
 
 def rational_invariant_lines(
@@ -294,7 +304,7 @@ def rational_invariant_lines(
         has_rational_line=witness is not None,
         witness=witness,
         fix_space_dim=len(fixed),
-        complex_note=_complex_note(rep, subgroup, set(derived.members), fixed),
+        complex_note=_complex_note(rep, subgroup, derived, fixed),
         caveat=caveat,
     )
 
@@ -305,6 +315,7 @@ def dp5_suite(
     """Reports for the named standard subgroups (default all five), in SUBGROUP_NAMES order."""
     if rep is None:
         rep = s5_representation()
+        verify_homomorphism(rep)
     return [
         rational_invariant_lines(rep, sub, name)
         for name, sub in standard_subgroups(rep.group)

@@ -363,43 +363,54 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
     index: dict[bytes, int] = {ident.key(): 0}
     parent: list[int] = [-1]
     via: list[int] = [-1]
-    # right[i][pos]: key of element i composed with generator pos, each composed
-    # once; the identity's row is the generator keys.
-    right: list[list[bytes]] = []
+    # right[i][pos]: index of element i composed with generator pos, each
+    # composed once; the identity's row is the generators.  A product first
+    # found in the current layer holds -1 - (its slot in ``discovered``)
+    # until the layer is numbered.
+    right: list[list[int]] = []
 
     frontier = [0]
     layers = [1]  # index where each BFS layer after the identity starts
     while frontier:
-        discovered: dict[bytes, tuple[int, int, Payload]] = {}
+        discovered: dict[bytes, tuple[int, int, int, Payload]] = {}
+        first_row = len(right)
         for fi in frontier:
             row = []
             for pos, g in enumerate(gens):
                 prod = g if fi == 0 else elements[fi].compose(g)
                 k = prod.key()
-                row.append(k)
-                if k not in index and k not in discovered:
-                    discovered[k] = (fi, pos, prod)
-                    # checked per product: a whole layer can be far past the cap
-                    if len(elements) + len(discovered) > cap:
-                        raise CapExceeded("closure exceeds cap=%d" % cap)
-                    check_table_bytes(len(elements) + len(discovered))
+                j = index.get(k)
+                if j is None:
+                    found = discovered.get(k)
+                    if found is None:
+                        found = discovered[k] = (-1 - len(discovered), fi, pos, prod)
+                        # checked per product: a whole layer can be far past the cap
+                        if len(elements) + len(discovered) > cap:
+                            raise CapExceeded("closure exceeds cap=%d" % cap)
+                        check_table_bytes(len(elements) + len(discovered))
+                    j = found[0]
+                row.append(j)
             right.append(row)
         frontier = []
         layers.append(len(elements) + len(discovered))
+        numbered = [0] * len(discovered)
         for k in sorted(discovered):
-            fi, pos, prod = discovered[k]
+            slot, fi, pos, prod = discovered[k]
+            numbered[-1 - slot] = len(elements)
             frontier.append(len(elements))
             index[k] = len(elements)
             elements.append(prod)
             parent.append(fi)
             via.append(pos)
+        for row in right[first_row:]:
+            row[:] = [numbered[-1 - j] if j < 0 else j for j in row]
 
     # Element j = element parent[j] . gen via[j], and each BFS layer is a
     # contiguous index range whose parents lie in earlier layers.  First the
     # generators' left products: g . j is the via-gen right product of
     # g . parent[j], filled one layer at a time.
     order = len(elements)
-    right_index = np.array([[index[k] for k in row] for row in right], dtype=np.int32)
+    right_index = np.array(right, dtype=np.int32)
     parent_arr = np.array(parent, dtype=np.intp)
     via_arr = np.array(via, dtype=np.intp)
     left = np.empty((len(gens), order), dtype=np.intp)  # take's native index type
@@ -417,7 +428,7 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
     return FiniteGroup(
         elements=tuple(elements),
         mul=mul,
-        generators=tuple(index[k] for k in right[0]),
+        generators=tuple(right[0]),
     )
 
 

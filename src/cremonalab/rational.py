@@ -1,10 +1,10 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything here is deterministic and fraction-free where possible: kernels
-come back as primitive integer vectors, determinants and characteristic
-polynomials are computed without floating point, and cyclotomic polynomials
-are built by exact division.  All arithmetic goes through Python ints and
-fractions, and one Gauss-Jordan routine serves every Fraction elimination.
+Two routines, both deterministic and free of floating point: ``kernel_basis``
+returns a kernel as primitive integer vectors by Gauss-Jordan elimination
+over Fractions, and ``exact_det`` takes an integer determinant by
+fraction-free Bareiss elimination.  dp5 reads every subspace dimension it
+reports, the cyclotomic degrees of ``complex_note`` included, off kernels.
 """
 
 from __future__ import annotations
@@ -13,15 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-__all__ = [
-    "kernel_basis",
-    "solve_in_span",
-    "exact_det",
-    "charpoly",
-    "cyclotomic_polynomial",
-    "cyclotomic_factor_indices",
-    "poly_divmod",
-]
+__all__ = ["kernel_basis", "exact_det"]
 
 
 def _primitive(vec: list[Fraction]) -> tuple[int, ...]:
@@ -96,26 +88,6 @@ def kernel_basis(rows: Sequence[Sequence], width: int | None = None) -> list[tup
     return basis
 
 
-def solve_in_span(basis: Sequence[Sequence[int]], targets: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Coordinates of target vectors in the span of the basis, exact.
-
-    basis has d independent integer vectors of length n; targets are vectors
-    expected to lie in their span.  Returns the d x len(targets) coordinate
-    matrix as Fractions; raises ArithmeticError if the basis is dependent or
-    a target escapes the span.
-    """
-    d = len(basis)
-    aug = [
-        [Fraction(vec[i]) for vec in basis] + [Fraction(vec[i]) for vec in targets]
-        for i in range(len(basis[0]))
-    ]
-    if _reduce(aug, d) != list(range(d)):
-        raise ArithmeticError("basis vectors are dependent")
-    if any(x != 0 for row in aug[d:] for x in row[d:]):
-        raise ArithmeticError("target vector escapes the span")
-    return [aug[j][d:] for j in range(d)]
-
-
 def exact_det(matrix: Sequence[Sequence[int]]) -> int:
     """Determinant by fraction-free Bareiss elimination."""
     m = [[int(x) for x in row] for row in matrix]
@@ -143,101 +115,3 @@ def exact_det(matrix: Sequence[Sequence[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def charpoly(matrix: Sequence[Sequence[Fraction | int]]) -> list[Fraction]:
-    """Coefficients of det(xI - M), highest degree first, via Faddeev-LeVerrier."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in m):
-        raise ValueError("characteristic polynomial needs a square matrix")
-    coeffs = [Fraction(1)]
-    aux = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        # aux <- M @ (aux + c_{k-1} I)
-        shifted = [row[:] for row in aux]
-        for i in range(n):
-            shifted[i][i] += coeffs[-1]
-        aux = [
-            [sum(m[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        trace = sum(aux[i][i] for i in range(n))
-        coeffs.append(-trace / k)
-    return coeffs
-
-
-def poly_divmod(
-    num: Sequence[Fraction | int], den: Sequence[Fraction | int]
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of polynomials given highest-degree-first."""
-    num_f = [Fraction(x) for x in num]
-    den_f = [Fraction(x) for x in den]
-    while den_f and den_f[0] == 0:
-        den_f.pop(0)
-    if not den_f:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(num_f) < len(den_f):
-        return [], num_f
-    quot = [Fraction(0)] * (len(num_f) - len(den_f) + 1)
-    rem = num_f[:]
-    lead = den_f[0]
-    for i in range(len(quot)):
-        q = rem[i] / lead
-        quot[i] = q
-        if q != 0:
-            for j, d in enumerate(den_f):
-                rem[i + j] -= q * d
-    rem = rem[len(quot):]
-    while rem and rem[0] == 0:
-        rem.pop(0)
-    return quot, rem
-
-
-def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
-    """Integer coefficients of the d-th cyclotomic polynomial, highest first."""
-    if d < 1:
-        raise ValueError("cyclotomic index must be positive")
-    # x^d - 1 divided by the cyclotomic polynomials of all proper divisors
-    num: list[Fraction] = [Fraction(1)] + [Fraction(0)] * (d - 1) + [Fraction(-1)]
-    for e in range(1, d):
-        if d % e == 0:
-            num, rem = poly_divmod(num, cyclotomic_polynomial(e))
-            if rem:
-                raise ArithmeticError("cyclotomic division left a remainder")
-    return tuple(int(c) for c in num)
-
-
-def cyclotomic_factor_indices(
-    poly: Sequence[Fraction | int], element_order: int
-) -> list[int]:
-    """Factor a polynomial into cyclotomics Phi_d with d dividing element_order.
-
-    Returns the sorted list of indices d, with multiplicity.  Raises if the
-    polynomial is not a product of such cyclotomics (it always is for the
-    characteristic polynomial of a finite-order integer matrix restricted to
-    an invariant subspace, which is the only use here).
-    """
-    rem = [Fraction(x) for x in poly]
-    while rem and rem[0] == 0:
-        rem.pop(0)
-    if not rem:
-        raise ValueError("zero polynomial")
-    found: list[int] = []
-    divisors = [d for d in range(1, element_order + 1) if element_order % d == 0]
-    progress = True
-    while len(rem) > 1 and progress:
-        progress = False
-        for d in divisors:
-            phi = cyclotomic_polynomial(d)
-            if len(phi) > len(rem):
-                continue
-            quot, r = poly_divmod(rem, phi)
-            if not r:
-                found.append(d)
-                rem = quot
-                progress = True
-                break
-    if len(rem) != 1 or rem[0] != 1:
-        raise ArithmeticError("polynomial is not a product of expected cyclotomics")
-    return sorted(found)

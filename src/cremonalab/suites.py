@@ -102,7 +102,7 @@ def _prop44_rows(seed: int) -> list[VerificationReport]:
 
 def _dp5_rows() -> list[VerificationReport]:
     start = time.perf_counter()
-    rep = dp5.s5_representation(verify=False)
+    rep = dp5.s5_representation()
     pairs = dp5.verify_homomorphism(rep)
     hom_time = time.perf_counter() - start
     rows = [checked(

@@ -291,22 +291,6 @@ def frac_det(rows) -> Fraction:
     return det
 
 
-def poly_eval_at_matrix(coeffs, mat):
-    """Evaluate a highest-first coefficient polynomial at a square matrix."""
-    n = len(mat)
-    result = [[Fraction(0)] * n for _ in range(n)]
-    for coeff in coeffs:
-        # result = result * mat + coeff * I
-        nxt = [
-            [sum(result[i][t] * Fraction(mat[t][j]) for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        for i in range(n):
-            nxt[i][i] += Fraction(coeff)
-        result = nxt
-    return result
-
-
 # Cyclotomic polynomials, highest-first coefficients, transcribed from the
 # standard table rather than computed.
 KNOWN_CYCLOTOMICS = {
@@ -319,6 +303,8 @@ KNOWN_CYCLOTOMICS = {
     8: (1, 0, 0, 0, 1),
     10: (1, -1, 1, -1, 1),
     12: (1, 0, -1, 0, 1),
+    15: (1, -1, 0, 1, -1, 1, 0, -1, 1),
+    24: (1, 0, 0, 0, -1, 0, 0, 0, 1),
 }
 
 

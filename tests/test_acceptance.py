@@ -32,7 +32,7 @@ def announce(index: int, summary: str, ok: bool) -> None:
 
 @pytest.fixture(scope="module")
 def rep():
-    return s5_representation(verify=False)
+    return s5_representation()
 
 
 def test_acceptance_1_jordan_index_of_the_family():

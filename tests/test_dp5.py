@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
+from cremonalab.groups import Permutation, commutator_subgroup, cyclic_product
 from cremonalab.dp5 import (
     SUBGROUP_NAMES,
     Representation,
+    _complex_note,
     dp5_suite,
     fixed_space,
     rational_invariant_lines,
@@ -26,7 +28,7 @@ EXPECTED_VERDICTS = {
 
 @pytest.fixture(scope="module")
 def rep():
-    return s5_representation(verify=False)
+    return s5_representation()
 
 
 @pytest.fixture(scope="module")
@@ -121,14 +123,82 @@ def dual_representation(rep):
 
 
 def test_dual_representation_same_verdicts(rep):
+    # Phi_d is closed under inverting its roots, so the cyclotomic degrees
+    # of the dual action agree as well as the verdicts and dimensions
     dual = dual_representation(rep)
     assert verify_homomorphism(dual) == 120 * 120
-    primal = {r.name: r.has_rational_line for r in dp5_suite(rep)}
-    mirrored = {r.name: r.has_rational_line for r in dp5_suite(dual)}
+
+    def summary(r):
+        return r.has_rational_line, r.fix_space_dim, r.complex_note
+
+    primal = {r.name: summary(r) for r in dp5_suite(rep)}
+    mirrored = {r.name: summary(r) for r in dp5_suite(dual)}
     assert primal == mirrored
 
 
-def test_verify_flag_builds_identical_rep():
-    verified = s5_representation(verify=True)
-    raw = s5_representation(verify=False)
-    assert np.array_equal(verified.mats, raw.mats)
+def test_complex_note_rejects_a_wrong_length_basis(rep, subgroups):
+    for name in ("g5_4", "c5"):
+        derived = commutator_subgroup(subgroups[name])
+        basis = fixed_space(rep, derived)
+        with pytest.raises(ArithmeticError, match="fixes"):
+            _complex_note(rep, subgroups[name], derived, basis[:-1])
+
+
+def test_complex_note_rejects_a_non_normal_derived_subgroup(rep, subgroups):
+    # <(2 3)(4 5)> is not normal in g5_2, and a 5-cycle moves its fixed plane
+    group = rep.group
+    invol = group.find(Permutation.from_cycles(5, [[2, 3], [4, 5]]))
+    fake = group.subgroup(group.subgroup_closure([invol]), gens=(invol,))
+    with pytest.raises(ArithmeticError, match="moves"):
+        _complex_note(rep, subgroups["g5_2"], fake, fixed_space(rep, fake))
+
+
+@pytest.mark.parametrize("images", [
+    (1, -1, 1),  # Z/4: g fixes the line but g^2 does not, so m_2 = -1
+    (-1, -1),  # Z/3: k_1 = 0 and k_3 = 1 would need half a Phi_3
+])
+def test_complex_note_rejects_impossible_kernel_dimensions(images):
+    # 1-dimensional "representations" that are no homomorphisms
+    group = cyclic_product([len(images) + 1])
+    mats = np.array([[[1]], *([[x]] for x in images)], dtype=np.int64)
+    fake = Representation(group=group, mats=mats)
+    whole = group.subgroup(range(group.order), gens=(1,))
+    trivial = group.subgroup((0,))
+    with pytest.raises(ArithmeticError, match="splitting"):
+        _complex_note(fake, whole, trivial, [(1,)])
+
+
+def _cyclic_action(generator):
+    # Z/d acting by powers of an integer matrix of order d
+    d = 1
+    while not np.array_equal(np.linalg.matrix_power(generator, d), np.eye(len(generator))):
+        d += 1
+    group = cyclic_product([d])
+    mats = np.stack([np.linalg.matrix_power(generator, j) for j in range(d)])
+    whole = group.subgroup(range(d), gens=(1,) if d > 1 else ())
+    return Representation(group=group, mats=mats), whole, group.subgroup((0,))
+
+
+@pytest.mark.parametrize("d", sorted(oracles.KNOWN_CYCLOTOMICS))
+def test_complex_note_of_cyclotomic_companion(d):
+    # the companion matrix of the transcribed Phi_d has order d and is one
+    # Phi_d-piece, so the note is that polynomial's degree alone
+    phi = oracles.KNOWN_CYCLOTOMICS[d]
+    k = len(phi) - 1
+    companion = np.zeros((k, k), dtype=np.int64)
+    companion[1:, :-1] = np.eye(k - 1, dtype=np.int64)
+    companion[:, -1] = [-c for c in phi[:0:-1]]
+    rep, whole, trivial = _cyclic_action(companion)
+    assert rep.group.order == d
+    basis = fixed_space(rep, trivial)
+    assert _complex_note(rep, whole, trivial, basis) == (k,)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 6, 8, 12, 15, 24))
+def test_complex_note_of_regular_cyclic_action(n):
+    # x^n - 1 is the product of Phi_d over d | n, so the n-cycle's
+    # permutation matrix has one piece of each degree phi(d)
+    shift = np.roll(np.eye(n, dtype=np.int64), 1, axis=0)
+    rep, whole, trivial = _cyclic_action(shift)
+    expected = sorted(len(oracles.KNOWN_CYCLOTOMICS[d]) - 1 for d in range(1, n + 1) if n % d == 0)
+    assert _complex_note(rep, whole, trivial, fixed_space(rep, trivial)) == tuple(expected)

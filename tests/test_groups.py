@@ -395,7 +395,7 @@ def test_s4_subgroups_match_reclosure(s4):
 
 
 def test_dp5_subgroups_match_reclosure():
-    group = s5_representation(verify=False).group
+    group = s5_representation().group
     for _, sub in standard_subgroups(group):
         assert_matches_reclosure(sub)
 
@@ -414,7 +414,7 @@ def test_class_closures_match_normal_closure_oracle(build):
 
 
 def test_minimal_generators_match_greedy_oracle(s4):
-    dp5 = s5_representation(verify=False).group
+    dp5 = s5_representation().group
     cases = [(s4, sorted(map(sorted, oracles.all_subgroups(oracles.table_of(s4)))))]
     cases.append((dp5, [sub.members for _, sub in standard_subgroups(dp5)]))
     assert [len(subs) for _, subs in cases] == [30, 5]
@@ -490,6 +490,20 @@ def test_cyclic_product_table_is_built_without_large_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * group.mul.nbytes
+
+
+def test_closure_keeps_no_key_per_product():
+    # a degree-256 payload's key is about 1 kB; with 8 generators, one kept
+    # key per element x generator product would be twice the finished group
+    gens = [Permutation.from_cycles(256, [[2 * i + 1, 2 * i + 2]]) for i in range(8)]
+    tracemalloc.start()
+    try:
+        group = close_generators(gens)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.order == 256
+    assert peak < 2 * kept
 
 
 def test_closed_table_is_filled_without_a_second_table():
