@@ -1,117 +1,96 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Two routines, both deterministic and free of floating point: ``kernel_basis``
-returns a kernel as primitive integer vectors by Gauss-Jordan elimination
-over Fractions, and ``exact_det`` takes an integer determinant by
-fraction-free Bareiss elimination.  dp5 reads every subspace dimension it
-reports, the cyclotomic degrees of ``complex_note`` included, off kernels.
+One fraction-free (Bareiss) eliminator, ``_echelon``, serves both routines:
+``exact_det`` reads the determinant off its last pivot, and ``kernel_basis``
+back-substitutes one primitive integer vector per free column.  Entries stay
+integers throughout (a non-integer entry raises TypeError).  dp5 reads every
+subspace dimension it reports, ``complex_note`` included, off kernels.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Sequence
 
 __all__ = ["kernel_basis", "exact_det"]
 
 
-def _primitive(vec: list[Fraction]) -> tuple[int, ...]:
-    # clear denominators, divide by content, make first nonzero entry positive
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+def _integer_rows(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+    mat = [[index(x) for x in row] for row in rows]
+    if any(len(row) != width for row in mat):
+        raise ValueError("every row must have %d entries" % width)
+    return mat
 
 
-def _reduce(mat: list[list[Fraction]], columns: int) -> list[int]:
-    """Gauss-Jordan elimination in place over the first ``columns`` columns.
+def _echelon(mat: list[list[int]]) -> tuple[list[int], int]:
+    """Bareiss forward elimination in place; returns (pivot columns, minor).
 
-    Leaves those columns in reduced row echelon form and returns the pivot
-    columns; the pivot of column ``pivots[r]`` is the 1 in row ``r``.
+    A column with no nonzero entry at or below the current row is skipped,
+    so the matrix may be rectangular and rank-deficient.  Afterwards row r
+    starts at column ``pivots[r]`` and the rows past the rank are zero.  Each
+    entry is a minor of the input, so every division is exact; ``minor`` is
+    the one on the pivot rows and columns (the last pivot, signed by the row
+    swaps; 1 if there is no pivot).
     """
     pivots: list[int] = []
-    for col in range(columns):
-        rank = len(pivots)
-        if rank == len(mat):
+    sign = 1
+    prev = 1
+    height = len(mat)
+    width = len(mat[0]) if mat else 0
+    for col in range(width):
+        k = len(pivots)
+        if k == height:
             break
-        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        if mat[k][col] == 0:
+            swap = next((r for r in range(k + 1, height) if mat[r][col] != 0), None)
+            if swap is None:
+                continue
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        top = mat[k]
+        pivot = top[col]
+        for row in mat[k + 1:]:
+            f = row[col]
+            for j in range(col + 1, width):
+                row[j] = (row[j] * pivot - f * top[j]) // prev
+            row[col] = 0
+        prev = pivot
         pivots.append(col)
-    return pivots
+    return pivots, sign * prev
 
 
-def kernel_basis(rows: Sequence[Sequence], width: int | None = None) -> list[tuple[int, ...]]:
-    """Basis of the right kernel of a matrix with integer or Fraction entries.
+def _primitive(vec: list[int]) -> tuple[int, ...]:
+    # divide by the content and make the first nonzero entry positive
+    g = gcd(*vec)
+    if next(x for x in vec if x) < 0:
+        g = -g
+    return tuple(x // g for x in vec)
 
-    Returns primitive integer vectors, one per free column, in column order.
-    An empty matrix (no rows) has the full standard basis as its kernel.
+
+def kernel_basis(rows: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
+    """Basis of the right kernel of an integer matrix with ``width`` columns.
+
+    Returns primitive integer vectors, one per free column, in column order:
+    the reduced-row-echelon basis, scaled to integers.  An empty matrix (no
+    rows) has the full standard basis as its kernel.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if width is None:
-        if not mat:
-            raise ValueError("width required for empty matrix")
-        width = len(mat[0])
-    if any(len(row) != width for row in mat):
-        raise ValueError("ragged matrix")
-
-    pivots = _reduce(mat, width)
-    pivot_set = set(pivots)
+    mat = _integer_rows(rows, width)
+    pivots, minor = _echelon(mat)
     basis: list[tuple[int, ...]] = []
-    for free in range(width):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][free]
+    for free in sorted(set(range(width)) - set(pivots)):
+        # scaled by the minor, the solution is a vector of minors (Cramer's
+        # rule), so each division below is exact
+        vec = [0] * width
+        vec[free] = minor
+        for row, pc in reversed(list(zip(mat, pivots))):
+            vec[pc] = -sum(row[j] * vec[j] for j in range(pc + 1, width)) // row[pc]
         basis.append(_primitive(vec))
     return basis
 
 
 def exact_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant by fraction-free Bareiss elimination."""
-    m = [[int(x) for x in row] for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = None
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    swap = r
-                    break
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    n = len(matrix)
+    pivots, minor = _echelon(_integer_rows(matrix, n))
+    return minor if len(pivots) == n else 0

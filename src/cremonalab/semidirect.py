@@ -79,13 +79,14 @@ def _det_minus_identity(m: Mat2, n: int) -> int:
 
 @dataclass(frozen=True)
 class ModularDihedralAction:
-    """The twelve matrices rho(d) mod n, plus the pinned U and Z."""
+    """The twelve matrices rho(d) mod n, plus the pinned U and Z.
+
+    rho[d] is rho(r^d) for d < 6 and rho(r^(d-6) s) after, so rho[6] = rho(s).
+    """
 
     modulus: int
     u: Mat2
     z: Mat2
-    rho_r: Mat2
-    rho_s: Mat2
     rho: tuple[Mat2, ...]
 
     @property
@@ -129,7 +130,7 @@ def build_action_data(n: int) -> ModularDihedralAction:
         raise NoConsistentAction("dihedral relation s r s = r^-1 fails mod %d" % n)
 
     rho = tuple(powers[d % 6] if d < 6 else _mat_mul(powers[d % 6], rho_s, n) for d in range(12))
-    return ModularDihedralAction(n, u, z, rho_r, rho_s, rho)
+    return ModularDihedralAction(n, u, z, rho)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 
 def table_of(group) -> list[list[int]]:
@@ -269,6 +270,35 @@ def frac_nullity(rows, width: int) -> int:
     if not rows:
         return width
     return width - frac_rank(rows)
+
+
+def primitive(vec) -> tuple[int, ...]:
+    """A nonzero rational vector cleared of denominators, divided by its
+    content and signed so that its first nonzero entry is positive."""
+    vec = [Fraction(x) for x in vec]
+    denom = lcm(*(x.denominator for x in vec))
+    ints = [int(x * denom) for x in vec]
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+def frac_kernel(rows, width: int) -> list[tuple[int, ...]]:
+    """Kernel basis read off the RREF: for each free column f, the primitive
+    multiple of the vector with 1 at f, 0 at the other free columns and
+    -rref[r][f] at pivot r."""
+    rref, pivots = frac_rref(rows, width)
+    basis = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * width
+        vec[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rref[r][free]
+        basis.append(primitive(vec))
+    return basis
 
 
 def frac_det(rows) -> Fraction:
