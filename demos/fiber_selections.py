@@ -20,7 +20,7 @@ def main() -> None:
     # one generator swaps the two components of the marked fiber
     swapping = make_model((2,), 2, (0,), [[1, 0, 2, 3]])
     try:
-        greedy_selection(swapping, range(swapping.group.order))
+        greedy_selection(swapping, range(swapping.order))
     except SwapFailure as failure:
         print("marked swap:           element %d swaps fiber %d, no selection" % (failure.element, failure.fiber))
     built = construct_no_swap_subgroup(swapping)

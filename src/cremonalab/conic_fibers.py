@@ -16,11 +16,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Callable, Iterable, Sequence
-
-from .groups import FiniteGroup, Subgroup, cyclic_product
+from typing import Iterable, Sequence
 
 __all__ = [
     "AbelianType",
@@ -118,17 +115,17 @@ class AbelianType:
 
 @dataclass
 class FiberActionModel:
-    """Abelian group with a component action over a fibered base.
+    """Z/d_1 x ... x Z/d_k acting on the split fibers over a fibered base.
 
-    ``group`` is ``cyclic_product(factors)``, so the exponent vector of
-    element e is ``np.unravel_index(e, factors)``.  ``gen_perms`` gives each
-    generator's permutation of the 2 * fiber_count components, component
-    ``2f + s`` being side ``s`` of fiber ``f``; ``components[e]`` is element
-    e's permutation of them.  ``base_order`` is the order of the cyclic group
-    the generators induce on the fibers.
+    Element e of the group is its exponent vector, the digits of e in mixed
+    radix over ``factors`` (first factor most significant).  ``gen_perms``
+    gives each generator's permutation of the 2 * fiber_count components,
+    component ``2f + s`` being side ``s`` of fiber ``f``; ``components[e]`` is
+    element e's permutation of them and ``element_orders[e]`` its order in
+    the group.  ``base_order`` is the order of the cyclic group the
+    generators induce on the fibers.
     """
 
-    group: FiniteGroup
     factors: tuple[int, ...]
     abelian_type: AbelianType
     fiber_count: int
@@ -136,6 +133,11 @@ class FiberActionModel:
     gen_perms: tuple[tuple[int, ...], ...]
     base_order: int
     components: tuple[tuple[int, ...], ...] = field(repr=False)
+    element_orders: tuple[int, ...] = field(repr=False)
+
+    @property
+    def order(self) -> int:
+        return len(self.components)
 
 
 def _fiber_row(components: tuple[int, ...]) -> tuple[int, ...]:
@@ -170,16 +172,6 @@ def make_model(
     fixes the marked fibers, commutes with the others, has order dividing
     its cyclic factor, and that the induced action on fibers is cyclic.
     """
-    return _assemble_model(factors, fiber_count, marked, gen_perms, cyclic_product)
-
-
-def _assemble_model(
-    factors: Sequence[int],
-    fiber_count: int,
-    marked: Sequence[int],
-    gen_perms: Sequence[Sequence[int]],
-    group_of: Callable[[tuple[int, ...]], FiniteGroup],
-) -> FiberActionModel:
     factors = tuple(int(d) for d in factors)
     if not factors or any(d < 1 for d in factors):
         raise ModelError("factors must be positive integers")
@@ -208,11 +200,12 @@ def _assemble_model(
             if perm[2 * f] // 2 != f:
                 raise ModelError("generator %d moves marked fiber %d" % (gi, f))
     # Row e of the component table is the product of the generator powers
-    # named by the digits of e, folded in the mixed-radix order of
-    # cyclic_product.  perm^d is the identity exactly when perm's order
-    # divides d.
+    # named by the digits of e, folded in mixed-radix order; the order of e
+    # is folded beside it, digit k of Z/d having order d / gcd(k, d).
+    # perm^d is the identity exactly when perm's order divides d.
     identity = tuple(range(width))
     components = (identity,)
+    orders = (1,)
     for gi, (d, perm) in enumerate(zip(factors, perms)):
         powers = [identity]
         for _ in range(d):
@@ -222,6 +215,7 @@ def _assemble_model(
         components = tuple(
             [tuple(map(power.__getitem__, row)) for row in components for power in powers]
         )
+        orders = tuple([lcm(o, d // gcd(k, d)) for o in orders for k in range(d)])
     for i, pi in enumerate(perms):
         for j in range(i + 1, len(perms)):
             pj = perms[j]
@@ -236,7 +230,6 @@ def _assemble_model(
         raise ModelError("induced fiber action is not cyclic")
 
     return FiberActionModel(
-        group=group_of(factors),
         factors=factors,
         abelian_type=AbelianType.from_factors(factors),
         fiber_count=fiber_count,
@@ -244,6 +237,7 @@ def _assemble_model(
         gen_perms=perms,
         base_order=base_order,
         components=components,
+        element_orders=orders,
     )
 
 
@@ -263,8 +257,9 @@ def greedy_selection(model: FiberActionModel, members: Sequence[int]) -> Compone
     when an orbit reaches both components of one fiber, which is exactly
     when no invariant selection exists for that subgroup.
     """
-    group = model.group
     member_list = sorted(int(m) for m in members)
+    if member_list[:1] != [0] or member_list[-1] >= model.order:
+        raise ModelError("members must hold the identity 0 and lie in range(%d)" % model.order)
     sides: list[int | None] = [None] * model.fiber_count
     for f in range(model.fiber_count):
         if sides[f] is not None:
@@ -274,13 +269,20 @@ def greedy_selection(model: FiberActionModel, members: Sequence[int]) -> Compone
             image = model.components[a][2 * f]
             f2, s2 = divmod(image, 2)
             if f2 in reached and reached[f2][0] != s2:
-                other = reached[f2][1]
-                witness = group.product(a, int(group.inverse[other]))
-                raise SwapFailure(witness, f2)
+                raise SwapFailure(_quotient(model.factors, a, reached[f2][1]), f2)
             reached[f2] = (s2, a)
         for f2, (s2, _) in reached.items():
             sides[f2] = s2
     return ComponentSelection(tuple(int(s) for s in sides))
+
+
+def _quotient(factors: tuple[int, ...], a: int, b: int) -> int:
+    """The element a * b^-1: the digits of a minus those of b, mod each factor."""
+    index, stride = 0, 1
+    for d in reversed(factors):
+        index += (a - b) % d * stride
+        a, b, stride = a // d, b // d, stride * d
+    return index
 
 
 def swap_scan(model: FiberActionModel, members: Sequence[int]) -> tuple[int, int] | None:
@@ -306,7 +308,7 @@ def selection_invariant(
 
 @dataclass(frozen=True)
 class NoSwapConstruction:
-    subgroup: Subgroup
+    members: tuple[int, ...]
     index: int
     clean_lift: bool
     lift_generator: int | None
@@ -320,12 +322,12 @@ def construct_no_swap_subgroup(model: FiberActionModel) -> NoSwapConstruction:
     The recipe: drop to the kernel of the marked swaps, split off the
     swap-free part of the fiber stabilizer, then look for one element whose
     order equals the base image order both as a group element and on fibers.
-    That element together with the swap-free part generates the subgroup;
+    That element together with the swap-free part generates the subgroup,
+    read off the table as every element acting by a power of the lift;
     when no such element exists the swap-free part alone is returned without
     a clean lift, since the index may then exceed the 2-rank bound.  The
     returned subgroup always admits a selection.
     """
-    group = model.group
     rows = model.components
     marked_sides = [2 * f for f in model.marked]
 
@@ -340,38 +342,34 @@ def construct_no_swap_subgroup(model: FiberActionModel) -> NoSwapConstruction:
     # when its fiber permutation generates the base.
     lift = None
     for m in a0:
-        if _cycle_lcm(_fiber_row(rows[m])) == model.base_order == group.element_order(m):
+        if _cycle_lcm(_fiber_row(rows[m])) == model.base_order == model.element_orders[m]:
             lift = m
             break
 
-    sub = None
+    # The kernel is that of the action e -> rows[e], so <kernel, lift> is the
+    # preimage of the cyclic group the lift's row generates.
+    members = kernel
     if lift is not None:
-        sub = group.subgroup(group.subgroup_closure((*kernel, lift)))
+        powers, power = {rows[0]}, rows[lift]
+        while power not in powers:
+            powers.add(power)
+            power = tuple(map(rows[lift].__getitem__, power))
+        members = tuple(m for m, row in enumerate(rows) if row in powers)
         try:
-            selection = greedy_selection(model, sub.members)
+            selection = greedy_selection(model, members)
         except SwapFailure:
-            lift, sub = None, None
-    if sub is None:
-        sub = group.subgroup(kernel)
-        selection = greedy_selection(model, sub.members)
+            lift, members = None, kernel
+    if lift is None:
+        selection = greedy_selection(model, members)
 
     return NoSwapConstruction(
-        subgroup=sub,
-        index=group.order // sub.order,
+        members=members,
+        index=len(rows) // len(members),
         clean_lift=lift is not None,
         lift_generator=lift,
         rank_bound=2 ** model.abelian_type.two_rank,
         selection=selection,
     )
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-# random_model draws from 63 factor tuples, each of order at most 64, so
-# keeping their tables costs under 1 MB; make_model builds a fresh table.
-_random_model_group = lru_cache(maxsize=64)(cyclic_product)
 
 
 def random_model(seed: int, trial: int) -> FiberActionModel:
@@ -410,8 +408,8 @@ def random_model(seed: int, trial: int) -> FiberActionModel:
     if unmarked:
         candidates = [
             c
-            for c in _divisors(dj)
-            if gcd(c, dj // c) == 1 and len(unmarked) % c == 0
+            for c in range(1, dj + 1)
+            if dj % c == 0 and gcd(c, dj // c) == 1 and len(unmarked) % c == 0
         ]
         nontrivial = [c for c in candidates if c > 1]
         c = rng.choice(nontrivial) if nontrivial else 1
@@ -447,7 +445,7 @@ def random_model(seed: int, trial: int) -> FiberActionModel:
                 perms[gi][2 * f] = 2 * f + 1
                 perms[gi][2 * f + 1] = 2 * f
 
-    return _assemble_model(factors, fiber_count, marked, perms, _random_model_group)
+    return make_model(factors, fiber_count, marked, perms)
 
 
 def simulate(seed: int, trials: int) -> dict:
@@ -474,9 +472,9 @@ def simulate(seed: int, trials: int) -> dict:
         except SwapFailure:
             greedy_failures += 1
             continue
-        if swap_scan(model, cons.subgroup.members) is not None:
+        if swap_scan(model, cons.members) is not None:
             scan_disagreements += 1
-        if not selection_invariant(model, cons.subgroup.members, cons.selection):
+        if not selection_invariant(model, cons.members, cons.selection):
             invariance_failures += 1
         if not cons.clean_lift:
             no_clean_lift += 1

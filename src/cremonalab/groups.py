@@ -5,8 +5,7 @@ semidirect-product pairs defined elsewhere) that know how to compose and how to
 serialize themselves to a canonical byte key.  A group is closed breadth-first
 from a generator list; the element order is deterministic (identity first, then
 layer by layer, each layer sorted by canonical key), so two closures of the same
-generator list are byte-identical.  A product of cyclic groups is built
-directly, in mixed-radix order over exponent vectors, by ``cyclic_product``.
+generator list are byte-identical.
 
 Every group and subgroup operation works from the Cayley table alone: a
 subgroup stays a member list inside its parent.  Only ``find`` and ``keys``
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import prod
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
@@ -38,7 +36,6 @@ __all__ = [
     "Subgroup",
     "check_table_bytes",
     "close_generators",
-    "cyclic_product",
     "conjugacy_classes",
     "commutator_subgroup",
     "sign_characters",
@@ -429,40 +426,6 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
         elements=tuple(elements),
         mul=mul,
         generators=tuple(right[0]),
-    )
-
-
-def cyclic_product(factors: Sequence[int]) -> FiniteGroup:
-    """Z/d_1 x ... x Z/d_k as a Cayley table, without a closure search.
-
-    Element i is its exponent vector ``np.unravel_index(i, factors)`` (first
-    factor most significant), a tuple rather than a payload; generator t is
-    the t-th unit vector, index 0 when d_t = 1.  The Cayley table is a fold
-    of cyclic ones, one factor at a time.  Only ``find`` and ``keys`` need
-    payloads, so they are for closed groups only; every other operation,
-    ``jordan_index`` included, works on this group too.
-    """
-    factors = tuple(int(d) for d in factors)
-    if not factors or any(d < 1 for d in factors):
-        raise ValueError("factors must be a non-empty list of positive integers")
-    order = prod(factors)
-    if order > DEFAULT_CAP:
-        raise CapExceeded("product of cyclic factors exceeds cap=%d" % DEFAULT_CAP)
-    check_table_bytes(order)
-
-    mul = np.zeros((1, 1), dtype=np.int32)
-    for d in factors:
-        r = np.arange(d, dtype=np.int32)
-        n = len(mul)
-        cyclic = (r[:, None] + r) % d
-        mul = ((mul * d)[:, None, :, None] + cyclic[:, None, :]).reshape(n * d, n * d)
-
-    digits = np.stack(np.unravel_index(np.arange(order), factors))
-    strides = order // np.cumprod(factors)
-    return FiniteGroup(
-        elements=tuple(map(tuple, digits.T.tolist())),
-        mul=mul,
-        generators=tuple(int(s) if d > 1 else 0 for s, d in zip(strides, factors)),
     )
 
 

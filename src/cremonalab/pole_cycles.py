@@ -21,7 +21,6 @@ __all__ = [
     "base_pairs",
     "blow_up_node",
     "blow_up_smooth",
-    "apply_word",
     "conservation_defect",
     "satisfies_fano_bound",
     "canonical_components",
@@ -120,18 +119,6 @@ def blow_up_smooth(cycle: PoleCycle, comp: int) -> PoleCycle:
     comps[comp] = (comps[comp][0] - 1, comps[comp][1])
     word = cycle.word + (("smooth", comp),)
     return PoleCycle(tuple(comps), cycle.k2 - 1, cycle.base_name, word)
-
-
-def apply_word(base: PoleCycle, word: tuple[Move, ...]) -> PoleCycle:
-    cycle = base
-    for kind, index in word:
-        if kind == "node":
-            cycle = blow_up_node(cycle, index)
-        elif kind == "smooth":
-            cycle = blow_up_smooth(cycle, index)
-        else:
-            raise ValueError("unknown move %r" % (kind,))
-    return cycle
 
 
 def satisfies_fano_bound(cycle: PoleCycle) -> bool:

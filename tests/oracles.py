@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
+
+import numpy as np
 
 
 def table_of(group) -> list[list[int]]:
@@ -209,6 +211,36 @@ def jordan_index_oracle(table: list[list[int]]) -> int:
     return best
 
 
+def cyclic_product(factors):
+    """Z/d_1 x ... x Z/d_k as a Cayley table, without a closure search.
+
+    Element i is its exponent vector ``np.unravel_index(i, factors)`` (first
+    factor most significant), a tuple rather than a payload; generator t is
+    the t-th unit vector, index 0 when d_t = 1.  The Cayley table is a fold
+    of cyclic ones, one factor at a time.  A payload-free group: ``find``
+    and ``keys`` do not work on it, every other operation does.  Not naive
+    itself: test_groups matches it against a closure of block cycles.
+    """
+    from cremonalab.groups import FiniteGroup
+
+    factors = tuple(factors)
+    mul = np.zeros((1, 1), dtype=np.int32)
+    for d in factors:
+        r = np.arange(d, dtype=np.int32)
+        n = len(mul)
+        cyclic = (r[:, None] + r) % d
+        mul = ((mul * d)[:, None, :, None] + cyclic[:, None, :]).reshape(n * d, n * d)
+
+    order = prod(factors)
+    digits = np.stack(np.unravel_index(np.arange(order), factors))
+    strides = order // np.cumprod(factors)
+    return FiniteGroup(
+        elements=tuple(map(tuple, digits.T.tolist())),
+        mul=mul,
+        generators=tuple(int(s) if d > 1 else 0 for s, d in zip(strides, factors)),
+    )
+
+
 # --- permutation and matrix arithmetic ---------------------------------
 
 def compose_images(a, b):
@@ -355,7 +387,22 @@ def cycle_symmetries(components) -> list[tuple[str, int]]:
     return found
 
 
-# --- random blow-up words -------------------------------------------------
+# --- blow-up words --------------------------------------------------------
+
+def apply_word(base, word):
+    """The cycle reached from ``base`` by a word of ``(kind, index)`` moves."""
+    from cremonalab.pole_cycles import blow_up_node, blow_up_smooth
+
+    cycle = base
+    for kind, index in word:
+        if kind == "node":
+            cycle = blow_up_node(cycle, index)
+        elif kind == "smooth":
+            cycle = blow_up_smooth(cycle, index)
+        else:
+            raise ValueError("unknown move %r" % (kind,))
+    return cycle
+
 
 def pole_cycle_walk_ends(seed: int, words_per_base: int, max_moves: int = 8):
     """``(base name, components, K^2)`` at the end of each random word, walked

@@ -3,12 +3,16 @@
 import importlib
 import pkgutil
 import random
+from functools import lru_cache
+from itertools import combinations, permutations, product
 
 import pytest
 
 import cremonalab
+import oracles
 from cremonalab import conic_fibers
 from cremonalab.conic_fibers import (
+    FAMILY_REPRESENTATIVES,
     AbelianType,
     ModelError,
     SwapFailure,
@@ -16,12 +20,13 @@ from cremonalab.conic_fibers import (
     greedy_selection,
     make_model,
     random_model,
+    selection_invariant,
     simulate,
     swap_index_factor,
     swap_scan,
     weak_geometric_constant,
 )
-from cremonalab.groups import Permutation, close_generators
+from cremonalab.groups import FiniteGroup, Permutation, close_generators
 
 
 def identity_perm(fibers):
@@ -41,28 +46,43 @@ def kernel(model):
     return [m for m, row in enumerate(model.components) if row == model.components[0]]
 
 
+# a model's element e is the element e of the product of its cyclic factors
+oracle_group = lru_cache(maxsize=None)(oracles.cyclic_product)
+
+
 def test_no_swap_model_keeps_whole_group():
     model = make_model((2, 2), 2, (), [identity_perm(2), identity_perm(2)])
     built = construct_no_swap_subgroup(model)
     assert built.index == 1
-    assert built.subgroup.order == model.group.order == 4
+    assert len(built.members) == model.order == 4
     assert built.clean_lift
-    selection = greedy_selection(model, range(model.group.order))
+    selection = greedy_selection(model, range(model.order))
     assert selection.components() == (0, 2)
 
 
 def test_marked_swap_generator_is_the_witness():
     # one generator of order 2 swaps the two sides of the marked fiber
     model = make_model((2,), 2, (0,), [[1, 0, 2, 3]])
-    gen = int(model.group.generators[0])
+    gen = oracle_group(model.factors).generators[0]
     with pytest.raises(SwapFailure) as exc_info:
-        greedy_selection(model, range(model.group.order))
+        greedy_selection(model, range(model.order))
     assert exc_info.value.element == gen
     assert exc_info.value.fiber == 0
-    assert swap_scan(model, range(model.group.order)) == (gen, 0)
+    assert swap_scan(model, range(model.order)) == (gen, 0)
     built = construct_no_swap_subgroup(model)
     assert built.index == 2
-    assert built.subgroup.order == 1
+    assert built.members == (0,)
+
+
+def test_swap_witness_is_the_quotient_of_the_two_members():
+    # members 3 = (0, 0, 3) and 4 = (0, 1, 0) put fiber 0 on opposite sides;
+    # the witness is 4 * 3^-1 = (0, 1, 1), though 4 * 3 swaps the fiber too
+    model = make_model((2, 4, 4), 1, (), [[0, 1], [1, 0], [0, 1]])
+    group = oracle_group(model.factors)
+    with pytest.raises(SwapFailure) as exc_info:
+        greedy_selection(model, range(model.order))
+    assert exc_info.value.element == group.product(4, int(group.inverse[3])) == 5
+    assert swaps_fiber(model, group.product(4, 3), 0)
 
 
 def test_two_rank_four_reaches_the_factor_16():
@@ -77,7 +97,7 @@ def test_two_rank_four_reaches_the_factor_16():
     assert built.rank_bound == 16
     assert built.index <= built.rank_bound
     assert built.clean_lift
-    assert built.subgroup.order == 1
+    assert built.members == (0,)
 
 
 def test_entangled_order_four_generator_degrades_without_clean_lift():
@@ -85,10 +105,10 @@ def test_entangled_order_four_generator_degrades_without_clean_lift():
     # so no element projects cleanly onto the base action
     model = make_model((4,), 2, (), [[2, 3, 1, 0]])
     built = construct_no_swap_subgroup(model)
-    assert built.subgroup.order == 1
+    assert built.members == (0,)
     assert built.index == 4
     assert not built.clean_lift
-    assert list(built.subgroup.members) == kernel(model)
+    assert list(built.members) == kernel(model)
     assert built.rank_bound == 2
     # this configuration sits outside the sampled regime: the bound fails here
     assert built.index > built.rank_bound
@@ -155,9 +175,8 @@ def test_greedy_agrees_with_swap_scan_on_random_subgroups():
     rng = random.Random(41)
     for trial in range(60):
         model = random_model(9000, trial)
-        order = model.group.order
-        seeds = [rng.randrange(order) for _ in range(rng.randrange(1, 3))]
-        members = model.group.subgroup_closure(seeds)
+        seeds = [rng.randrange(model.order) for _ in range(rng.randrange(1, 3))]
+        members = oracle_group(model.factors).subgroup_closure(seeds)
         scan_hit = swap_scan(model, members)
         try:
             greedy_selection(model, members)
@@ -196,7 +215,7 @@ def test_greedy_success_is_relabeling_invariant():
         rng.shuffle(sigma)
         flips = [rng.randrange(2) for _ in range(model.fiber_count)]
         mirrored = relabel(model, sigma, flips)
-        members = range(model.group.order)
+        members = range(model.order)
         try:
             greedy_selection(model, members)
             original_ok = True
@@ -213,7 +232,7 @@ def test_greedy_success_is_relabeling_invariant():
 def test_swap_bits_compose_by_xor():
     for trial in range(25):
         model = random_model(2024, trial)
-        group = model.group
+        group = oracle_group(model.factors)
         gens = [int(g) for g in group.generators]
         for a in gens:
             for b in gens:
@@ -232,18 +251,10 @@ def test_selection_is_union_of_orbits():
         model = random_model(31337, trial)
         built = construct_no_swap_subgroup(model)
         chosen = set(built.selection.components())
-        for m in built.subgroup.members:
+        for m in built.members:
             perm = model.components[m]
             for c in chosen:
                 assert perm[c] in chosen
-
-
-def test_conic_path_builds_no_element_keys():
-    # the model group carries exponent vectors; nothing on the conic path needs keys
-    for t in range(50):
-        model = random_model(0, t)
-        construct_no_swap_subgroup(model)
-        assert "keys" not in vars(model.group), t
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -257,9 +268,10 @@ def test_fiber_orders_match_a_closure_of_the_base(seed):
             [Permutation(tuple(p[2 * f] // 2 for f in fibers)) for p in model.gen_perms])
         assert model.base_order == base.order, t
         assert max(base.element_order(i) for i in range(base.order)) == base.order, t
+        group = oracle_group(model.factors)
         members = kernel(model)
-        assert model.group.subgroup_closure(members) == tuple(members), t
-        candidates = [m for m in range(model.group.order)
+        assert group.subgroup_closure(members) == tuple(members), t
+        candidates = [m for m in range(model.order)
                       if not any(swaps_fiber(model, m, f) for f in model.marked)]
         expected_lift = None
         for m in candidates:
@@ -268,7 +280,7 @@ def test_fiber_orders_match_a_closure_of_the_base(seed):
                 base.find(Permutation(tuple(fiber_image(model, m, f) for f in fibers))))
             assert conic_fibers._cycle_lcm(conic_fibers._fiber_row(row)) == fiber_order
             if expected_lift is None and (
-                    fiber_order == base.order == model.group.element_order(m)):
+                    fiber_order == base.order == group.element_order(m)):
                 expected_lift = m
         built = construct_no_swap_subgroup(model)
         if built.clean_lift:
@@ -286,21 +298,30 @@ def test_fiber_order_is_the_lcm_of_unequal_cycles():
     model = make_model((6,), 5, (), [perm])
     assert model.base_order == 6
     built = construct_no_swap_subgroup(model)
-    assert built.clean_lift and built.lift_generator == model.group.generators[0]
+    assert built.clean_lift and built.lift_generator == oracle_group((6,)).generators[0]
     assert built.index == 1
 
 
 def test_conic_path_runs_no_closure(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("close_generators called on the conic path")
+        raise AssertionError("a group closure ran on the conic path")
 
     for info in pkgutil.iter_modules(cremonalab.__path__):
         module = importlib.import_module("cremonalab." + info.name)
         if hasattr(module, "close_generators"):
             monkeypatch.setattr(module, "close_generators", refuse)
+    monkeypatch.setattr(FiniteGroup, "subgroup_closure", refuse)
     assert not hasattr(conic_fibers, "close_generators")
-    conic_fibers._random_model_group.cache_clear()
     assert simulate(0, 50)["trials"] == 50
+
+
+def test_greedy_selection_rejects_members_outside_the_group():
+    # without the identity a fiber's side was never set, and index 5 is past the table
+    model = make_model((2,), 2, (), [[2, 3, 0, 1]])
+    for members in ([1], [5], [0, 5], [-1, 0], []):
+        with pytest.raises(ModelError, match="members"):
+            greedy_selection(model, members)
+    assert greedy_selection(model, [0, 1]).components() == (0, 2)
 
 
 def test_simulation_is_deterministic_and_clean():
@@ -344,3 +365,66 @@ def test_simulation_matches_recorded_counts(seed):
 def test_constants():
     assert swap_index_factor() == 16
     assert weak_geometric_constant() == 288 * 16 == 4608
+
+
+def pairing_perms(fibers):
+    """The 2^f * f! component permutations that keep each pair together."""
+    return [
+        tuple(2 * sigma[f] + (s ^ flips[f]) for f in range(fibers) for s in (0, 1))
+        for sigma in permutations(range(fibers))
+        for flips in product((0, 1), repeat=fibers)
+    ]
+
+
+def small_models(fibers):
+    """Every valid model with this many fibers, each family representative
+    type and at most two marked fibers.  Generator tuples grow one factor at
+    a time from the pairing-preserving perms whose order divides the factor
+    and that fix the marked fibers, dropping any that fail to commute."""
+    perms = pairing_perms(fibers)
+    for marked in [m for k in range(3) for m in combinations(range(fibers), k)]:
+        fixing = [p for p in perms if all(p[2 * f] // 2 == f for f in marked)]
+        for factors in FAMILY_REPRESENTATIVES:
+            tuples = [()]
+            for d in factors:
+                allowed = [p for p in fixing if d % oracles.perm_order(p) == 0]
+                tuples = [
+                    (*gens, p) for gens in tuples for p in allowed
+                    if all(oracles.compose_images(p, q) == oracles.compose_images(q, p)
+                           for q in gens)
+                ]
+            for gens in tuples:
+                try:
+                    yield make_model(factors, fibers, marked, gens)
+                except ModelError:  # the induced fiber action is not cyclic
+                    continue
+
+
+# (models, models without a clean lift) per fiber count
+EXHAUSTIVE_COUNTS = {1: (74, 0), 2: (1992, 48), 3: (66255, 10500)}
+
+
+@pytest.mark.parametrize("fibers", [1, 2, pytest.param(3, marks=pytest.mark.slow)])
+def test_every_small_model_admits_a_bounded_selection(fibers):
+    models = no_clean_lift = 0
+    for model in small_models(fibers):
+        built = construct_no_swap_subgroup(model)
+        try:
+            greedy_selection(model, range(model.order))
+        except SwapFailure as failure:
+            assert swaps_fiber(model, failure.element, failure.fiber), model
+        else:
+            assert swap_scan(model, range(model.order)) is None, model
+        selection = greedy_selection(model, built.members)
+        assert swap_scan(model, built.members) is None
+        assert selection_invariant(model, built.members, selection)
+        if built.clean_lift:
+            assert built.index <= built.rank_bound, model
+        else:
+            no_clean_lift += 1
+        group = oracle_group(model.factors)
+        lift = () if built.lift_generator is None else (built.lift_generator,)
+        assert built.members == group.subgroup_closure((*kernel(model), *lift)), model
+        assert model.element_orders == tuple(map(group.element_order, range(group.order)))
+        models += 1
+    assert (models, no_clean_lift) == EXHAUSTIVE_COUNTS[fibers]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cremonalab.groups import Permutation, commutator_subgroup, cyclic_product
+from cremonalab.groups import Permutation, commutator_subgroup
 from cremonalab.dp5 import (
     SUBGROUP_NAMES,
     Representation,
@@ -159,7 +159,7 @@ def test_complex_note_rejects_a_non_normal_derived_subgroup(rep, subgroups):
 ])
 def test_complex_note_rejects_impossible_kernel_dimensions(images):
     # 1-dimensional "representations" that are no homomorphisms
-    group = cyclic_product([len(images) + 1])
+    group = oracles.cyclic_product([len(images) + 1])
     mats = np.array([[[1]], *([[x]] for x in images)], dtype=np.int64)
     fake = Representation(group=group, mats=mats)
     whole = group.subgroup(range(group.order), gens=(1,))
@@ -173,7 +173,7 @@ def _cyclic_action(generator):
     d = 1
     while not np.array_equal(np.linalg.matrix_power(generator, d), np.eye(len(generator))):
         d += 1
-    group = cyclic_product([d])
+    group = oracles.cyclic_product([d])
     mats = np.stack([np.linalg.matrix_power(generator, j) for j in range(d)])
     whole = group.subgroup(range(d), gens=(1,) if d > 1 else ())
     return Representation(group=group, mats=mats), whole, group.subgroup((0,))
