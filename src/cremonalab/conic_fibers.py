@@ -249,6 +249,15 @@ class ComponentSelection:
         return tuple(2 * f + s for f, s in enumerate(self.sides))
 
 
+def _member_list(model: FiberActionModel, members: Iterable[int]) -> list[int]:
+    """Sorted members, refused with ModelError unless they hold the identity 0
+    and every one is an element of the model's group."""
+    member_list = sorted(map(int, members))
+    if member_list[:1] != [0] or member_list[-1] >= model.order:
+        raise ModelError("members must hold the identity 0 and lie in range(%d)" % model.order)
+    return member_list
+
+
 def greedy_selection(model: FiberActionModel, members: Sequence[int]) -> ComponentSelection:
     """Build an invariant selection orbit by orbit, lowest fiber first.
 
@@ -257,9 +266,7 @@ def greedy_selection(model: FiberActionModel, members: Sequence[int]) -> Compone
     when an orbit reaches both components of one fiber, which is exactly
     when no invariant selection exists for that subgroup.
     """
-    member_list = sorted(int(m) for m in members)
-    if member_list[:1] != [0] or member_list[-1] >= model.order:
-        raise ModelError("members must hold the identity 0 and lie in range(%d)" % model.order)
+    member_list = _member_list(model, members)
     sides: list[int | None] = [None] * model.fiber_count
     for f in range(model.fiber_count):
         if sides[f] is not None:
@@ -287,8 +294,9 @@ def _quotient(factors: tuple[int, ...], a: int, b: int) -> int:
 
 def swap_scan(model: FiberActionModel, members: Sequence[int]) -> tuple[int, int] | None:
     """Exhaustive oracle: first (element, fiber) pair where a member fixes a
-    fiber and exchanges its components, or None."""
-    for a in sorted(int(m) for m in members):
+    fiber and exchanges its components, or None.  Members are checked as in
+    ``greedy_selection``."""
+    for a in _member_list(model, members):
         perm = model.components[a]
         for f in range(model.fiber_count):
             if perm[2 * f] == 2 * f + 1:
@@ -299,8 +307,10 @@ def swap_scan(model: FiberActionModel, members: Sequence[int]) -> tuple[int, int
 def selection_invariant(
     model: FiberActionModel, members: Sequence[int], selection: ComponentSelection
 ) -> bool:
+    """Every member maps the selected components onto themselves; members are
+    checked as in ``greedy_selection``."""
     chosen = set(selection.components())
-    for a in members:
+    for a in _member_list(model, members):
         if {model.components[a][x] for x in chosen} != chosen:
             return False
     return True

@@ -156,14 +156,10 @@ def standard_subgroups(group: FiniteGroup) -> list[tuple[str, Subgroup]]:
     five = group.find(Permutation.from_cycles(5, [[1, 3, 4, 5, 2]]))
     c5_members = group.subgroup_closure([five])
     c5 = group.subgroup(c5_members, gens=(five,))
-    c5_set = set(c5_members)
-
-    normalizer = tuple(
-        m
-        for m in range(group.order)
-        if group.product(group.product(m, five), group.inverse[m]) in c5_set
-    )
-    g5_4 = group.subgroup(normalizer)
+    in_c5 = np.zeros(group.order, dtype=bool)
+    in_c5[list(c5_members)] = True
+    # x five x^-1 for every x at once: row x . five, then column x^-1
+    g5_4 = group.subgroup(np.flatnonzero(in_c5[group.mul[group.mul[:, five], group.inverse]]))
 
     invol = group.find(Permutation.from_cycles(5, [[2, 3], [4, 5]]))
     g5_2_members = group.subgroup_closure([five, invol])

@@ -12,7 +12,9 @@ subgroup stays a member list inside its parent.  Only ``find`` and ``keys``
 need payloads, and ``jordan_index`` reads keys only to break a real tie.
 Subgroups are generated one way, by Dimino's coset extension: subgroup
 closures, the lattice joins built on them and greedy generating sets all
-read ``FiniteGroup._extend``.
+read ``FiniteGroup._extend``.  Conjugation is one table gather over an index
+array, x -> g x g^-1 = ``mul[mul[g, x], inverse[g]]``, never one element at
+a time: conjugacy classes, normality and derived subgroups all read it so.
 """
 
 from __future__ import annotations
@@ -212,15 +214,6 @@ class FiniteGroup:
     def product(self, i: int, j: int) -> int:
         return int(self.mul[i, j])
 
-    def conjugate(self, g: int, x: int) -> int:
-        """Index of g x g^-1."""
-        return int(self.mul[self.mul[g, x], self.inverse[g]])
-
-    def commutator(self, a: int, b: int) -> int:
-        """Index of a b a^-1 b^-1."""
-        ab = self.mul[a, b]
-        return int(self.mul[ab, self.mul[self.inverse[a], self.inverse[b]]])
-
     def element_order(self, i: int) -> int:
         n, x = 1, i
         while x != 0:
@@ -258,26 +251,6 @@ class FiniteGroup:
     def subgroup_closure(self, seeds: Iterable[int]) -> tuple[int, ...]:
         """Sorted member indices of the subgroup generated by ``seeds``."""
         return tuple(np.flatnonzero(self._extend(seeds)[0]).tolist())
-
-    def conjugation_closure(
-        self, seeds: Iterable[int], by: Sequence[int] | None = None
-    ) -> tuple[int, ...]:
-        """Closure of a set under conjugation by ``by`` (default: the group generators).
-
-        Conjugation by g permutes the finite closed set, so the set is closed
-        under conjugation by g's inverse too, and the inverses are not added.
-        """
-        closed = set(int(s) for s in seeds)
-        frontier = list(closed)
-        gens = [int(g) for g in (self.generators if by is None else by)]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.conjugate(g, x)
-                if y not in closed:
-                    closed.add(y)
-                    frontier.append(y)
-        return tuple(sorted(closed))
 
     def tree(self, gens: Sequence[int]) -> list[tuple[int, int, int]]:
         """Breadth-first spanning tree of the subgroup generated by ``gens``.
@@ -330,7 +303,13 @@ class Subgroup:
         return bool(np.array_equal(block, block.T))
 
     def is_normal(self) -> bool:
-        return self.parent.conjugation_closure(self.members) == self.members
+        """Every parent generator conjugates the whole member set into itself."""
+        group = self.parent
+        members, gens = np.asarray(self.members), np.asarray(group.generators)
+        inside = np.zeros(group.order, dtype=bool)
+        inside[members] = True
+        conjugates = group.mul[group.mul[np.ix_(gens, members)], group.inverse[gens, None]]
+        return bool(inside[conjugates].all())
 
 
 def check_table_bytes(order: int) -> None:
@@ -343,11 +322,13 @@ def check_table_bytes(order: int) -> None:
 def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Close a generator list into a FiniteGroup, breadth-first.
 
-    Deterministic: the identity is element 0 and every subsequent layer is
-    sorted by canonical payload key, so the element order depends only on the
-    generator *set*.  Raises CapExceeded when the closure grows past ``cap``
-    or its table past MAX_TABLE_BYTES, and IncompatiblePayloads when
-    generators cannot be composed.
+    Deterministic: the identity is element 0, then layer k holds the elements
+    whose shortest positive word in the generators has length k (the same
+    set whether words grow on the left or the right), sorted by canonical
+    payload key, so the element order depends only on the generator *set*.
+    Raises CapExceeded when the closure grows past ``cap`` or its table past
+    MAX_TABLE_BYTES, and IncompatiblePayloads when generators cannot be
+    composed.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -358,23 +339,21 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
     ident = gens[0].identity()
     elements: list = [ident]
     index: dict[bytes, int] = {ident.key(): 0}
-    parent: list[int] = [-1]
-    via: list[int] = [-1]
-    # right[i][pos]: index of element i composed with generator pos, each
+    parent, via = [-1], [-1]
+    # left[i][pos]: index of generator pos composed with element i, each
     # composed once; the identity's row is the generators.  A product first
     # found in the current layer holds -1 - (its slot in ``discovered``)
     # until the layer is numbered.
-    right: list[list[int]] = []
+    left: list[list[int]] = []
 
     frontier = [0]
-    layers = [1]  # index where each BFS layer after the identity starts
     while frontier:
         discovered: dict[bytes, tuple[int, int, int, Payload]] = {}
-        first_row = len(right)
+        first_row = len(left)
         for fi in frontier:
             row = []
             for pos, g in enumerate(gens):
-                prod = g if fi == 0 else elements[fi].compose(g)
+                prod = g if fi == 0 else g.compose(elements[fi])
                 k = prod.key()
                 j = index.get(k)
                 if j is None:
@@ -387,9 +366,8 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
                         check_table_bytes(len(elements) + len(discovered))
                     j = found[0]
                 row.append(j)
-            right.append(row)
+            left.append(row)
         frontier = []
-        layers.append(len(elements) + len(discovered))
         numbered = [0] * len(discovered)
         for k in sorted(discovered):
             slot, fi, pos, prod = discovered[k]
@@ -399,60 +377,66 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
             elements.append(prod)
             parent.append(fi)
             via.append(pos)
-        for row in right[first_row:]:
+        for row in left[first_row:]:
             row[:] = [numbered[-1 - j] if j < 0 else j for j in row]
 
-    # Element j = element parent[j] . gen via[j], and each BFS layer is a
-    # contiguous index range whose parents lie in earlier layers.  First the
-    # generators' left products: g . j is the via-gen right product of
-    # g . parent[j], filled one layer at a time.
+    # Element i = gen via[i] . element parent[i] with parent[i] < i, so row i
+    # of the table is one gather, i . x = gen . (parent[i] . x): the gen's
+    # left products read along row parent[i] (every index is in range, so
+    # "clip" only skips the bounds check and the default mode's buffering).
     order = len(elements)
-    right_index = np.array(right, dtype=np.int32)
-    parent_arr = np.array(parent, dtype=np.intp)
-    via_arr = np.array(via, dtype=np.intp)
-    left = np.empty((len(gens), order), dtype=np.intp)  # take's native index type
-    left[:, 0] = right_index[0]
-    for start, stop in zip(layers, layers[1:]):
-        left[:, start:stop] = right_index[left[:, parent_arr[start:stop]], via_arr[start:stop]]
-    # Then the Cayley table row by row: i . x = parent[i] . (gen via[i] . x),
-    # one contiguous gather per row (every index is in range, so "clip" only
-    # skips the bounds check and the buffered write of the default mode).
+    left_by_gen = np.array(left, dtype=np.int32).T.copy()
     mul = np.empty((order, order), dtype=np.int32)
     mul[0] = np.arange(order, dtype=np.int32)
     for i in range(1, order):
-        mul[parent[i]].take(left[via[i]], out=mul[i], mode="clip")
+        left_by_gen[via[i]].take(mul[parent[i]], out=mul[i], mode="clip")
 
-    return FiniteGroup(
-        elements=tuple(elements),
-        mul=mul,
-        generators=tuple(right[0]),
-    )
+    return FiniteGroup(elements=tuple(elements), mul=mul, generators=tuple(left[0]))
 
 
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Conjugacy classes as sorted index tuples, in order of their smallest member.
 
-    The identity class (0,) comes first.
+    The identity class (0,) comes first.  Each class grows from its smallest
+    member as a frontier over one conjugation array per group generator (a
+    finite set closed under conjugation by g is closed under g^-1 too).
     """
+    gens = np.asarray(group.generators)
+    conjugations = group.mul[group.mul[gens], group.inverse[gens, None]]
     seen = np.zeros(group.order, dtype=bool)
+    slot = np.empty(group.order, dtype=np.intp)
     classes: list[tuple[int, ...]] = []
     for start in range(group.order):
-        if not seen[start]:
-            orbit = group.conjugation_closure([start])
-            seen[list(orbit)] = True
-            classes.append(orbit)
+        if seen[start]:
+            continue
+        mask = np.zeros(group.order, dtype=bool)
+        frontier = np.array([start])
+        while frontier.size:
+            mask[frontier] = True
+            images = conjugations[:, frontier].ravel()
+            fresh = images[~mask[images]]
+            # keep each new member once: the last write to its slot wins
+            positions = np.arange(fresh.size)
+            slot[fresh] = positions
+            frontier = fresh[slot[fresh] == positions]
+        seen |= mask
+        classes.append(tuple(np.flatnonzero(mask).tolist()))
     return tuple(classes)
 
 
 def commutator_subgroup(sub: Subgroup) -> Subgroup:
     """Derived subgroup of ``sub``, inside the same parent group.
 
-    The commutators of ``sub``'s generators, closed under conjugation by those
-    generators, generate a subgroup normal in ``sub``: the derived subgroup.
+    It is generated by the commutators [a, s] = a s a^-1 s^-1 of every member
+    a with every generator s, one |H| x |S| gather.  Since [h a, s] =
+    h [a, s] h^-1 . [h, s], they generate a subgroup N normal in ``sub``, and
+    modulo N every generator is central, so the quotient is abelian.
     """
-    group, gens = sub.parent, sub.generating_set()
-    seeds = {group.commutator(a, b) for a in gens for b in gens}
-    return group.subgroup(group.subgroup_closure(group.conjugation_closure(seeds, by=gens)))
+    group, inverse = sub.parent, sub.parent.inverse
+    members, gens = np.asarray(sub.members), np.asarray(sub.generating_set())
+    commutators = group.mul[group.mul[np.ix_(members, gens)],
+                            group.mul[np.ix_(inverse[members], inverse[gens])]]
+    return group.subgroup(group.subgroup_closure(commutators.ravel()))
 
 
 def minimal_generators(group: FiniteGroup, members: Sequence[int]) -> tuple[int, ...]:

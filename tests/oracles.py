@@ -116,21 +116,39 @@ def normal_subgroups_oracle(table: list[list[int]]) -> set[frozenset[int]]:
     return {s for s in all_subgroups(table) if is_normal_subset(table, s)}
 
 
-def conjugation_orbit(table: list[list[int]], seeds, by=None) -> frozenset[int]:
-    """Orbit of the seeds under conjugation by every element of the subgroup
-    generated by ``by`` (default: the whole group)."""
+def conjugation_orbit(table: list[list[int]], seeds) -> frozenset[int]:
+    """Orbit of the seeds under conjugation by every element of the group."""
     inv = inverse_row(table)
-    conjugators = range(len(table)) if by is None else close_under_product(table, by)
     orbit = set(seeds)
     work = list(orbit)
     while work:
         x = work.pop()
-        for g in conjugators:
+        for g in range(len(table)):
             c = table[table[g][x]][inv[g]]
             if c not in orbit:
                 orbit.add(c)
                 work.append(c)
     return frozenset(orbit)
+
+
+def breadth_first_elements(gens) -> list:
+    """Payloads in the order ``close_generators`` numbers them, recomputed
+    naively: the identity, then each layer of elements first reached by a
+    right product with a generator (the words of one length), sorted by
+    canonical key."""
+    ident = gens[0].identity()
+    numbered, seen, layer = [ident], {ident.key()}, [ident]
+    while layer:
+        found = {}
+        for x in layer:
+            for g in gens:
+                y = x.compose(g)
+                if y.key() not in seen:
+                    found[y.key()] = y
+        seen.update(found)
+        layer = [found[k] for k in sorted(found)]
+        numbered.extend(layer)
+    return numbered
 
 
 def normal_closure_oracle(table: list[list[int]], seeds) -> frozenset[int]:

@@ -324,6 +324,21 @@ def test_greedy_selection_rejects_members_outside_the_group():
     assert greedy_selection(model, [0, 1]).components() == (0, 2)
 
 
+def test_scan_and_invariance_check_reject_members_outside_the_group():
+    # a negative index would read a row from the end, and the order is past the table
+    model = make_model((2,), 2, (), [[2, 3, 0, 1]])
+    selection = greedy_selection(model, [0, 1])
+    for members in ([-1], [model.order], [0, -1], [0, model.order]):
+        with pytest.raises(ModelError, match="members"):
+            swap_scan(model, members)
+        with pytest.raises(ModelError, match="members"):
+            selection_invariant(model, members, selection)
+        with pytest.raises(ModelError, match="members"):
+            greedy_selection(model, members)
+    assert swap_scan(model, [0, 1]) is None
+    assert selection_invariant(model, [0, 1], selection)
+
+
 def test_simulation_is_deterministic_and_clean():
     first = simulate(0, 60)
     second = simulate(0, 60)

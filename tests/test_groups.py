@@ -158,6 +158,23 @@ def test_element_order_matches_oracle(s4):
         assert s4.element_order(i) == oracles.perm_order(s4.elements[i].images)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: close_generators(S4_GENS),
+    lambda: load_group(str(GROUPFILES / "special_linear_mod3.json")),
+    lambda: build_group(5), lambda: s5_representation().group,
+], ids=["s4", "special_linear_mod3", "family_n5", "s5"])
+def test_close_generators_numbering_matches_breadth_first_oracle(build):
+    # element keys in the oracle's order, and the table rows against payload
+    # composition on the generator columns and a random sample of others
+    group = build()
+    elements = oracles.breadth_first_elements([group.elements[g] for g in group.generators])
+    assert group.keys == tuple(e.key() for e in elements)
+    columns = list(group.generators) + random.Random(5).sample(range(group.order), 6)
+    for i in range(group.order):
+        for j in columns:
+            assert group.keys[group.mul[i, j]] == elements[i].compose(elements[j]).key()
+
+
 def test_closure_is_generator_order_independent():
     g1 = close_generators(S4_GENS)
     g2 = close_generators(list(reversed(S4_GENS)))
@@ -295,38 +312,63 @@ def test_conjugacy_classes_s4(s4):
     assert sizes == [1, 3, 6, 6, 8]
     seen = sorted(i for c in classes for i in c)
     assert seen == list(range(24))
+    table = oracles.table_of(s4)
+    inv = oracles.inverse_row(table)
     for cls in classes:
         members = set(cls)
         for g in range(s4.order):
-            assert {s4.conjugate(g, x) for x in cls} == members
+            assert {table[table[g][x]][inv[g]] for x in cls} == members
 
 
-def test_conjugation_closure_matches_oracle_orbits(s4, family5):
-    # conjugating by generators alone (no inverses) reaches the whole orbit
-    # under the subgroup they generate, for every proper generator subset too
-    rng = random.Random(3)
-    for group in (s4, family5):
+@pytest.mark.parametrize("build", [
+    lambda: small_group_corpus().values(), lambda: [build_group(5)], lambda: [build_group(7)],
+    lambda: [load_group(str(GROUPFILES / "special_linear_mod3.json"))],
+    lambda: [oracles.cyclic_product((2, 4, 4))],
+], ids=["corpus", "family_n5", "family_n7", "special_linear_mod3", "cyclic(2, 4, 4)"])
+def test_conjugacy_classes_match_oracle_orbits(build):
+    # the orbits of every element under conjugation by the whole group,
+    # each listed once, in order of its smallest member
+    for group in build():
         table = oracles.table_of(group)
-        gens = list(group.generators)
-        subsets = [None] + [[g] for g in gens] + [gens[:-1], gens[1:]]
-        for by in subsets:
-            for _ in range(12):
-                seeds = rng.sample(range(group.order), rng.randint(1, 3))
-                expected = oracles.conjugation_orbit(table, seeds, by=by)
-                assert group.conjugation_closure(seeds, by=by) == tuple(sorted(expected))
+        expected, covered = [], set()
+        for x in range(group.order):
+            if x not in covered:
+                orbit = oracles.conjugation_orbit(table, [x])
+                covered |= orbit
+                expected.append(tuple(sorted(orbit)))
+        assert conjugacy_classes(group) == tuple(expected)
 
 
 def test_normal_closure_is_minimal_normal(s4):
     table = oracles.table_of(s4)
+    class_of = {x: cls for cls in conjugacy_classes(s4) for x in cls}
     transposition = s4.find(Permutation.from_cycles(4, [[1, 2]]))
-    closure = set(s4.subgroup_closure(s4.conjugation_closure([transposition])))
+    closure = set(s4.subgroup_closure(class_of[transposition]))
     assert oracles.is_normal_subset(table, closure)
     # the only normal subgroup containing a transposition is the whole group
     assert len(closure) == 24
     three_cycle = s4.find(Permutation.from_cycles(4, [[1, 2, 3]]))
-    closure = set(s4.subgroup_closure(s4.conjugation_closure([three_cycle])))
+    closure = set(s4.subgroup_closure(class_of[three_cycle]))
     assert oracles.is_normal_subset(table, closure)
     assert len(closure) == 12
+
+
+def test_is_normal_and_commutator_subgroup_match_oracles(s4):
+    # the derived subgroup is the product closure of every member-pair
+    # commutator: that set is closed under conjugation by the members
+    dp5 = s5_representation().group
+    cases = [(s4, oracles.all_subgroups(oracles.table_of(s4)))]
+    cases.append((dp5, [sub.members for _, sub in standard_subgroups(dp5)]))
+    assert [len(subs) for _, subs in cases] == [30, 5]
+    for group, subs in cases:
+        table = oracles.table_of(group)
+        inv = oracles.inverse_row(table)
+        for members in subs:
+            sub = group.subgroup(members)
+            assert sub.is_normal() == oracles.is_normal_subset(table, members)
+            commutators = {table[table[a][b]][table[inv[a]][inv[b]]] for a in members for b in members}
+            derived = oracles.close_under_product(table, commutators)
+            assert commutator_subgroup(sub).members == tuple(sorted(derived))
 
 
 def test_commutator_subgroup_s4_is_order_12(s4):

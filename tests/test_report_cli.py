@@ -1,5 +1,7 @@
 """Report rows, canonical emission and the command-line surface."""
 
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cremonalab.cli import main
 from cremonalab.groups import Subgroup
@@ -272,3 +276,41 @@ def test_documented_ids_appear_in_readme_and_suites():
     mentioned = set(re.findall(r"\b(?:lemma52|prop44|prop57|conic|thm79|consts)\.[a-z0-9_]+", readme))
     assert mentioned, "README should document claim ids"
     assert mentioned <= set(DOCUMENTED_CLAIM_IDS)
+
+
+# --n skips 14..36: from 37 on the table bound refuses the group before any
+# table is allocated, but the orders in between would allocate up to 1 GB.
+N_VALUES = st.integers(-3, 13) | st.integers(37, 10**9)
+# no garbage token parses as an integer, so none becomes a number an option reads
+GARBAGE = st.sampled_from(["", "x", "five", "1e3", "0x10", ",", "-", "--", "--bogus", "--n=", "-h"]) | st.text(
+    st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="-"), max_size=6)
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["verify", "enumerate", "conic", "report"]))
+    if command == "verify":
+        argv = ["verify", "lemma52"]
+        if draw(st.booleans()):
+            argv += ["--n", ",".join(map(str, draw(st.lists(N_VALUES, min_size=1, max_size=3))))]
+        if draw(st.booleans()):
+            argv.append("--allow-bad-n")
+    elif command == "enumerate":
+        argv = ["enumerate", "--degree", str(draw(st.integers(-3, 12)))]
+    else:
+        argv = ["conic", "simulate"] if command == "conic" else ["report", "prop44"]
+        argv += ["--seed", str(draw(st.integers(-10**6, 10**6)))]
+        if draw(st.booleans()):
+            argv += ["--trials", str(draw(st.integers(-3, 50)))]
+    if draw(st.booleans()):
+        argv += ["--emit", draw(st.sampled_from(["json", "md", "xml"]))]
+    if draw(st.integers(0, 3)) == 0:  # one argv in four carries a garbage token
+        argv.insert(draw(st.integers(0, len(argv))), draw(GARBAGE))
+    return argv
+
+
+@given(cli_argv())
+@settings(max_examples=60, deadline=None)
+def test_every_fuzzed_argv_exits_0_1_or_2(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2), argv
