@@ -19,9 +19,12 @@ from .groups import DEFAULT_CAP, GroupError
 from .groupfiles import GroupFileError, load_group
 from .jordan import report_fragment
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "MAX_TRIALS"]
 
 USAGE_EXIT = 2
+# --trials runs one random model per trial (about 0.2 ms each), so a
+# million trials take minutes and a billion would take about a day.
+MAX_TRIALS = 10**6
 
 ENUMERATE_COLUMNS = ("labels", "genus", "K2", "symmetry_order", "symmetry_kind",
                      "witness_base", "witness_word")
@@ -47,6 +50,14 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError("wants a positive integer, got %r" % text)
+    return value
+
+
+def _trial_count(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_TRIALS:
+        raise argparse.ArgumentTypeError("wants at most MAX_TRIALS=%d trials, got %r"
+                                         % (MAX_TRIALS, text))
     return value
 
 
@@ -78,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conic = sub.add_parser("conic", help="fiber-model simulation")
     p_conic.add_argument("action", choices=["simulate"])
     p_conic.add_argument("--seed", type=int, default=0)
-    p_conic.add_argument("--trials", type=_positive_int, default=500)
+    p_conic.add_argument("--trials", type=_trial_count, default=500)
     p_conic.add_argument("--emit", choices=["json", "md"], default="json")
 
     p_jordan = sub.add_parser("jordan", help="minimal abelian-normal index of a group file")
@@ -90,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--emit", choices=["json", "md"], default="json")
     p_report.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p_report.add_argument("--seed", type=int, default=0)
-    p_report.add_argument("--trials", type=_positive_int, default=500)
+    p_report.add_argument("--trials", type=_trial_count, default=500)
     p_report.add_argument("--times", action="store_true", help=TIMES_HELP)
     return parser
 

@@ -14,6 +14,7 @@ the elementary-abelian 2-rank bound across random models.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from math import gcd, lcm, prod
@@ -27,6 +28,7 @@ __all__ = [
     "ModelError",
     "SwapFailure",
     "BASE_ORDER_BOUND",
+    "MAX_FIBERS",
     "FAMILY_REPRESENTATIVES",
     "make_model",
     "greedy_selection",
@@ -41,6 +43,9 @@ __all__ = [
 
 # order bound for the image of the action on the base and on a smooth fiber
 BASE_ORDER_BOUND = 288
+
+# component rows are bytes, so a model has at most 256 components
+MAX_FIBERS = 128
 
 # admissible abelian types with the largest 2-rank each family allows
 FAMILY_REPRESENTATIVES = (
@@ -121,9 +126,9 @@ class FiberActionModel:
     radix over ``factors`` (first factor most significant).  ``gen_perms``
     gives each generator's permutation of the 2 * fiber_count components,
     component ``2f + s`` being side ``s`` of fiber ``f``; ``components[e]`` is
-    element e's permutation of them and ``element_orders[e]`` its order in
-    the group.  ``base_order`` is the order of the cyclic group the
-    generators induce on the fibers.
+    element e's permutation of them as ``bytes`` (one image per byte).
+    ``base_order`` is the order of the cyclic group the generators induce on
+    the fibers.
     """
 
     factors: tuple[int, ...]
@@ -132,20 +137,29 @@ class FiberActionModel:
     marked: tuple[int, ...]
     gen_perms: tuple[tuple[int, ...], ...]
     base_order: int
-    components: tuple[tuple[int, ...], ...] = field(repr=False)
-    element_orders: tuple[int, ...] = field(repr=False)
+    components: tuple[bytes, ...] = field(repr=False)
 
     @property
     def order(self) -> int:
         return len(self.components)
 
 
-def _fiber_row(components: tuple[int, ...]) -> tuple[int, ...]:
+_BYTES = bytes(range(256))
+_HALF = bytes(c // 2 for c in range(256))
+
+
+def _after(perm: bytes) -> bytes:
+    """The translate table of perm: ``row.translate(_after(perm))[x]`` is
+    ``perm[row[x]]``, the composite perm after row."""
+    return perm + _BYTES[len(perm):]
+
+
+def _fiber_row(components: bytes) -> bytes:
     """The fiber permutation a component permutation induces."""
-    return tuple([c // 2 for c in components[::2]])
+    return components[::2].translate(_HALF)
 
 
-def _cycle_lcm(perm: tuple[int, ...]) -> int:
+def _cycle_lcm(perm: bytes) -> int:
     """Order of a permutation: the lcm of its cycle lengths."""
     seen = [False] * len(perm)
     order = 1
@@ -160,6 +174,24 @@ def _cycle_lcm(perm: tuple[int, ...]) -> int:
     return order
 
 
+def _element_order(factors: tuple[int, ...], e: int) -> int:
+    """Order of element e: the lcm over its digits k of d / gcd(k, d)."""
+    order = 1
+    for d in reversed(factors):
+        e, k = divmod(e, d)
+        order = lcm(order, d // gcd(k, d))
+    return order
+
+
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as ints, refused with ModelError unless each is an integer
+    (so 2.5 is not read as 2)."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ModelError("%s must be integers" % what) from None
+
+
 def make_model(
     factors: Sequence[int],
     fiber_count: int,
@@ -172,20 +204,23 @@ def make_model(
     fixes the marked fibers, commutes with the others, has order dividing
     its cyclic factor, and that the induced action on fibers is cyclic.
     """
-    factors = tuple(int(d) for d in factors)
+    factors = _integers(factors, "factors")
     if not factors or any(d < 1 for d in factors):
         raise ModelError("factors must be positive integers")
     order = prod(factors)
     if order > 4096:
         raise ModelError("group order %d too large for the model" % order)
+    (fiber_count,) = _integers((fiber_count,), "fiber_count")
     if fiber_count < 1:
         raise ModelError("need at least one fiber")
-    marked = tuple(sorted(set(int(f) for f in marked)))
+    if fiber_count > MAX_FIBERS:
+        raise ModelError("at most %d fibers, got %d" % (MAX_FIBERS, fiber_count))
+    marked = tuple(sorted(set(_integers(marked, "marked fibers"))))
     if marked and not (0 <= marked[0] and marked[-1] < fiber_count):
         raise ModelError("marked fiber out of range")
     if len(marked) > 2:
         raise ModelError("at most two fibers may be marked")
-    perms = tuple(tuple(int(x) for x in p) for p in gen_perms)
+    perms = tuple(_integers(p, "permutation entries") for p in gen_perms)
     if len(perms) != len(factors):
         raise ModelError("one component permutation per factor required")
 
@@ -200,26 +235,25 @@ def make_model(
             if perm[2 * f] // 2 != f:
                 raise ModelError("generator %d moves marked fiber %d" % (gi, f))
     # Row e of the component table is the product of the generator powers
-    # named by the digits of e, folded in mixed-radix order; the order of e
-    # is folded beside it, digit k of Z/d having order d / gcd(k, d).
-    # perm^d is the identity exactly when perm's order divides d.
-    identity = tuple(range(width))
-    components = (identity,)
-    orders = (1,)
-    for gi, (d, perm) in enumerate(zip(factors, perms)):
+    # named by the digits of e, folded in mixed-radix order.  Each power is
+    # applied after a row by one bytes.translate.  perm^d is the identity
+    # exactly when perm's order divides d.
+    identity = _BYTES[:width]
+    gens = tuple(map(bytes, perms))
+    components = [identity]
+    for gi, (d, perm) in enumerate(zip(factors, gens)):
         powers = [identity]
+        step = _after(perm)
         for _ in range(d):
-            powers.append(tuple(map(perm.__getitem__, powers[-1])))
+            powers.append(powers[-1].translate(step))
         if powers.pop() != identity:
             raise ModelError("generator %d has component order not dividing %d" % (gi, d))
-        components = tuple(
-            [tuple(map(power.__getitem__, row)) for row in components for power in powers]
-        )
-        orders = tuple([lcm(o, d // gcd(k, d)) for o in orders for k in range(d)])
-    for i, pi in enumerate(perms):
-        for j in range(i + 1, len(perms)):
-            pj = perms[j]
-            if tuple(map(pi.__getitem__, pj)) != tuple(map(pj.__getitem__, pi)):
+        afters = list(map(_after, powers))
+        components = [row.translate(after) for row in components for after in afters]
+    for i, gi in enumerate(gens):
+        for j in range(i + 1, len(gens)):
+            gj = gens[j]
+            if gj.translate(_after(gi)) != gi.translate(_after(gj)):
                 raise ModelError("generators %d and %d do not commute" % (i, j))
 
     # The fiber rows of the component table are the whole induced action,
@@ -236,8 +270,7 @@ def make_model(
         marked=marked,
         gen_perms=perms,
         base_order=base_order,
-        components=components,
-        element_orders=orders,
+        components=tuple(components),
     )
 
 
@@ -252,7 +285,7 @@ class ComponentSelection:
 def _member_list(model: FiberActionModel, members: Iterable[int]) -> list[int]:
     """Sorted members, refused with ModelError unless they hold the identity 0
     and every one is an element of the model's group."""
-    member_list = sorted(map(int, members))
+    member_list = sorted(_integers(members, "members"))
     if member_list[:1] != [0] or member_list[-1] >= model.order:
         raise ModelError("members must hold the identity 0 and lie in range(%d)" % model.order)
     return member_list
@@ -345,14 +378,16 @@ def construct_no_swap_subgroup(model: FiberActionModel) -> NoSwapConstruction:
     # stabilizer (every fiber fixed, none swapped; marked fibers are fixed by
     # every element) fixes every component: it is the kernel of the component
     # action, the rows equal to the identity row 0, and already a subgroup.
-    a0 = [m for m, row in enumerate(rows) if all(row[c] != c + 1 for c in marked_sides)]
+    # a0 is scanned only up to the first lift.
+    a0 = (m for m, row in enumerate(rows) if all(row[c] != c + 1 for c in marked_sides))
     kernel = tuple(m for m, row in enumerate(rows) if row == rows[0])
 
     # The base is cyclic, so an element's fiber order equals |base| exactly
-    # when its fiber permutation generates the base.
+    # when its fiber permutation generates the base; the element's own order
+    # is computed only for such a candidate.
     lift = None
     for m in a0:
-        if _cycle_lcm(_fiber_row(rows[m])) == model.base_order == model.element_orders[m]:
+        if _cycle_lcm(_fiber_row(rows[m])) == model.base_order == _element_order(model.factors, m):
             lift = m
             break
 
@@ -360,10 +395,10 @@ def construct_no_swap_subgroup(model: FiberActionModel) -> NoSwapConstruction:
     # preimage of the cyclic group the lift's row generates.
     members = kernel
     if lift is not None:
-        powers, power = {rows[0]}, rows[lift]
+        powers, power, step = {rows[0]}, rows[lift], _after(rows[lift])
         while power not in powers:
             powers.add(power)
-            power = tuple(map(rows[lift].__getitem__, power))
+            power = power.translate(step)
         members = tuple(m for m, row in enumerate(rows) if row in powers)
         try:
             selection = greedy_selection(model, members)

@@ -13,6 +13,7 @@ import oracles
 from cremonalab import conic_fibers
 from cremonalab.conic_fibers import (
     FAMILY_REPRESENTATIVES,
+    MAX_FIBERS,
     AbelianType,
     ModelError,
     SwapFailure,
@@ -142,6 +143,39 @@ def test_validator_rejections():
         make_model((0,), 1, (), [[0, 1]])  # zero factor
     with pytest.raises(ModelError):
         make_model((2, 2), 1, (), [[0, 1]])  # two factors, one permutation
+
+
+def test_non_integer_inputs_are_refused():
+    # int() would read 2.5 as 2, 0.7 as fiber 0 and 0.0 as component 0
+    for args in (
+        ((2.5,), 1, (), [[0, 1]]),
+        ((2,), 1, (0.7,), [[0, 1]]),
+        ((2,), 1, (), [[0.0, 1]]),
+        ((2,), 2.0, (), [identity_perm(2)]),
+        (("2",), 1, (), [[0, 1]]),
+        ((2,), 1, (), [None]),
+    ):
+        with pytest.raises(ModelError, match="integers"):
+            make_model(*args)
+    model = make_model((2,), 2, (), [[2, 3, 0, 1]])
+    selection = greedy_selection(model, [0, 1])
+    for members in ([0, 1.5], [0, 1.9], [0.0, 1]):
+        with pytest.raises(ModelError, match="integers"):
+            greedy_selection(model, members)
+        with pytest.raises(ModelError, match="integers"):
+            swap_scan(model, members)
+        with pytest.raises(ModelError, match="integers"):
+            selection_invariant(model, members, selection)
+
+
+def test_fiber_count_is_bounded_by_the_byte_rows():
+    # 128 fibers fill the 256 values a byte can hold; 129 are refused up front
+    model = make_model((2,), MAX_FIBERS, (), [identity_perm(MAX_FIBERS)])
+    assert len(model.components[0]) == 256
+    with pytest.raises(ModelError, match="fibers"):
+        make_model((2,), MAX_FIBERS + 1, (), [identity_perm(MAX_FIBERS + 1)])
+    with pytest.raises(ModelError, match="fibers"):
+        make_model((2,), 10**12, (), [[0, 1]])
 
 
 def test_marked_list_is_deduplicated():
@@ -415,6 +449,36 @@ def small_models(fibers):
                     continue
 
 
+def assert_table_matches_oracle(model):
+    """Row e is the composite of the generator powers named by e's digits,
+    and the order computed from those digits is e's order in the group."""
+    group = oracle_group(model.factors)
+    gen_powers = []
+    for d, perm in zip(model.factors, model.gen_perms):
+        powers = [tuple(range(len(perm)))]
+        for _ in range(d - 1):
+            powers.append(oracles.compose_images(perm, powers[-1]))
+        gen_powers.append(powers)
+    for e, digits in enumerate(product(*map(range, model.factors))):
+        row = gen_powers[0][digits[0]]
+        for powers, k in zip(gen_powers[1:], digits[1:]):
+            row = oracles.compose_images(powers[k], row)
+        assert tuple(model.components[e]) == row, (model, e)
+        assert conic_fibers._element_order(model.factors, e) == group.element_order(e), (model, e)
+    assert e == model.order - 1 == group.order - 1
+
+
+@pytest.mark.parametrize("source", ["one_fiber", "two_fibers", "random"])
+def test_component_table_matches_the_composition_oracle(source):
+    if source == "random":
+        models = (random_model(7, t) for t in range(300))
+    else:
+        models = small_models(1 if source == "one_fiber" else 2)
+    for model in models:
+        assert all(type(row) is bytes for row in model.components)
+        assert_table_matches_oracle(model)
+
+
 # (models, models without a clean lift) per fiber count
 EXHAUSTIVE_COUNTS = {1: (74, 0), 2: (1992, 48), 3: (66255, 10500)}
 
@@ -440,6 +504,5 @@ def test_every_small_model_admits_a_bounded_selection(fibers):
         group = oracle_group(model.factors)
         lift = () if built.lift_generator is None else (built.lift_generator,)
         assert built.members == group.subgroup_closure((*kernel(model), *lift)), model
-        assert model.element_orders == tuple(map(group.element_order, range(group.order)))
         models += 1
     assert (models, no_clean_lift) == EXHAUSTIVE_COUNTS[fibers]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cremonalab import cli
 from cremonalab.cli import main
 from cremonalab.groups import Subgroup
 from cremonalab.pole_cycles import configuration_rows
@@ -314,3 +315,74 @@ def cli_argv(draw):
 def test_every_fuzzed_argv_exits_0_1_or_2(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 1, 2), argv
+
+
+def test_trial_count_is_bounded_at_parse_time(monkeypatch, capsys):
+    # a tiny bound stands in for MAX_TRIALS: the real one is never run
+    monkeypatch.setattr(cli, "MAX_TRIALS", 5)
+    for command in (["conic", "simulate"], ["report", "conic"], ["report", "all"]):
+        assert main(command + ["--trials", "6"]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and "MAX_TRIALS=5" in captured.err, command
+    assert main(["conic", "simulate", "--trials", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 5
+
+
+def run_quietly(argv):
+    """main(argv)'s exit code and stderr, stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@st.composite
+def perm_cycles(draw, degree):
+    """A permutation of 1..degree as a group-file generator: its cycles."""
+    images = draw(st.permutations(range(degree)))
+    seen, cycles = set(), []
+    for start in range(degree):
+        cycle, x = [], start
+        while x not in seen:
+            seen.add(x)
+            cycle.append(x + 1)
+            x = images[x]
+        if len(cycle) > 1:
+            cycles.append(cycle)
+    return cycles
+
+
+VALID_GROUP_DOCS = st.integers(1, 5).flatmap(lambda degree: st.fixed_dictionaries(
+    {"kind": st.just("perm"), "degree": st.just(degree),
+     "generators": st.lists(perm_cycles(degree), min_size=1, max_size=3)}))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+MALFORMED_GROUP_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {"kind": st.sampled_from(["perm", "modmatrix", "lemma52", "cyclic"]),
+     "degree": JSON_VALUES, "modulus": st.integers(-2, 5) | JSON_VALUES,
+     "generators": JSON_VALUES})
+GROUP_FILE_TEXT = (VALID_GROUP_DOCS | MALFORMED_GROUP_DOCS).map(json.dumps) | st.text(max_size=12)
+
+
+@given(GROUP_FILE_TEXT, st.none() | st.integers(-2, 130))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_group_files_exit_0_1_or_2(tmp_path_factory, text, cap):
+    path = tmp_path_factory.mktemp("fuzz") / "group.json"
+    path.write_text(text, encoding="utf-8")
+    argv = ["jordan", str(path)] + ([] if cap is None else ["--cap", str(cap)])
+    code, err = run_quietly(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+
+
+@given(st.integers(1, 20), st.none() | st.integers(-1, 1500), st.sampled_from(["json", "md"]))
+@settings(max_examples=10, deadline=None)
+def test_fuzzed_report_all_exits_0_1_or_2(trials, cap, emit):
+    # caps below 300 fail every lemma52 row, and below 1452 the n = 11 one
+    argv = ["report", "all", "--trials", str(trials), "--emit", emit]
+    argv += [] if cap is None else ["--cap", str(cap)]
+    code, err = run_quietly(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
