@@ -40,6 +40,12 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("--n wants a comma-separated integer list, got %r" % text)
     if not values:
         raise argparse.ArgumentTypeError("--n list is empty")
+    # distinct values bound the work: only n <= 36 fit under MAX_TABLE_BYTES
+    seen: set[int] = set()
+    for n in values:
+        if n in seen:
+            raise argparse.ArgumentTypeError("--n names %d more than once" % n)
+        seen.add(n)
     return values
 
 

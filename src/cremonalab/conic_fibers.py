@@ -76,7 +76,7 @@ class AbelianType:
 
     @staticmethod
     def from_factors(factors: Iterable[int]) -> "AbelianType":
-        lst = [int(d) for d in factors]
+        lst = list(_integers(factors, "factors"))
         if any(d < 1 for d in lst):
             raise ValueError("factors must be positive")
         changed = True

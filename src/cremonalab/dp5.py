@@ -16,6 +16,7 @@ the cyclotomic degrees are read off the dimensions of such kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 from typing import Sequence
 
@@ -27,7 +28,6 @@ from .groups import (
     Subgroup,
     close_generators,
     commutator_subgroup,
-    sign_characters,
 )
 from .rational import exact_det, kernel_basis
 
@@ -205,7 +205,7 @@ def _coset_order(group: FiniteGroup, element: int, members: set[int]) -> int:
     power = element
     order = 1
     while power not in members:
-        power = group.product(power, element)
+        power = int(group.mul[power, element])
         order += 1
     return order
 
@@ -216,8 +216,8 @@ def _complex_note(
     """Degrees of the cyclotomic factors acting on the commutator-fixed space.
 
     ``basis`` spans the subspace W fixed by the subgroup's derived subgroup,
-    on which the abelianization acts.  When the quotient is cyclic, a coset
-    generator g of order N splits W into m_d copies of the Phi_d-piece for
+    on which the abelianization acts.  When the quotient is cyclic of order
+    N, a coset generator g splits W into m_d copies of the Phi_d-piece for
     each d dividing N.  The part of W fixed by g^d has dimension k_d, the sum
     of m_e phi(e) over e dividing d, so the m_d follow from kernel dimensions
     in increasing d.  Non-linear factors explain lines that exist over an
@@ -249,12 +249,12 @@ def _complex_note(
     eye = np.eye(rep.dim, dtype=np.int64)
     if any(((rep.mats[h] - eye) @ images).any() for h in derived_gens):
         raise ArithmeticError("coset generator moves the fixed space")
-    order = group.element_order(generator)
     pieces: dict[int, int] = {}  # d -> m_d phi(d), the dimension of the Phi_d-piece
     degrees: list[int] = []
     power = generator
-    for d in range(1, order + 1):
-        if order % d == 0:
+    # g^N lies in the derived subgroup, which fixes W, so g's order on W divides N
+    for d in range(1, quotient_order + 1):
+        if quotient_order % d == 0:
             fixed_dim = len(_kernel_of_elements(rep, (*derived_gens, power)))
             rest = fixed_dim - sum(dim for e, dim in pieces.items() if d % e == 0)
             phi = sum(1 for j in range(1, d + 1) if gcd(j, d) == 1)
@@ -263,7 +263,7 @@ def _complex_note(
                 raise ArithmeticError("kernel dimensions admit no cyclotomic splitting")
             pieces[d] = rest
             degrees.extend([phi] * copies)
-        power = group.product(power, generator)
+        power = int(group.mul[power, generator])
     if fixed_dim != len(basis):
         raise ArithmeticError("g^N fixes %d dimensions, not dim W = %d" % (fixed_dim, len(basis)))
     return tuple(sorted(degrees))
@@ -274,17 +274,18 @@ def rational_invariant_lines(
 ) -> InvariantLineReport:
     """Decide whether the subgroup fixes a rational line.
 
-    A rational invariant line carries a subgroup character with values +-1,
-    so it suffices to intersect the +-1 eigenspaces prescribed by each sign
-    character.  The verdict is conjugation-invariant: conjugating the
-    subgroup transports invariant lines by the conjugating matrix.
+    A member that maps a rational line to itself acts on it by a rational
+    root of unity, +1 or -1.  So a line is invariant exactly when it
+    lies in the joint eigenspace of one sign vector on the generators, and
+    the witness is the first kernel vector of the first such sign vector
+    with a nonzero kernel (a sign vector that is no character has none).
+    The verdict is conjugation-invariant: conjugating the subgroup
+    transports invariant lines by the conjugating matrix.
     """
     gens = subgroup.generating_set()
-    positions = [subgroup.members.index(g) for g in gens]
-
     witness: tuple[int, ...] | None = None
-    for chi in sign_characters(subgroup):
-        basis = _kernel_of_elements(rep, gens, [chi[pos] for pos in positions])
+    for signs in product((1, -1), repeat=len(gens)):
+        basis = _kernel_of_elements(rep, gens, signs)
         if basis:
             witness = basis[0]
             break

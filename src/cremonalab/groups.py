@@ -40,7 +40,6 @@ __all__ = [
     "close_generators",
     "conjugacy_classes",
     "commutator_subgroup",
-    "sign_characters",
     "minimal_generators",
 ]
 
@@ -210,16 +209,6 @@ class FiniteGroup:
     def find(self, payload) -> int:
         """Index of a payload in this group (KeyError if absent)."""
         return self._index[payload.key()]
-
-    def product(self, i: int, j: int) -> int:
-        return int(self.mul[i, j])
-
-    def element_order(self, i: int) -> int:
-        n, x = 1, i
-        while x != 0:
-            x = int(self.mul[x, i])
-            n += 1
-        return n
 
     def _extend(self, seeds: Iterable[int]) -> tuple[np.ndarray, list[int]]:
         """Dimino's coset extension: membership mask and kept generators of <seeds>.
@@ -448,25 +437,3 @@ def minimal_generators(group: FiniteGroup, members: Sequence[int]) -> tuple[int,
         raise GroupError("member list is not closed")
     return tuple(chosen) or (0,)
 
-
-def sign_characters(sub: Subgroup) -> tuple[tuple[int, ...], ...]:
-    """All homomorphisms from ``sub`` to {+1, -1}, trivial first.
-
-    Each is a value tuple aligned with ``sub.members``.  Every sign assignment
-    to the generators is propagated along ``tree`` and kept when it is
-    multiplicative against each generator column.
-    """
-    group, gens = sub.parent, sub.generating_set()
-    steps = group.tree(gens)
-    members = np.asarray(sub.members)
-    found: set[tuple[int, ...]] = set()
-    for bits in range(1 << len(gens)):
-        eps = [-1 if (bits >> pos) & 1 else 1 for pos in range(len(gens))]
-        chi = [0] * group.order
-        chi[0] = 1
-        for x, parent, pos in steps:
-            chi[x] = chi[parent] * eps[pos]
-        values = np.asarray(chi)
-        if all(np.array_equal(values[group.mul[members, g]], values[members] * values[g]) for g in gens):
-            found.add(tuple(values[members].tolist()))
-    return tuple(sorted(found, reverse=True))

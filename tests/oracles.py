@@ -65,6 +65,15 @@ def cyclic_subgroups(table: list[list[int]]) -> set[frozenset[int]]:
     return subs
 
 
+def element_order(group, i: int) -> int:
+    """Order of element i, by walking its powers in the table to the identity."""
+    n, x = 1, i
+    while x != 0:
+        x = int(group.mul[x, i])
+        n += 1
+    return n
+
+
 def all_subgroups(table: list[list[int]]) -> set[frozenset[int]]:
     """Every subgroup, as the join-closure of all cyclic subgroups.
 

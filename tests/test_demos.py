@@ -26,7 +26,7 @@ def test_demo_runs(path):
 
 
 def test_quintic_lines_witnesses():
-    # the witness is the first kernel vector for the first sign character with one
+    # the witness is the first kernel vector for the first sign vector with one
     lines = run_demo(ROOT / "demos" / "quintic_lines.py").stdout.splitlines()
     witnesses = [line.strip() for line in lines if "witness vector" in line]
     assert witnesses == ["witness vector [1, 0, 0, 0, 0, 0]"] * 2

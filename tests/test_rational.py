@@ -107,7 +107,7 @@ def test_every_dp5_kernel_equals_oracle(monkeypatch):
 
     monkeypatch.setattr(dp5, "kernel_basis", recording)
     dp5_suite(s5_representation())
-    assert len(calls) == 20
+    assert len(calls) == 27
     for rows, width, basis in calls:
         assert basis == oracles.frac_kernel(rows, width)
 

@@ -258,7 +258,7 @@ def test_cli_usage_errors_exit_2(capsys):
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("verify", "lemma52", "--n", "five").returncode == 2
     assert run_cli().returncode == 2
-    # counts and caps must be positive, and --parallel is gone
+    # counts and caps must be positive, --n values distinct, and --parallel is gone
     for args in (
         ("report", "conic", "--trials", "-3"),
         ("report", "conic", "--trials", "0"),
@@ -267,9 +267,13 @@ def test_cli_usage_errors_exit_2(capsys):
         ("report", "dp5", "--cap", "-1"),
         ("jordan", str(PKG_ROOT / "demos" / "groupfiles" / "s4.json"), "--cap", "0"),
         ("report", "all", "--parallel"),
+        ("verify", "lemma52", "--n", "5,5"),
     ):
         assert main(list(args)) == 2, args
         assert capsys.readouterr().out == "", args
+    # each n runs once, so the distinct values that fit a table bound the work
+    assert main(["verify", "lemma52", "--n", "7,5,7"]) == 2
+    assert "--n names 7 more than once" in capsys.readouterr().err
 
 
 def test_documented_ids_appear_in_readme_and_suites():

@@ -130,7 +130,7 @@ def test_kernel_basis_matches_sympy_nullspace(monkeypatch):
     monkeypatch.setattr(dp5, "kernel_basis", recording)
     dp5_suite(s5_representation())
     cases = recorded + [(rows, len(rows[0])) for rows in seeded_matrices(7, 150)]
-    assert len(recorded) == 20
+    assert len(recorded) == 27
     for rows, width in cases:
         assert kernel_basis(rows, width=width) == sympy_kernel(rows, width), rows
 
