@@ -24,6 +24,7 @@ import numpy as np
 
 from .groups import (
     FiniteGroup,
+    GroupError,
     Permutation,
     Subgroup,
     close_generators,
@@ -105,9 +106,9 @@ def _matrix_from_columns(columns) -> np.ndarray:
 def s5_representation() -> Representation:
     """Integral 6-dimensional representation of the degree-5 symmetric group.
 
-    Built by closure from a transposition and a 5-cycle; along the group's
-    breadth-first ``tree`` every element's matrix is its tree parent's matrix
-    times the generator's, matching the composition order of the table.
+    Built by closure from a transposition and a 5-cycle.  The closure numbers
+    each element after some p = g^-1 . j for a generator g, so taking the
+    elements in order, rho(j) = rho(g) rho(p) is a product of known matrices.
     ``verify_homomorphism`` checks the result.
     """
     swap = Permutation.from_cycles(5, [[1, 2]])
@@ -117,10 +118,15 @@ def s5_representation() -> Representation:
         _matrix_from_columns(_SWAP_COLUMNS),
         _matrix_from_columns(_CYCLE_COLUMNS),
     )
+    below = group.mul[group.inverse[list(group.generators)]]  # below[v, j] = gens[v]^-1 . j
+    lower = below < np.arange(group.order)
+    if not lower[:, 1:].any(axis=0).all():
+        raise GroupError("some element has no generator below it in the numbering")
+    via = lower.argmax(axis=0)
     mats = np.zeros((group.order, 6, 6), dtype=np.int64)
     mats[0] = np.eye(6, dtype=np.int64)
-    for j, parent, via in group.tree(group.generators):
-        mats[j] = mats[parent] @ genmats[via]
+    for j in range(1, group.order):
+        mats[j] = genmats[via[j]] @ mats[below[via[j], j]]
     mats.flags.writeable = False
     return Representation(group=group, mats=mats)
 

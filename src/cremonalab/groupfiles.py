@@ -18,9 +18,13 @@ from .groups import DEFAULT_CAP, FiniteGroup, ModMatrix, Permutation, close_gene
 from .rational import exact_det
 from .semidirect import build_group
 
-__all__ = ["MAX_DEGREE", "MAX_MATRIX_DIM", "MAX_MODULUS_BITS", "GroupFileError", "parse_group",
-           "load_group"]
+__all__ = ["MAX_DEGREE", "MAX_GENERATORS", "MAX_MATRIX_DIM", "MAX_MODULUS_BITS", "GroupFileError",
+           "parse_group", "load_group"]
 
+# Parsing costs time and memory per generator, so their number is bounded
+# before any is read: an irredundant generating list of a group of order at
+# most DEFAULT_CAP has fewer than log2(DEFAULT_CAP) < 17 entries.
+MAX_GENERATORS = 64
 # Permutation generators are built point by point, so the degree is bounded
 # before any of them is.
 MAX_DEGREE = 4096
@@ -84,6 +88,9 @@ def parse_group(doc, cap: int = DEFAULT_CAP) -> FiniteGroup:
     raw_gens = doc.get("generators")
     if not isinstance(raw_gens, list) or not raw_gens:
         raise GroupFileError("'generators' must be a non-empty array")
+    if len(raw_gens) > MAX_GENERATORS:
+        raise GroupFileError("%d generators, more than MAX_GENERATORS=%d"
+                             % (len(raw_gens), MAX_GENERATORS))
     if kind == "perm":
         degree = _require_int(doc, "degree", 1)
         if degree > MAX_DEGREE:

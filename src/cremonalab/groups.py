@@ -2,9 +2,9 @@
 
 Elements are small immutable payloads (permutations, matrices over Z/nZ, or
 semidirect-product pairs defined elsewhere) that know how to compose and how to
-serialize themselves to a canonical byte key.  A group is closed breadth-first
-from a generator list; the element order is deterministic (identity first, then
-layer by layer, each layer sorted by canonical key), so two closures of the same
+serialize themselves to a canonical byte key.  A group is closed in one
+breadth-first walk from a generator list, then numbered by (shortest word
+length, canonical key) with the identity first, so two closures of the same
 generator list are byte-identical.
 
 Every group and subgroup operation works from the Cayley table alone: a
@@ -19,6 +19,7 @@ a time: conjugacy classes, normality and derived subgroups all read it so.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Protocol, Sequence
@@ -59,6 +60,14 @@ class IncompatiblePayloads(GroupError):
     """Two payloads cannot be composed (different kinds or parameters)."""
 
 
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as ints (so True is 1), ValueError unless each is an integer."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError("%s must be integers" % what) from None
+
+
 class Payload(Protocol):
     kind: str
 
@@ -78,9 +87,10 @@ class Permutation:
     kind = "perm"
 
     def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise ValueError("images must be a permutation of 0..%d" % (n - 1))
+        images = _integers(self.images, "images")
+        if sorted(images) != list(range(len(images))):
+            raise ValueError("images must be a permutation of 0..%d" % (len(images) - 1))
+        object.__setattr__(self, "images", images)
 
     @staticmethod
     def identity_of_degree(degree: int) -> "Permutation":
@@ -92,7 +102,7 @@ class Permutation:
         images = list(range(degree))
         seen: set[int] = set()
         for cycle in cycles:
-            pts = [p - 1 for p in cycle]
+            pts = [p - 1 for p in _integers(cycle, "cycle points")]
             if any(p < 0 or p >= degree for p in pts):
                 raise ValueError("cycle point out of range 1..%d" % degree)
             if seen.intersection(pts) or len(set(pts)) != len(pts):
@@ -129,17 +139,15 @@ class ModMatrix:
     kind = "modmatrix"
 
     def __post_init__(self) -> None:
-        if self.modulus < 2:
+        (n,) = _integers((self.modulus,), "modulus")
+        if n < 2:
             raise ValueError("modulus must be at least 2")
         k = len(self.entries)
         if any(len(row) != k for row in self.entries):
             raise ValueError("matrix must be square")
-        if any(not (0 <= e < self.modulus) for row in self.entries for e in row):
-            object.__setattr__(
-                self,
-                "entries",
-                tuple(tuple(e % self.modulus for e in row) for row in self.entries),
-            )
+        entries = tuple(tuple(e % n for e in _integers(row, "entries")) for row in self.entries)
+        object.__setattr__(self, "modulus", n)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def dim(self) -> int:
@@ -241,23 +249,6 @@ class FiniteGroup:
         """Sorted member indices of the subgroup generated by ``seeds``."""
         return tuple(np.flatnonzero(self._extend(seeds)[0]).tolist())
 
-    def tree(self, gens: Sequence[int]) -> list[tuple[int, int, int]]:
-        """Breadth-first spanning tree of the subgroup generated by ``gens``.
-
-        One ``(x, parent, pos)`` triple per non-identity member, in discovery
-        order, with x = parent . gens[pos]; each parent precedes its children.
-        """
-        reached, steps = [0], []
-        seen = {0}
-        for x in reached:  # ``reached`` grows while it is walked
-            for pos, g in enumerate(gens):
-                y = int(self.mul[x, g])
-                if y not in seen:
-                    seen.add(y)
-                    reached.append(y)
-                    steps.append((y, x, pos))
-        return steps
-
     def subgroup(self, members: Iterable[int], gens: tuple[int, ...] | None = None) -> "Subgroup":
         return Subgroup(self, tuple(sorted(int(m) for m in set(members))), gens)
 
@@ -309,12 +300,12 @@ def check_table_bytes(order: int) -> None:
 
 
 def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
-    """Close a generator list into a FiniteGroup, breadth-first.
+    """Close a generator list into a FiniteGroup in one breadth-first walk.
 
-    Deterministic: the identity is element 0, then layer k holds the elements
-    whose shortest positive word in the generators has length k (the same
-    set whether words grow on the left or the right), sorted by canonical
-    payload key, so the element order depends only on the generator *set*.
+    The walk numbers each product as it finds it.  A FIFO walk first reaches
+    an element at its shortest positive word length (the same whether words
+    grow on the left or the right), and the final numbering sorts by (that
+    length, canonical payload key), so it depends only on the generator *set*.
     Raises CapExceeded when the closure grows past ``cap`` or its table past
     MAX_TABLE_BYTES, and IncompatiblePayloads when generators cannot be
     composed.
@@ -328,59 +319,46 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
     ident = gens[0].identity()
     elements: list = [ident]
     index: dict[bytes, int] = {ident.key(): 0}
-    parent, via = [-1], [-1]
-    # left[i][pos]: index of generator pos composed with element i, each
-    # composed once; the identity's row is the generators.  A product first
-    # found in the current layer holds -1 - (its slot in ``discovered``)
-    # until the layer is numbered.
+    depth, parent, via = [0], [0], [0]
+    # left[i][pos]: discovery number of generator pos composed with element
+    # i, each composed once; the identity's row is the generators.
     left: list[list[int]] = []
+    for i, x in enumerate(elements):  # ``elements`` grows while it is walked
+        row = []
+        for pos, g in enumerate(gens):
+            prod = g if i == 0 else g.compose(x)
+            k = prod.key()
+            j = index.get(k)
+            if j is None:
+                j = index[k] = len(elements)
+                # checked as each product is found, so at most cap are ever kept
+                if j >= cap:
+                    raise CapExceeded("closure exceeds cap=%d" % cap)
+                check_table_bytes(j + 1)
+                elements.append(prod)
+                depth.append(depth[i] + 1)
+                parent.append(i)
+                via.append(pos)
+            row.append(j)
+        left.append(row)
 
-    frontier = [0]
-    while frontier:
-        discovered: dict[bytes, tuple[int, int, int, Payload]] = {}
-        first_row = len(left)
-        for fi in frontier:
-            row = []
-            for pos, g in enumerate(gens):
-                prod = g if fi == 0 else g.compose(elements[fi])
-                k = prod.key()
-                j = index.get(k)
-                if j is None:
-                    found = discovered.get(k)
-                    if found is None:
-                        found = discovered[k] = (-1 - len(discovered), fi, pos, prod)
-                        # checked per product: a whole layer can be far past the cap
-                        if len(elements) + len(discovered) > cap:
-                            raise CapExceeded("closure exceeds cap=%d" % cap)
-                        check_table_bytes(len(elements) + len(discovered))
-                    j = found[0]
-                row.append(j)
-            left.append(row)
-        frontier = []
-        numbered = [0] * len(discovered)
-        for k in sorted(discovered):
-            slot, fi, pos, prod = discovered[k]
-            numbered[-1 - slot] = len(elements)
-            frontier.append(len(elements))
-            index[k] = len(elements)
-            elements.append(prod)
-            parent.append(fi)
-            via.append(pos)
-        for row in left[first_row:]:
-            row[:] = [numbered[-1 - j] if j < 0 else j for j in row]
-
-    # Element i = gen via[i] . element parent[i] with parent[i] < i, so row i
-    # of the table is one gather, i . x = gen . (parent[i] . x): the gen's
-    # left products read along row parent[i] (every index is in range, so
-    # "clip" only skips the bounds check and the default mode's buffering).
     order = len(elements)
-    left_by_gen = np.array(left, dtype=np.int32).T.copy()
+    keys = list(index)  # in discovery order
+    ranked = sorted(range(order), key=lambda j: (depth[j], keys[j]))
+    rank = np.argsort(ranked).astype(np.int32)
+    left_by_gen = rank[np.array(left, dtype=np.int32)[ranked]].T.copy()
+
+    # Element j = gen via[j] . element parent[j] and its parent ranks lower, so
+    # row rank[j] of the table is one gather, j . x = gen . (parent[j] . x): the
+    # gen's left products read along the parent's row (every index is in range,
+    # so "clip" only skips the bounds check and the default mode's buffering).
     mul = np.empty((order, order), dtype=np.int32)
     mul[0] = np.arange(order, dtype=np.int32)
-    for i in range(1, order):
-        left_by_gen[via[i]].take(mul[parent[i]], out=mul[i], mode="clip")
+    for i, j in enumerate(ranked[1:], 1):
+        left_by_gen[via[j]].take(mul[rank[parent[j]]], out=mul[i], mode="clip")
 
-    return FiniteGroup(elements=tuple(elements), mul=mul, generators=tuple(left[0]))
+    return FiniteGroup(elements=tuple(elements[j] for j in ranked), mul=mul,
+                       generators=tuple(left_by_gen[:, 0].tolist()))
 
 
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -393,21 +371,17 @@ def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     gens = np.asarray(group.generators)
     conjugations = group.mul[group.mul[gens], group.inverse[gens, None]]
     seen = np.zeros(group.order, dtype=bool)
-    slot = np.empty(group.order, dtype=np.intp)
     classes: list[tuple[int, ...]] = []
     for start in range(group.order):
         if seen[start]:
             continue
         mask = np.zeros(group.order, dtype=bool)
+        mask[start] = True
         frontier = np.array([start])
         while frontier.size:
-            mask[frontier] = True
-            images = conjugations[:, frontier].ravel()
-            fresh = images[~mask[images]]
-            # keep each new member once: the last write to its slot wins
-            positions = np.arange(fresh.size)
-            slot[fresh] = positions
-            frontier = fresh[slot[fresh] == positions]
+            before = mask.copy()
+            mask[conjugations[:, frontier].ravel()] = True
+            frontier = np.flatnonzero(mask > before)  # the members new in this step
         seen |= mask
         classes.append(tuple(np.flatnonzero(mask).tolist()))
     return tuple(classes)

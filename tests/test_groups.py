@@ -168,6 +168,10 @@ def test_close_generators_numbering_matches_breadth_first_oracle(build):
     for i in range(group.order):
         for j in columns:
             assert group.keys[group.mul[i, j]] == elements[i].compose(elements[j]).key()
+    # every j > 0 is g . p for a generator g and a p numbered before j, which
+    # s5_representation builds its matrices along
+    below = group.mul[group.inverse[list(group.generators)]]
+    assert (below < np.arange(group.order)).any(axis=0)[1:].all()
 
 
 def test_closure_is_generator_order_independent():
@@ -179,6 +183,29 @@ def test_closure_is_generator_order_independent():
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         close_generators(S4_GENS, cap=10)
+
+
+@pytest.mark.parametrize("build", [
+    lambda cap: close_generators(S4_GENS, cap=cap),
+    lambda cap: load_group(str(GROUPFILES / "special_linear_mod3.json"), cap=cap),
+], ids=["s4", "special_linear_mod3"])
+def test_cap_admits_exactly_the_group_order(build):
+    order = build(groups.DEFAULT_CAP).order
+    assert build(order).order == order == 24
+    with pytest.raises(CapExceeded, match="cap=23"):
+        build(order - 1)
+
+
+def test_payload_entries_are_read_as_integers():
+    # True is the integer 1, so (True, False) is the swap of two points
+    swap = Permutation((True, False))
+    assert swap.images == (1, 0) and all(type(p) is int for p in swap.images)
+    assert close_generators([swap]).order == 2
+    assert close_generators([ModMatrix(3, ((True, 0), (0, True)))]).order == 1
+    for build in (lambda: Permutation((1.0, 0.0)), lambda: Permutation.from_cycles(3, [[1.0, 2.0]]),
+                  lambda: ModMatrix(3, ((1.5, 0), (0, 1)))):
+        with pytest.raises(ValueError, match="must be integers"):
+            build()
 
 
 def test_cap_is_checked_as_each_product_is_found(monkeypatch):
@@ -245,6 +272,27 @@ def test_modulus_bound_precedes_the_generators(monkeypatch):
     monkeypatch.undo()
     doc["modulus"] = 2**64 - 1
     assert parse_group(doc).order == 2
+
+
+def test_generator_count_bound_precedes_the_generators(monkeypatch):
+    # each generator costs time and memory to parse, so a list past the
+    # bound is refused before any of them is read
+    def no_cycles(degree, cycles):
+        raise AssertionError("generator read")
+
+    def no_rows(raw, modulus):
+        raise AssertionError("generator read")
+
+    monkeypatch.setattr(groupfiles, "MAX_GENERATORS", 2)
+    monkeypatch.setattr(Permutation, "from_cycles", staticmethod(no_cycles))
+    monkeypatch.setattr(groupfiles, "_matrix_rows", no_rows)
+    docs = [{"kind": "perm", "degree": 4, "generators": [[[1, 2]]] * 3},
+            {"kind": "modmatrix", "modulus": 3, "generators": [[[2]]] * 3}]
+    for doc in docs:
+        with pytest.raises(GroupFileError, match="3 generators, more than MAX_GENERATORS=2"):
+            parse_group(doc)
+    monkeypatch.undo()
+    assert [parse_group(doc).order for doc in docs] == [2, 2]
 
 
 def test_non_invertible_error_prints_the_determinant_mod_n():

@@ -187,6 +187,11 @@ def test_cli_jordan_bad_inputs(tmp_path):
     result = run_cli("jordan", str(wide))
     assert result.returncode == 2
     assert "MAX_MODULUS_BITS=64" in result.stderr
+    many = tmp_path / "many.json"
+    many.write_text(json.dumps({"kind": "perm", "degree": 4, "generators": [[[1, 2]]] * 65}))
+    result = run_cli("jordan", str(many))
+    assert result.returncode == 2
+    assert "MAX_GENERATORS=64" in result.stderr
     # a directory and a file that is not UTF-8 end in one error line, not a traceback
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\x7fELF\xff\xfe\x00\x80")
