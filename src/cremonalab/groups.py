@@ -2,19 +2,22 @@
 
 Elements are small immutable payloads (permutations, matrices over Z/nZ, or
 semidirect-product pairs defined elsewhere) that know how to compose and how to
-serialize themselves to a canonical byte key.  A group is closed in one
-breadth-first walk from a generator list, then numbered by (shortest word
-length, canonical key) with the identity first, so two closures of the same
-generator list are byte-identical.
+serialize themselves to a canonical byte key.  A group is closed from a
+generator list by Dimino's coset extension over payloads, one stage per
+generator and about one compose per element, then numbered by (shortest word
+length, canonical key) with the identity first, the lengths read off one
+breadth-first pass over index rows, so two closures of the same generator
+list are byte-identical.
 
 Every group and subgroup operation works from the Cayley table alone: a
 subgroup stays a member list inside its parent.  Only ``find`` and ``keys``
 need payloads, and ``jordan_index`` reads keys only to break a real tie.
-Subgroups are generated one way, by Dimino's coset extension: subgroup
-closures, the lattice joins built on them and greedy generating sets all
-read ``FiniteGroup._extend``.  Conjugation is one table gather over an index
-array, x -> g x g^-1 = ``mul[mul[g, x], inverse[g]]``, never one element at
-a time: conjugacy classes, normality and derived subgroups all read it so.
+Subgroups of a closed group are generated by the same coset extension over
+the table: subgroup closures, the lattice joins built on them and greedy
+generating sets all read ``FiniteGroup._extend``.  Conjugation is one table
+gather over an index array, x -> g x g^-1 = ``mul[mul[g, x], inverse[g]]``,
+never one element at a time: conjugacy classes, normality and derived
+subgroups all read it so.
 """
 
 from __future__ import annotations
@@ -300,15 +303,18 @@ def check_table_bytes(order: int) -> None:
 
 
 def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
-    """Close a generator list into a FiniteGroup in one breadth-first walk.
+    """Close a generator list into a FiniteGroup by Dimino's coset extension.
 
-    The walk numbers each product as it finds it.  A FIFO walk first reaches
-    an element at its shortest positive word length (the same whether words
-    grow on the left or the right), and the final numbering sorts by (that
-    length, canonical payload key), so it depends only on the generator *set*.
-    Raises CapExceeded when the closure grows past ``cap`` or its table past
-    MAX_TABLE_BYTES, and IncompatiblePayloads when generators cannot be
-    composed.
+    Stage s grows H = <gens[:s]>, numbered coset-major, by left cosets y H,
+    composing each of gens[:s+1] with each representative y and each new y
+    with each member of H: about one payload compose per element.  When
+    g y = y' h', g's left-product row on y H is y' H read along h''s row in
+    H, gathered through the previous stage's rows.  A breadth-first pass over
+    the final rows gives each element's shortest word length, and the
+    numbering sorts by (that length, canonical payload key), so it depends
+    only on the generator *set*.  Raises CapExceeded before composing a coset
+    that would outgrow ``cap`` or MAX_TABLE_BYTES, so at most ``cap`` payloads
+    are ever kept, and IncompatiblePayloads when generators cannot be composed.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -319,34 +325,60 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
     ident = gens[0].identity()
     elements: list = [ident]
     index: dict[bytes, int] = {ident.key(): 0}
-    depth, parent, via = [0], [0], [0]
-    # left[i][pos]: discovery number of generator pos composed with element
-    # i, each composed once; the identity's row is the generators.
-    left: list[list[int]] = []
-    for i, x in enumerate(elements):  # ``elements`` grows while it is walked
-        row = []
-        for pos, g in enumerate(gens):
-            prod = g if i == 0 else g.compose(x)
-            k = prod.key()
-            j = index.get(k)
-            if j is None:
-                j = index[k] = len(elements)
-                # checked as each product is found, so at most cap are ever kept
-                if j >= cap:
-                    raise CapExceeded("closure exceeds cap=%d" % cap)
-                check_table_bytes(j + 1)
-                elements.append(prod)
-                depth.append(depth[i] + 1)
-                parent.append(i)
-                via.append(pos)
-            row.append(j)
-        left.append(row)
+    # element j = gens[chain_via[j]] . elements[chain_parent[j]], a chain down to 0
+    chain_parent, chain_via = [0], [0]
+    left = np.zeros((0, 1), dtype=np.intp)  # left[g, j]: index of gens[g] . elements[j]
+    for s in range(len(gens)):
+        size = len(elements)
+        # left-multiplication rows in H, per stage, starting from the generators'
+        rows = {0: np.arange(size), **dict(zip(left[:, 0].tolist(), left))}
 
-    order = len(elements)
-    keys = list(index)  # in discovery order
+        def row(target: int) -> np.ndarray:
+            chain, t = [], target
+            while t not in rows:
+                chain.append(t)
+                t = chain_parent[t]
+            found = rows[t]
+            for t in reversed(chain):
+                found = left[chain_via[t]][found]
+            rows[target] = found
+            return found
+
+        reps, blocks = [0], [[] for _ in range(s + 1)]  # ``reps`` grows while it is walked
+        for y in reps:
+            for pos, g in enumerate(gens[:s + 1]):
+                z = g if y == 0 else g.compose(elements[y])
+                j = index.setdefault(z.key(), len(elements))
+                if j == len(elements):  # a new coset z H, checked before it is composed
+                    if j + size > cap:
+                        raise CapExceeded("closure exceeds cap=%d" % cap)
+                    check_table_bytes(j + size)
+                    coset = [z] + [z.compose(h) for h in elements[1:size]]
+                    index.update((coset[t].key(), j + t) for t in range(1, size))
+                    elements += coset
+                    chain_parent += range(y, y + size)
+                    chain_via += [pos] * size
+                    reps.append(j)
+                blocks[pos].append(j - j % size + row(j % size))
+        left = np.array([np.concatenate(b) for b in blocks])
+
+    # a FIFO walk over the rows first reaches each element at its shortest
+    # word length, from a parent one layer up
+    order, rows_by_gen = len(elements), left.tolist()
+    depth, parent, via = [0] + [-1] * (order - 1), [0] * order, [0] * order
+    queue = [0]
+    for x in queue:  # ``queue`` grows while it is walked
+        for g, products in enumerate(rows_by_gen):
+            y = products[x]
+            if depth[y] < 0:
+                depth[y], parent[y], via[y] = depth[x] + 1, x, g
+                queue.append(y)
+    del rows, blocks, rows_by_gen  # before the table is allocated
+
+    keys = list(index)  # in element order
     ranked = sorted(range(order), key=lambda j: (depth[j], keys[j]))
     rank = np.argsort(ranked).astype(np.int32)
-    left_by_gen = rank[np.array(left, dtype=np.int32)[ranked]].T.copy()
+    left_by_gen = rank[left[:, ranked]]
 
     # Element j = gen via[j] . element parent[j] and its parent ranks lower, so
     # row rank[j] of the table is one gather, j . x = gen . (parent[j] . x): the

@@ -27,7 +27,7 @@ from cremonalab.groups import (
     conjugacy_classes,
     minimal_generators,
 )
-from cremonalab.semidirect import build_group
+from cremonalab.semidirect import SemidirectPair, build_group
 
 S4_GENS = [
     Permutation.from_cycles(4, [[1, 2]]),
@@ -223,6 +223,89 @@ def test_cap_is_checked_as_each_product_is_found(monkeypatch):
     with pytest.raises(CapExceeded, match="cap=20"):
         close_generators(gens, cap=20)
     assert len(calls) < 2 * len(gens)
+
+
+def counted_composes(monkeypatch, cls):
+    """A list that gains one entry per ``cls.compose`` call from here on."""
+    calls = []
+    compose = cls.compose
+
+    def counting_compose(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(cls, "compose", counting_compose)
+    return calls
+
+
+def family_generators(n):
+    """The four payload generators ``build_group(n)`` closes."""
+    group = build_group(n)
+    return [group.elements[g] for g in group.generators]
+
+
+@pytest.mark.parametrize("gens, payload, order, composes, last_coset", [
+    (lambda: S4_GENS, Permutation, 24, 34, 2),
+    (lambda: family_generators(5), SemidirectPair, 300, 316, 150),
+], ids=["s4", "family_n5"])
+def test_closure_composes_about_once_per_element(monkeypatch, gens, payload, order, composes,
+                                                  last_coset):
+    # Dimino's stages compose each new coset representative with the members
+    # of the subgroup so far, and each generator with each representative:
+    # about one compose per element, not one per element and generator.  S4
+    # is the small case where the 24 representative products of its two
+    # generators and 12 cosets show.
+    gens = gens()
+    calls = counted_composes(monkeypatch, payload)
+    assert close_generators(gens).order == order
+    assert len(calls) == composes
+    assert composes < (1.1 if order >= 300 else 1.5) * order
+    # one short of the order, the cap refuses the last coset before any of its
+    # other members is composed
+    calls.clear()
+    with pytest.raises(CapExceeded, match="cap=%d" % (order - 1)):
+        close_generators(gens, cap=order - 1)
+    assert len(calls) <= composes - (last_coset - 1)
+
+
+@st.composite
+def generator_lists(draw):
+    """One to four permutations of degree at most 6, with repeats and
+    identities mixed in, and maybe a last one the others already generate."""
+    degree = draw(st.integers(min_value=1, max_value=6))
+    perms = st.permutations(range(degree)).map(Permutation)
+    gens = [draw(perms)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        gens.append(draw(st.one_of(perms, st.just(Permutation.identity_of_degree(degree)),
+                                   st.sampled_from(gens))))
+    if draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)).compose(draw(st.sampled_from(gens))))
+    return gens
+
+
+def assert_closure_matches_breadth_first_oracle(gens):
+    group = close_generators(gens)
+    elements = oracles.breadth_first_elements(gens)
+    assert group.keys == tuple(e.key() for e in elements)
+    assert [group.elements[g] for g in group.generators] == list(gens)
+    assert (group.mul[np.arange(group.order), group.inverse] == 0).all()
+    if group.order <= 300:
+        for i, x in enumerate(elements):
+            assert [group.keys[k] for k in group.mul[i]] == [x.compose(y).key() for y in elements]
+
+
+@given(generator_lists())
+@settings(max_examples=60, deadline=None)
+def test_closure_matches_breadth_first_oracle_at_every_product(gens):
+    assert_closure_matches_breadth_first_oracle(gens)
+
+
+@pytest.mark.parametrize("gens", [
+    lambda: [ModMatrix(3, ((1, 1), (0, 1))), ModMatrix(3, ((0, 1), (2, 0)))],
+    *(lambda n=n: family_generators(n) for n in (2, 3, 5)),
+], ids=["sl2_mod3", "family_n2", "family_n3", "family_n5"])
+def test_named_closures_match_breadth_first_oracle_at_every_product(gens):
+    assert_closure_matches_breadth_first_oracle(gens())
 
 
 def test_table_bytes_bound(monkeypatch):

@@ -281,6 +281,23 @@ def test_cli_usage_errors_exit_2(capsys):
     assert "--n names 7 more than once" in capsys.readouterr().err
 
 
+def test_commands_never_import_numpy_ma():
+    # the first np.unique call imports numpy.ma (about 9 ms and 1.6 MB), so
+    # closures and classes dedupe with masks or list walks instead
+    script = (
+        "import contextlib, io, sys\n"
+        "from cremonalab.cli import main\n"
+        "for argv in (['verify', 'lemma52', '--n', '5'], ['report', 'all', '--seed', '0', '--trials', '20'],\n"
+        "             ['jordan', 'demos/groupfiles/s4.json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            cwd=PKG_ROOT, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 def test_documented_ids_appear_in_readme_and_suites():
     readme = (PKG_ROOT / "README.md").read_text()
     mentioned = set(re.findall(r"\b(?:lemma52|prop44|prop57|conic|thm79|consts)\.[a-z0-9_]+", readme))
