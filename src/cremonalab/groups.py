@@ -4,10 +4,9 @@ Elements are small immutable payloads (permutations, matrices over Z/nZ, or
 semidirect-product pairs defined elsewhere) that know how to compose and how to
 serialize themselves to a canonical byte key.  A group is closed from a
 generator list by Dimino's coset extension over payloads, one stage per
-generator and about one compose per element, then numbered by (shortest word
-length, canonical key) with the identity first, the lengths read off one
-breadth-first pass over index rows, so two closures of the same generator
-list are byte-identical.
+generator not already in the closure and about one compose per element, and
+numbered in the order the cosets are found, the identity first, so two
+closures of the same generator list are byte-identical.
 
 Every group and subgroup operation works from the Cayley table alone: a
 subgroup stays a member list inside its parent.  Only ``find`` and ``keys``
@@ -184,8 +183,10 @@ class ModMatrix:
 class FiniteGroup:
     """Explicit finite group: payload list plus an index multiplication table.
 
-    Element 0 is the identity.  ``mul[i, j]`` is the index of elements[i]
-    composed with elements[j]; ``inverse[i]`` the index of the inverse.
+    Element 0 is the identity; ``close_generators`` numbers the rest in the
+    order it finds them, fixed by the generator list.  ``mul[i, j]`` is the
+    index of elements[i] composed with elements[j]; ``inverse[i]`` the index
+    of the inverse.
     ``keys`` and the key index behind ``find`` are derived from the payloads
     on first use.
     """
@@ -273,7 +274,7 @@ class Subgroup:
         return self.parent.order // self.order
 
     def key(self) -> bytes:
-        return b"|".join(self.parent.keys[m] for m in self.members)
+        return b"|".join(sorted(self.parent.keys[m] for m in self.members))
 
     def generating_set(self) -> tuple[int, ...]:
         if self.gens is not None:
@@ -305,16 +306,17 @@ def check_table_bytes(order: int) -> None:
 def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Close a generator list into a FiniteGroup by Dimino's coset extension.
 
-    Stage s grows H = <gens[:s]>, numbered coset-major, by left cosets y H,
-    composing each of gens[:s+1] with each representative y and each new y
-    with each member of H: about one payload compose per element.  When
-    g y = y' h', g's left-product row on y H is y' H read along h''s row in
-    H, gathered through the previous stage's rows.  A breadth-first pass over
-    the final rows gives each element's shortest word length, and the
-    numbering sorts by (that length, canonical payload key), so it depends
-    only on the generator *set*.  Raises CapExceeded before composing a coset
-    that would outgrow ``cap`` or MAX_TABLE_BYTES, so at most ``cap`` payloads
-    are ever kept, and IncompatiblePayloads when generators cannot be composed.
+    A generator already in the closure so far is skipped; each other one is
+    kept and grows that closure H by left cosets y H, composing each kept
+    generator with each representative y and each new y with each member of
+    H: about one payload compose per element.  Elements are numbered in the
+    order they are found, identity first, so the numbering is fixed by the
+    generator list, and each j > 0 is g . p for a kept generator g and some
+    p < j.  When g y = y' h', g's left-product row on y H is y' H read along
+    h''s row in H, gathered through the previous stage's rows.  Raises
+    CapExceeded before composing a coset that would outgrow ``cap`` or
+    MAX_TABLE_BYTES, so at most ``cap`` payloads are ever kept, and
+    IncompatiblePayloads when generators cannot be composed.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -325,13 +327,16 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
     ident = gens[0].identity()
     elements: list = [ident]
     index: dict[bytes, int] = {ident.key(): 0}
-    # element j = gens[chain_via[j]] . elements[chain_parent[j]], a chain down to 0
+    kept: list = []
+    # element j = kept[chain_via[j]] . elements[chain_parent[j]], a chain down to 0
     chain_parent, chain_via = [0], [0]
-    left = np.zeros((0, 1), dtype=np.intp)  # left[g, j]: index of gens[g] . elements[j]
-    for s in range(len(gens)):
+    left = np.zeros((0, 1), dtype=np.intp)  # left[g, j]: index of kept[g] . elements[j]
+    for gen in gens:
+        if gen.key() in index:
+            continue
+        kept.append(gen)
         size = len(elements)
-        # left-multiplication rows in H, per stage, starting from the generators'
-        rows = {0: np.arange(size), **dict(zip(left[:, 0].tolist(), left))}
+        rows = {0: np.arange(size)}  # left-multiplication rows in H, per stage
 
         def row(target: int) -> np.ndarray:
             chain, t = [], target
@@ -344,9 +349,9 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
             rows[target] = found
             return found
 
-        reps, blocks = [0], [[] for _ in range(s + 1)]  # ``reps`` grows while it is walked
+        reps, blocks = [0], [[] for _ in kept]  # ``reps`` grows while it is walked
         for y in reps:
-            for pos, g in enumerate(gens[:s + 1]):
+            for pos, g in enumerate(kept):
                 z = g if y == 0 else g.compose(elements[y])
                 j = index.setdefault(z.key(), len(elements))
                 if j == len(elements):  # a new coset z H, checked before it is composed
@@ -362,35 +367,18 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
                 blocks[pos].append(j - j % size + row(j % size))
         left = np.array([np.concatenate(b) for b in blocks])
 
-    # a FIFO walk over the rows first reaches each element at its shortest
-    # word length, from a parent one layer up
-    order, rows_by_gen = len(elements), left.tolist()
-    depth, parent, via = [0] + [-1] * (order - 1), [0] * order, [0] * order
-    queue = [0]
-    for x in queue:  # ``queue`` grows while it is walked
-        for g, products in enumerate(rows_by_gen):
-            y = products[x]
-            if depth[y] < 0:
-                depth[y], parent[y], via[y] = depth[x] + 1, x, g
-                queue.append(y)
-    del rows, blocks, rows_by_gen  # before the table is allocated
-
-    keys = list(index)  # in element order
-    ranked = sorted(range(order), key=lambda j: (depth[j], keys[j]))
-    rank = np.argsort(ranked).astype(np.int32)
-    left_by_gen = rank[left[:, ranked]]
-
-    # Element j = gen via[j] . element parent[j] and its parent ranks lower, so
-    # row rank[j] of the table is one gather, j . x = gen . (parent[j] . x): the
-    # gen's left products read along the parent's row (every index is in range,
-    # so "clip" only skips the bounds check and the default mode's buffering).
+    # Row j of the table is one gather, j . x = g . (p . x): the kept
+    # generator's left products read along the row of p < j (every index is
+    # in range, so "clip" only skips the bounds check and the default mode's
+    # buffering).
+    order, left = len(elements), left.astype(np.int32)
     mul = np.empty((order, order), dtype=np.int32)
     mul[0] = np.arange(order, dtype=np.int32)
-    for i, j in enumerate(ranked[1:], 1):
-        left_by_gen[via[j]].take(mul[rank[parent[j]]], out=mul[i], mode="clip")
+    for j in range(1, order):
+        left[chain_via[j]].take(mul[chain_parent[j]], out=mul[j], mode="clip")
 
-    return FiniteGroup(elements=tuple(elements[j] for j in ranked), mul=mul,
-                       generators=tuple(left_by_gen[:, 0].tolist()))
+    return FiniteGroup(elements=tuple(elements), mul=mul,
+                       generators=tuple(index[g.key()] for g in gens))
 
 
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:

@@ -96,7 +96,8 @@ def jordan_index(
     """Minimal index of an abelian normal subgroup, with its witness.
 
     The witness is an abelian normal subgroup of maximal order; when several
-    share that order, the one with the smallest serialized member key.  It is
+    share that order, the one with the smallest sorted member-key list, so
+    the choice does not depend on the group's numbering.  It is
     checked on its whole member table, independently of the lattice's
     seed-based flags, and a witness that fails raises GroupError.
     """

@@ -141,23 +141,18 @@ def conjugation_orbit(table: list[list[int]], seeds) -> frozenset[int]:
 
 
 def breadth_first_elements(gens) -> list:
-    """Payloads in the order ``close_generators`` numbers them, recomputed
-    naively: the identity, then each layer of elements first reached by a
-    right product with a generator (the words of one length), sorted by
-    canonical key."""
+    """Every payload of the group ``gens`` generate, recomputed naively: the
+    identity, then the right product of each element found with each
+    generator, breadth first."""
     ident = gens[0].identity()
-    numbered, seen, layer = [ident], {ident.key()}, [ident]
-    while layer:
-        found = {}
-        for x in layer:
-            for g in gens:
-                y = x.compose(g)
-                if y.key() not in seen:
-                    found[y.key()] = y
-        seen.update(found)
-        layer = [found[k] for k in sorted(found)]
-        numbered.extend(layer)
-    return numbered
+    found, seen = [ident], {ident.key()}
+    for x in found:  # ``found`` grows while it is walked
+        for g in gens:
+            y = x.compose(g)
+            if y.key() not in seen:
+                seen.add(y.key())
+                found.append(y)
+    return found
 
 
 def normal_closure_oracle(table: list[list[int]], seeds) -> frozenset[int]:

@@ -1,5 +1,6 @@
 """Core group machinery against naive oracles."""
 
+import itertools
 import random
 import time
 import tracemalloc
@@ -27,6 +28,7 @@ from cremonalab.groups import (
     conjugacy_classes,
     minimal_generators,
 )
+from cremonalab.jordan import jordan_index, report_fragment
 from cremonalab.semidirect import SemidirectPair, build_group
 
 S4_GENS = [
@@ -159,25 +161,75 @@ def test_element_order_matches_oracle(s4):
     lambda: build_group(5), lambda: s5_representation().group,
 ], ids=["s4", "special_linear_mod3", "family_n5", "s5"])
 def test_close_generators_numbering_matches_breadth_first_oracle(build):
-    # element keys in the oracle's order, and the table rows against payload
-    # composition on the generator columns and a random sample of others
+    # the element keys as a set against the oracle's, and the table rows
+    # against payload composition on the generator columns and a random
+    # sample of others
     group = build()
-    elements = oracles.breadth_first_elements([group.elements[g] for g in group.generators])
-    assert group.keys == tuple(e.key() for e in elements)
+    gens = [group.elements[g] for g in group.generators]
+    assert sorted(group.keys) == sorted(e.key() for e in oracles.breadth_first_elements(gens))
+    assert_numbered_along_generators(group)
     columns = list(group.generators) + random.Random(5).sample(range(group.order), 6)
-    for i in range(group.order):
+    for i, x in enumerate(group.elements):
         for j in columns:
-            assert group.keys[group.mul[i, j]] == elements[i].compose(elements[j]).key()
-    # every j > 0 is g . p for a generator g and a p numbered before j, which
-    # s5_representation builds its matrices along
+            assert group.keys[group.mul[i, j]] == x.compose(group.elements[j]).key()
+
+
+def assert_numbered_along_generators(group):
+    """The identity is element 0, and every j > 0 is g . p for a generator g
+    and a p numbered before j, which s5_representation builds its matrices
+    along."""
+    assert group.keys[0] == group.elements[0].identity().key()
     below = group.mul[group.inverse[list(group.generators)]]
     assert (below < np.arange(group.order)).any(axis=0)[1:].all()
 
 
 def test_closure_is_generator_order_independent():
-    g1 = close_generators(S4_GENS)
-    g2 = close_generators(list(reversed(S4_GENS)))
-    assert [e.key() for e in g1.elements] == [e.key() for e in g2.elements]
+    # the numbering follows the generator list, but the element set, the
+    # jordan fragment and the witness do not: ties go to the smallest sorted
+    # member keys, and lemma52 at n = 3 has one
+    quaternion = load_group(str(GROUPFILES / "quaternion.json"))
+    cases = [S4_GENS, [quaternion.elements[g] for g in quaternion.generators],
+             family_generators(3), family_generators(5)]
+    for gens in cases:
+        numberings, seen = set(), set()
+        for shuffled in itertools.permutations(gens):
+            group = close_generators(list(shuffled))
+            witness = jordan_index(group).witness
+            numberings.add(group.keys)
+            seen.add((frozenset(group.keys), tuple(sorted(report_fragment(group).items())),
+                      frozenset(group.keys[m] for m in witness.members)))
+        assert len(numberings) > 1 and len(seen) == 1
+
+
+def test_redundant_generators_are_skipped():
+    # a generator already in the closure so far adds no stage, so the closure
+    # of [c, c^-1, c^2, e] is numbered and tabled as that of [c] alone
+    c = Permutation.from_cycles(7, [[1, 2, 3, 4, 5], [6, 7]])
+    inverse = Permutation(tuple(sorted(range(7), key=c.images.__getitem__)))
+    gens = [c, inverse, c.compose(c), Permutation.identity_of_degree(7)]
+    group, alone = close_generators(gens), close_generators([c])
+    assert group.keys == alone.keys and group.order == 10
+    assert np.array_equal(group.mul, alone.mul)
+    assert [group.elements[g] for g in group.generators] == gens
+
+
+def test_redundant_powers_of_a_long_cycle_cost_no_stage():
+    # a stage for each of 32 inverse powers of an order-504 c would read each
+    # power's row down its chain, hundreds of row gathers per stage: about 30
+    # times the closure of c alone
+    c = Permutation.from_cycles(24, [list(range(1, 9)), list(range(9, 18)), list(range(18, 25))])
+    inverse = Permutation(tuple(sorted(range(24), key=c.images.__getitem__)))
+    powers = list(itertools.accumulate([inverse] * 32, Permutation.compose))
+
+    def best_time(gens):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert close_generators(gens).order == 504
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_time([c] + powers) < 5 * best_time([c])
 
 
 def test_cap_exceeded():
@@ -285,13 +337,13 @@ def generator_lists(draw):
 
 def assert_closure_matches_breadth_first_oracle(gens):
     group = close_generators(gens)
-    elements = oracles.breadth_first_elements(gens)
-    assert group.keys == tuple(e.key() for e in elements)
+    assert sorted(group.keys) == sorted(e.key() for e in oracles.breadth_first_elements(gens))
     assert [group.elements[g] for g in group.generators] == list(gens)
     assert (group.mul[np.arange(group.order), group.inverse] == 0).all()
+    assert_numbered_along_generators(group)
     if group.order <= 300:
-        for i, x in enumerate(elements):
-            assert [group.keys[k] for k in group.mul[i]] == [x.compose(y).key() for y in elements]
+        for i, x in enumerate(group.elements):
+            assert [group.keys[k] for k in group.mul[i]] == [x.compose(y).key() for y in group.elements]
 
 
 @given(generator_lists())

@@ -162,6 +162,29 @@ def test_cli_jordan_groupfile(tmp_path):
     }
 
 
+# order, jordan index, witness order and normal subgroup count of each file
+GROUP_FILE_FRAGMENTS = {
+    "family_n5.json": (300, 12, 25, 8),
+    "quaternion.json": (8, 2, 4, 6),
+    "s4.json": (24, 6, 4, 4),
+    "special_linear_mod3.json": (24, 12, 2, 4),
+}
+
+
+@pytest.mark.parametrize("path", sorted((PKG_ROOT / "demos" / "groupfiles").glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_cli_jordan_fragment_of_every_group_file(path, capsys):
+    # a group file added without a pinned fragment fails here with KeyError
+    order, index, witness, count = GROUP_FILE_FRAGMENTS[path.name]
+    assert main(["jordan", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "order": order,
+        "jordan_index": index,
+        "witness_order": witness,
+        "normal_subgroup_count": count,
+    }
+
+
 def test_cli_jordan_bad_inputs(tmp_path):
     missing = run_cli("jordan", str(tmp_path / "nope.json"))
     assert missing.returncode == 2
