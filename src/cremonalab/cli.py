@@ -5,13 +5,13 @@ Commands: ``verify lemma52 --n <list>``, ``enumerate --degree <d>``,
 ``jordan <groupfile>``, ``report <suite>``.  Exit codes: 0 all-pass,
 1 any fail, 2 usage error.  Output is deterministic for fixed options
 and seeds, except that ``verify`` and ``report`` add each row's measured
-wall time when given ``--times``.
+wall time when given ``--times``.  This module parses arguments and
+dispatches; ``report`` writes every command's JSON and Markdown.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import conic_fibers, dp5, pole_cycles, report, suites
@@ -112,27 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_table(rows: list[dict], columns, fmt: str, meta: dict | None = None) -> str:
-    if fmt == "json":
-        doc = dict(meta or {})
-        doc["rows"] = rows
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    lines = ["| " + " | ".join(columns) + " |",
-             "| " + " | ".join("---" for _ in columns) + " |"]
-    for row in rows:
-        cells = []
-        for col in columns:
-            value = row[col]
-            if isinstance(value, (list, tuple, dict)):
-                cells.append("`" + json.dumps(value, separators=(",", ":")) + "`")
-            else:
-                cells.append(str(value))
-        lines.append("| " + " | ".join(cells) + " |")
-    lines.append("")
-    lines.append("%d rows." % len(rows))
-    return "\n".join(lines) + "\n"
-
-
 def _run_verify(args) -> int:
     rows = suites.run_suite("lemma52", ns=args.n, cap=args.cap, allow_bad_n=args.allow_bad_n)
     sys.stdout.write(report.emit(rows, args.emit, include_times=args.times))
@@ -145,24 +124,16 @@ def _run_enumerate(args) -> int:
     except pole_cycles.InvalidDegree as exc:
         sys.stderr.write("error: %s\n" % exc)
         return USAGE_EXIT
-    sys.stdout.write(_emit_table(rows, ENUMERATE_COLUMNS, args.emit, {"degree": args.degree}))
+    sys.stdout.write(report.table(rows, ENUMERATE_COLUMNS, args.emit, {"degree": args.degree}))
     return 0
 
 
 def _run_dp5(args) -> int:
     line_reports = dp5.dp5_suite()
-    rows = [
-        {
-            "name": lr.name,
-            "order": lr.subgroup_order,
-            "rational_line_exists": lr.has_rational_line,
-            "fix_space_dim": lr.fix_space_dim,
-            "complex_note": list(lr.complex_note),
-            "caveat": lr.caveat,
-        }
-        for lr in line_reports
-    ]
-    sys.stdout.write(_emit_table(rows, DP5_COLUMNS, args.emit))
+    rows = [dict(zip(DP5_COLUMNS, (lr.name, lr.subgroup_order, lr.has_rational_line,
+                                   lr.fix_space_dim, list(lr.complex_note), lr.caveat)))
+            for lr in line_reports]
+    sys.stdout.write(report.table(rows, DP5_COLUMNS, args.emit))
     verdicts = {lr.name: lr.has_rational_line for lr in line_reports}
     return 0 if verdicts == suites.EXPECTED_LINE_VERDICTS else 1
 
@@ -170,11 +141,10 @@ def _run_dp5(args) -> int:
 def _run_conic(args) -> int:
     sim = conic_fibers.simulate(args.seed, args.trials)
     if args.emit == "json":
-        sys.stdout.write(json.dumps(sim, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(report.dumps(sim))
     else:
-        keys = sorted(sim)
-        rows = [{"key": k, "value": sim[k]} for k in keys]
-        sys.stdout.write(_emit_table(rows, ("key", "value"), "md"))
+        rows = [{"key": k, "value": sim[k]} for k in sorted(sim)]
+        sys.stdout.write(report.table(rows, ("key", "value"), "md"))
     clean = (sim["greedy_failures"] == 0 and sim["invariance_failures"] == 0
              and sim["scan_disagreements"] == 0 and sim["bound_violations"] == 0)
     return 0 if clean else 1
@@ -195,7 +165,7 @@ def _run_jordan(args) -> int:
     except GroupError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
-    sys.stdout.write(json.dumps(fragment, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(report.dumps(fragment))
     return 0
 
 

@@ -96,10 +96,6 @@ class AbelianType:
     def two_rank(self) -> int:
         return sum(1 for d in self.invariant_factors if d % 2 == 0)
 
-    @property
-    def order(self) -> int:
-        return prod(self.invariant_factors)
-
     def is_admissible(self) -> bool:
         """Whether the type occurs for an abelian action on a fibered surface.
 

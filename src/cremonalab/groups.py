@@ -214,10 +214,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def find(self, payload) -> int:
         """Index of a payload in this group (KeyError if absent)."""
         return self._index[payload.key()]
@@ -269,10 +265,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    @property
-    def index(self) -> int:
-        return self.parent.order // self.order
-
     def key(self) -> bytes:
         return b"|".join(sorted(self.parent.keys[m] for m in self.members))
 
@@ -314,15 +306,18 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
     generator list, and each j > 0 is g . p for a kept generator g and some
     p < j.  When g y = y' h', g's left-product row on y H is y' H read along
     h''s row in H, gathered through the previous stage's rows.  Raises
-    CapExceeded before composing a coset that would outgrow ``cap`` or
-    MAX_TABLE_BYTES, so at most ``cap`` payloads are ever kept, and
-    IncompatiblePayloads when generators cannot be composed.
+    CapExceeded when ``cap`` < 1 and before composing a coset that would
+    outgrow ``cap`` or MAX_TABLE_BYTES, so at most ``cap`` payloads, the
+    identity among them, are ever kept, and IncompatiblePayloads when
+    generators cannot be composed.
     """
     if not gens:
         raise ValueError("need at least one generator")
     kinds = {getattr(g, "kind", None) for g in gens}
     if len(kinds) != 1:
         raise IncompatiblePayloads("mixed payload kinds: %r" % kinds)
+    if cap < 1:
+        raise CapExceeded("closure exceeds cap=%d" % cap)
 
     ident = gens[0].identity()
     elements: list = [ident]
@@ -384,27 +379,24 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Conjugacy classes as sorted index tuples, in order of their smallest member.
 
-    The identity class (0,) comes first.  Each class grows from its smallest
-    member as a frontier over one conjugation array per group generator (a
-    finite set closed under conjugation by g is closed under g^-1 too).
+    The identity class (0,) comes first.  Every element starts labelled by its
+    own index, and each round takes the least label among its conjugates by
+    each group generator until no label changes.  A finite set closed under
+    conjugation by g is closed under g^-1 too, so each class ends labelled by
+    its smallest member; a stable sort of the labels lists the classes.
     """
     gens = np.asarray(group.generators)
     conjugations = group.mul[group.mul[gens], group.inverse[gens, None]]
-    seen = np.zeros(group.order, dtype=bool)
-    classes: list[tuple[int, ...]] = []
-    for start in range(group.order):
-        if seen[start]:
-            continue
-        mask = np.zeros(group.order, dtype=bool)
-        mask[start] = True
-        frontier = np.array([start])
-        while frontier.size:
-            before = mask.copy()
-            mask[conjugations[:, frontier].ravel()] = True
-            frontier = np.flatnonzero(mask > before)  # the members new in this step
-        seen |= mask
-        classes.append(tuple(np.flatnonzero(mask).tolist()))
-    return tuple(classes)
+    labels = np.arange(group.order)
+    while True:
+        least = labels[conjugations].min(axis=0, initial=group.order)
+        if not (least < labels).any():
+            break
+        np.minimum(labels, least, out=labels)
+    ranked = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[ranked])) + 1
+    members, bounds = ranked.tolist(), [0, *starts.tolist(), group.order]
+    return tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def commutator_subgroup(sub: Subgroup) -> Subgroup:

@@ -30,10 +30,13 @@ __all__ = [
     "configuration_rows",
     "random_word_ends",
     "conservation_violations",
+    "MAX_WORD_MOVES",
 ]
 
 Component = tuple[int, int]  # (self-intersection, genus)
 Move = tuple[str, int]
+
+MAX_WORD_MOVES = 8
 
 
 class InvalidDegree(ValueError):
@@ -235,14 +238,12 @@ def configuration_rows(degree: int) -> list[dict]:
     return rows
 
 
-def random_word_ends(
-    seed: int, words_per_base: int, max_moves: int = 8
-) -> Iterator[tuple[str, tuple[Component, ...], int]]:
+def random_word_ends(seed: int, words_per_base: int) -> Iterator[tuple[str, tuple[Component, ...], int]]:
     """``(base name, components, K^2)`` at the end of each random word.
 
     Each base pair gets its own derived random stream, so adding bases or
     changing word counts for one base never disturbs the others.  A word
-    takes up to ``max_moves`` moves, each drawn uniformly from the
+    takes up to MAX_WORD_MOVES moves, each drawn uniformly from the
     Fano-filtered successors (node moves first, then smooth moves), and
     stops early at K^2 = 1 or when no successor survives the filter.  The
     successors depend only on the component tuple, so each tuple's are
@@ -253,7 +254,7 @@ def random_word_ends(
         rng = random.Random("%d:%s" % (seed, base.base_name))
         for _ in range(words_per_base):
             components, k2 = base.components, base.k2
-            for _ in range(rng.randrange(max_moves + 1)):
+            for _ in range(rng.randrange(MAX_WORD_MOVES + 1)):
                 options = successors.get(components)
                 if options is None:
                     cycle = PoleCycle(components, k2, base.base_name)
@@ -267,10 +268,10 @@ def random_word_ends(
             yield base.base_name, components, k2
 
 
-def conservation_violations(seed: int, words_per_base: int, max_moves: int = 8) -> dict[str, int]:
+def conservation_violations(seed: int, words_per_base: int) -> dict[str, int]:
     """Count conservation-law violations over random words, per base pair."""
     out = {base.base_name: 0 for base in base_pairs()}
-    for name, components, k2 in random_word_ends(seed, words_per_base, max_moves):
+    for name, components, k2 in random_word_ends(seed, words_per_base):
         if conservation_defect(PoleCycle(components, k2, name)) != 0:
             out[name] += 1
     return out

@@ -1,11 +1,13 @@
-"""Verification report rows and canonical emission.
+"""Verification report rows and the one writer of every command's output.
 
 Every check in the package produces a VerificationReport row: a claim id, the
 anchor string naming the statement being checked, the computed and expected
 values, a provenance tag for the expected value, and a status.  ``emit``
-renders a row list as canonical JSON or Markdown; timings are kept on the
-objects but excluded from the canonical output so that fixed inputs and seeds
-give byte-identical documents.
+renders a row list as canonical JSON or Markdown, ``table`` any other list of
+dict rows, and ``dumps`` is the canonical JSON text; a Markdown cell holding a
+list or dict is compact JSON with sorted keys, as in the JSON.  Timings are
+kept on the rows but excluded from the canonical output so that fixed inputs
+and seeds give byte-identical documents.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-__all__ = ["VerificationReport", "checked", "informational", "emit", "passed", "exit_code"]
+__all__ = ["VerificationReport", "checked", "informational", "emit", "table", "dumps", "passed",
+           "exit_code"]
 
 STATUSES = ("pass", "fail", "informational")
 
@@ -62,6 +65,11 @@ def exit_code(reports) -> int:
     return 0 if passed(reports) else 1
 
 
+def dumps(doc) -> str:
+    """Canonical JSON text: sorted keys, two-space indent, one closing newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def _row_dict(report: VerificationReport, include_times: bool) -> dict:
     row = {
         "claim_id": report.claim_id,
@@ -77,7 +85,7 @@ def _row_dict(report: VerificationReport, include_times: bool) -> dict:
 
 
 def emit(reports, fmt: str = "json", include_times: bool = False) -> str:
-    """Render report rows as one canonical JSON document or Markdown tables."""
+    """Render report rows as one canonical JSON document or one Markdown table per suite."""
     rows = list(reports)
     if fmt == "json":
         doc = {
@@ -89,51 +97,42 @@ def emit(reports, fmt: str = "json", include_times: bool = False) -> str:
                 "informational": sum(1 for r in rows if r.status == "informational"),
             },
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if fmt == "md":
-        return _emit_markdown(rows, include_times)
-    raise ValueError("unknown emit format %r" % (fmt,))
-
-
-def _suite_of(claim_id: str) -> str:
-    return claim_id.split(".", 1)[0]
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (dict, list, tuple)):
-        return "`" + json.dumps(value, sort_keys=True, separators=(",", ":")) + "`"
-    return str(value)
-
-
-def _emit_markdown(rows, include_times: bool) -> str:
-    lines: list[str] = []
-    suites: list[str] = []
+        return dumps(doc)
+    if fmt != "md":
+        raise ValueError("unknown emit format %r" % (fmt,))
+    columns = ["claim", "anchor", "computed", "expected", "provenance", "status"]
+    if include_times:
+        columns.append("seconds")
+    by_suite: dict[str, list] = {}
     for r in rows:
-        s = _suite_of(r.claim_id)
-        if s not in suites:
-            suites.append(s)
-    for suite in suites:
-        lines.append("## %s" % suite)
-        lines.append("")
-        header = "| claim | anchor | computed | expected | provenance | status |"
-        sep = "| --- | --- | --- | --- | --- | --- |"
+        cells = [r.claim_id, r.anchor, r.computed, r.expected, r.provenance, r.status]
         if include_times:
-            header += " seconds |"
-            sep += " --- |"
-        lines.append(header)
-        lines.append(sep)
-        for r in rows:
-            if _suite_of(r.claim_id) != suite:
-                continue
-            cells = [r.claim_id, r.anchor, _cell(r.computed), _cell(r.expected),
-                     r.provenance, r.status]
-            if include_times:
-                cells.append("%.3f" % r.wall_time)
-            lines.append("| " + " | ".join(cells) + " |")
-        lines.append("")
+            cells.append("%.3f" % r.wall_time)
+        by_suite.setdefault(r.claim_id.split(".", 1)[0], []).append(cells)
+    lines: list[str] = []
+    for suite, cell_rows in by_suite.items():
+        lines += ["## %s" % suite, ""] + _markdown_table(columns, cell_rows) + [""]
     n_fail = sum(1 for r in rows if r.status == "fail")
-    lines.append("%d rows, %d failing." % (len(rows), n_fail))
-    lines.append("")
-    return "\n".join(lines)
+    return "\n".join(lines + ["%d rows, %d failing." % (len(rows), n_fail), ""])
+
+
+def table(rows, columns, fmt: str, meta: dict | None = None) -> str:
+    """Render dict rows as canonical JSON (``meta`` plus ``rows``) or one Markdown table."""
+    if fmt == "json":
+        return dumps({**(meta or {}), "rows": rows})
+    if fmt != "md":
+        raise ValueError("unknown emit format %r" % (fmt,))
+    lines = _markdown_table(columns, [[row[c] for c in columns] for row in rows])
+    return "\n".join(lines + ["", "%d rows." % len(rows), ""])
+
+
+def _markdown_table(columns, cell_rows) -> list[str]:
+    """Header, ``---`` row and one line per row.  A None cell is empty, a
+    container cell is compact sorted-key JSON in backticks, any other is str."""
+    lines = [list(columns), ["---"] * len(columns)]
+    for cells in cell_rows:
+        lines.append(["" if value is None
+                      else "`%s`" % json.dumps(value, sort_keys=True, separators=(",", ":"))
+                      if isinstance(value, (dict, list, tuple)) else str(value)
+                      for value in cells])
+    return ["| " + " | ".join(line) + " |" for line in lines]

@@ -19,7 +19,6 @@ __all__ = [
     "UnknownSuite",
     "SUITE_NAMES",
     "DEFAULT_NS",
-    "DOCUMENTED_CLAIM_IDS",
     "EXPECTED_LINE_VERDICTS",
     "run_suite",
     "paper_constant_rows",
@@ -247,38 +246,3 @@ def run_suite(name: str, ns=DEFAULT_NS, seed: int = 0, trials: int = 500,
         rows.extend(paper_constant_rows())
     return rows
 
-
-# Claim ids the documentation refers to; kept here so a test can assert that
-# each one actually shows up in the assembled "all" report.
-DOCUMENTED_CLAIM_IDS = (
-    "lemma52.n5",
-    "lemma52.n7",
-    "lemma52.n11",
-    "prop44.deg1",
-    "prop44.deg2",
-    "prop44.deg3",
-    "prop44.deg4",
-    "prop44.deg5",
-    "prop44.deg6",
-    "prop44.conservation",
-    "prop57.hom",
-    "prop57.s5",
-    "prop57.a5",
-    "prop57.g5_4",
-    "prop57.g5_2",
-    "prop57.c5",
-    "prop57.dp5",
-    "prop57.complex",
-    "conic.noswap",
-    "conic.indexbound",
-    "conic.maxindex",
-    "thm79.factor16",
-    "thm79.constant",
-    "consts.dim3_bound",
-    "consts.aut_dp5",
-    "consts.aut_dp4",
-    "consts.aut_dp3",
-    "consts.aut_dp2",
-    "consts.aut_dp1",
-    "consts.conic_dual_complex_bound",
-)

@@ -5,6 +5,7 @@ import pkgutil
 import random
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import prod
 
 import pytest
 
@@ -189,7 +190,7 @@ def test_abelian_type_invariant_factors():
     assert AbelianType.from_factors((1, 3)).invariant_factors == (3,)
     assert AbelianType.from_factors((2, 2, 2)).two_rank == 3
     assert AbelianType.from_factors((3, 3, 3)).two_rank == 0
-    assert AbelianType.from_factors((2, 4, 4)).order == 32
+    assert prod(AbelianType.from_factors((2, 4, 4)).invariant_factors) == 32
     for bad in ((-2, 3), (0, 4), (1, -1)):
         with pytest.raises(ValueError):
             AbelianType.from_factors(bad)

@@ -119,7 +119,7 @@ def assert_table_matches_compose(group):
 
 def test_close_generators_s4(s4):
     assert s4.order == 24
-    assert s4.identity == 0
+    assert s4.elements[0] == s4.elements[0].identity()
     assert_table_matches_compose(s4)
 
 
@@ -288,6 +288,16 @@ def counted_composes(monkeypatch, cls):
 
     monkeypatch.setattr(cls, "compose", counting_compose)
     return calls
+
+
+@pytest.mark.parametrize("gens", [[E4], S4_GENS], ids=["identity", "s4"])
+def test_cap_below_one_is_refused_before_any_compose(monkeypatch, gens):
+    # the identity alone is one kept payload, so cap=0 admits no group at all
+    calls = counted_composes(monkeypatch, Permutation)
+    with pytest.raises(CapExceeded, match="cap=0"):
+        close_generators(gens, cap=0)
+    assert calls == []
+    assert close_generators([E4], cap=1).order == 1
 
 
 def family_generators(n):
@@ -502,10 +512,13 @@ def test_conjugacy_classes_s4(s4):
     lambda: small_group_corpus().values(), lambda: [build_group(5)], lambda: [build_group(7)],
     lambda: [load_group(str(GROUPFILES / "special_linear_mod3.json"))],
     lambda: [oracles.cyclic_product((2, 4, 4))],
-], ids=["corpus", "family_n5", "family_n7", "special_linear_mod3", "cyclic(2, 4, 4)"])
+    lambda: [close_generators([Permutation(tuple((i + 1) % 101 for i in range(101))),
+                               Permutation(tuple(-i % 101 for i in range(101)))])],
+], ids=["corpus", "family_n5", "family_n7", "special_linear_mod3", "cyclic(2, 4, 4)", "dihedral(101)"])
 def test_conjugacy_classes_match_oracle_orbits(build):
     # the orbits of every element under conjugation by the whole group,
-    # each listed once, in order of its smallest member
+    # each listed once, in order of its smallest member; in the dihedral
+    # group the 101 reflections form one class that takes many label rounds
     for group in build():
         table = oracles.table_of(group)
         expected, covered = [], set()
@@ -621,7 +634,7 @@ def test_subgroup_view_consistency(s4):
     derived = commutator_subgroup(whole(s4))
     assert derived.is_normal() == oracles.is_normal_subset(table, derived.members)
     assert derived.is_abelian() == oracles.is_abelian_subset(table, derived.members)
-    assert derived.index == 2
+    assert s4.order // derived.order == 2
 
 
 def block_cycles(factors):

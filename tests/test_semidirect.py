@@ -53,7 +53,7 @@ def test_group_order_and_translations(n):
     assert group.order == 12 * n * n
     trans = translation_subgroup(group)
     assert trans.order == n * n
-    assert trans.index == 12
+    assert group.order // trans.order == 12
     assert trans.is_abelian()
     assert trans.is_normal()
     assert all(group.elements[i].twist == 0 for i in trans.members)

@@ -6,7 +6,6 @@ import pytest
 
 from cremonalab.report import emit, exit_code, passed
 from cremonalab.suites import (
-    DOCUMENTED_CLAIM_IDS,
     SUITE_NAMES,
     UnknownSuite,
     paper_constant_rows,
@@ -56,10 +55,10 @@ def test_table_bytes_bound_fails_fast():
     assert "CapExceeded" in rows[0].computed["error"]
 
 
-def test_all_suite_covers_documented_ids():
+def test_all_suite_covers_documented_ids(documented_claim_ids):
     rows = run_suite("all", trials=30)
     ids = [r.claim_id for r in rows]
-    assert ids == list(DOCUMENTED_CLAIM_IDS)
+    assert ids == documented_claim_ids
     assert passed(rows)
 
 
