@@ -6,23 +6,25 @@ serialize themselves to a canonical byte key.  A group is closed from a
 generator list by Dimino's coset extension over payloads, one stage per
 generator not already in the closure and about one compose per element, and
 numbered in the order the cosets are found, the identity first, so two
-closures of the same generator list are byte-identical.
+closures of the same generator list are byte-identical.  The Cayley table is
+filled a coset block at a time, and the inverse is folded along the same
+cosets.
 
 Every group and subgroup operation works from the Cayley table alone: a
 subgroup stays a member list inside its parent.  Only ``find`` and ``keys``
 need payloads, and ``jordan_index`` reads keys only to break a real tie.
 Subgroups of a closed group are generated by the same coset extension over
-the table: subgroup closures, the lattice joins built on them and greedy
-generating sets all read ``FiniteGroup._extend``.  Conjugation is one table
-gather over an index array, x -> g x g^-1 = ``mul[mul[g, x], inverse[g]]``,
-never one element at a time: conjugacy classes, normality and derived
-subgroups all read it so.
+the table: subgroup closures (the lattice's class closures among them) and
+greedy generating sets both read ``FiniteGroup._extend``.  Conjugation is one
+table gather over an index array, x -> g x g^-1 = ``mul[mul[g, x],
+inverse[g]]``, never one element at a time: conjugacy classes, normality and
+derived subgroups all read it so.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Protocol, Sequence
 
@@ -184,21 +186,20 @@ class FiniteGroup:
     """Explicit finite group: payload list plus an index multiplication table.
 
     Element 0 is the identity; ``close_generators`` numbers the rest in the
-    order it finds them, fixed by the generator list.  ``mul[i, j]`` is the
-    index of elements[i] composed with elements[j]; ``inverse[i]`` the index
-    of the inverse.
-    ``keys`` and the key index behind ``find`` are derived from the payloads
-    on first use.
+    order it finds them, fixed by the generator list, fills ``mul`` a coset
+    block at a time and folds ``inverse`` along the same cosets.
+    ``mul[i, j]`` is the index of elements[i] composed with elements[j];
+    ``inverse[i]`` the index of the inverse.  Both are int32 and made
+    read-only here.  ``keys`` and the key index behind ``find`` are derived
+    from the payloads on first use.
     """
 
     elements: tuple
     mul: np.ndarray
     generators: tuple[int, ...]
-    inverse: np.ndarray = field(init=False)
+    inverse: np.ndarray
 
     def __post_init__(self) -> None:
-        # each row of mul permutes the indices, so its single 0 sits at the inverse
-        self.inverse = self.mul.argmin(axis=1).astype(np.int32)
         self.mul.flags.writeable = False
         self.inverse.flags.writeable = False
 
@@ -305,7 +306,10 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
     order they are found, identity first, so the numbering is fixed by the
     generator list, and each j > 0 is g . p for a kept generator g and some
     p < j.  When g y = y' h', g's left-product row on y H is y' H read along
-    h''s row in H, gathered through the previous stage's rows.  Raises
+    h''s row in H, gathered through the previous stage's rows.  The table is
+    filled a coset block at a time: the rows of z H = g (y H) are g's
+    left-product row read along the rows of y H.  The inverse is folded
+    along the same cosets, (g p)^-1 = p^-1 g^-1, one gather per coset.  Raises
     CapExceeded when ``cap`` < 1 and before composing a coset that would
     outgrow ``cap`` or MAX_TABLE_BYTES, so at most ``cap`` payloads, the
     identity among them, are ever kept, and IncompatiblePayloads when
@@ -323,6 +327,8 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
     elements: list = [ident]
     index: dict[bytes, int] = {ident.key(): 0}
     kept: list = []
+    # (j, y, pos, size): elements j + t = kept[pos] . elements[y + t], t < size
+    cosets: list[tuple[int, int, int, int]] = []
     # element j = kept[chain_via[j]] . elements[chain_parent[j]], a chain down to 0
     chain_parent, chain_via = [0], [0]
     left = np.zeros((0, 1), dtype=np.intp)  # left[g, j]: index of kept[g] . elements[j]
@@ -358,22 +364,33 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
                     elements += coset
                     chain_parent += range(y, y + size)
                     chain_via += [pos] * size
+                    cosets.append((j, y, pos, size))
                     reps.append(j)
                 blocks[pos].append(j - j % size + row(j % size))
         left = np.array([np.concatenate(b) for b in blocks])
 
-    # Row j of the table is one gather, j . x = g . (p . x): the kept
-    # generator's left products read along the row of p < j (every index is
-    # in range, so "clip" only skips the bounds check and the default mode's
-    # buffering).
+    # The rows of a coset are one block, (g . p) . x = g . (p . x): the kept
+    # generator's left products read along the rows of p < j, taken a chunk
+    # of at most 2**16 entries at a time, so that the int32 -> intp copy of
+    # the index stays small (every index is in range, so "clip" only skips
+    # the bounds check and the default mode's buffering).  Once the table is
+    # full, the inverse folds along the same cosets, (g . p)^-1 = p^-1 . g^-1,
+    # where g^-1 is the 0 in g's left-product row.
     order, left = len(elements), left.astype(np.int32)
     mul = np.empty((order, order), dtype=np.int32)
     mul[0] = np.arange(order, dtype=np.int32)
-    for j in range(1, order):
-        left[chain_via[j]].take(mul[chain_parent[j]], out=mul[j], mode="clip")
+    step = max(1, (1 << 16) // order)
+    for j, y, pos, size in cosets:
+        for t in range(0, size, step):
+            stop = min(t + step, size)
+            left[pos].take(mul[y + t:y + stop], out=mul[j + t:j + stop], mode="clip")
+    inverse = np.zeros(order, dtype=np.int32)
+    gen_inverse = left.argmin(axis=1)
+    for j, y, pos, size in cosets:
+        inverse[j:j + size] = mul[inverse[y:y + size], gen_inverse[pos]]
 
     return FiniteGroup(elements=tuple(elements), mul=mul,
-                       generators=tuple(index[g.key()] for g in gens))
+                       generators=tuple(index[g.key()] for g in gens), inverse=inverse)
 
 
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:

@@ -58,6 +58,10 @@ def dihedral_product(a: int, b: int) -> int:
     return rot + 6 * ((ea + eb) % 2)
 
 
+# dihedral_product as a table, _D6[a][b], read by SemidirectPair.compose
+_D6 = tuple(tuple(dihedral_product(a, b) for b in range(12)) for a in range(12))
+
+
 def _mat_mul(a: Mat2, b: Mat2, n: int) -> Mat2:
     return (
         (
@@ -151,13 +155,11 @@ class SemidirectPair:
         if not isinstance(other, SemidirectPair) or other.modulus != self.modulus:
             raise IncompatiblePayloads("cannot compose %r with %r" % (self, other))
         n = self.modulus
-        m = self.rho[self.twist]
-        w = other.vector
-        moved = (
-            (self.vector[0] + m[0][0] * w[0] + m[0][1] * w[1]) % n,
-            (self.vector[1] + m[1][0] * w[0] + m[1][1] * w[1]) % n,
-        )
-        return SemidirectPair(n, moved, dihedral_product(self.twist, other.twist), self.rho)
+        (a, b), (c, d) = self.rho[self.twist]
+        v0, v1 = self.vector
+        w0, w1 = other.vector
+        moved = ((v0 + a * w0 + b * w1) % n, (v1 + c * w0 + d * w1) % n)
+        return SemidirectPair(n, moved, _D6[self.twist][other.twist], self.rho)
 
     def identity(self) -> "SemidirectPair":
         return SemidirectPair(self.modulus, (0, 0), 0, self.rho)

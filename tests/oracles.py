@@ -224,6 +224,44 @@ def normal_subgroup_lattice_oracle(group):
     return members, [group.subgroup(m).is_abelian() for m in members]
 
 
+def normal_subgroups_by_closure(group):
+    """``(members, abelian flags)`` of every normal subgroup, sorted by (order,
+    members), with a Dimino closure per conjugacy class and per join.
+
+    Each class is closed on its own, none skipped; each incomparable pair of
+    members is joined as the subgroup closure of the union of their seeds
+    (a class, or the union of the seeds of the two members joined), and the
+    flag is read off the seeds: a subgroup is abelian exactly when its
+    generators commute pairwise.  Same seeds, insertion order and flags as
+    ``jordan.normal_subgroups``, reached without class masks or products."""
+    from cremonalab.groups import conjugacy_classes
+
+    def commute(left, right):
+        return all(group.mul[x, y] == group.mul[y, x] for x in left for y in right)
+
+    # members -> (member set, generating seeds, abelian)
+    found: dict[tuple[int, ...], tuple[frozenset[int], tuple[int, ...], bool]] = {}
+    for cls in conjugacy_classes(group):
+        members = group.subgroup_closure(cls)
+        if members not in found:
+            found[members] = (frozenset(members), cls, commute(cls, cls))
+    pending = list(found)  # grows inside the loop
+    for i, a in enumerate(pending):
+        a_set, a_seeds, a_abelian = found[a]
+        for b in pending[:i]:
+            b_set, b_seeds, b_abelian = found[b]
+            if a_set <= b_set or b_set <= a_set:
+                continue
+            seeds = tuple(sorted(set(a_seeds) | set(b_seeds)))
+            joined = group.subgroup_closure(seeds)
+            if joined not in found:
+                abelian = a_abelian and b_abelian and commute(a_seeds, b_seeds)
+                found[joined] = (frozenset(joined), seeds, abelian)
+                pending.append(joined)
+    members = sorted(found, key=lambda m: (len(m), m))
+    return members, [found[m][2] for m in members]
+
+
 def jordan_index_oracle(table: list[list[int]]) -> int:
     n = len(table)
     best = n
@@ -239,7 +277,8 @@ def cyclic_product(factors):
     Element i is its exponent vector ``np.unravel_index(i, factors)`` (first
     factor most significant), a tuple rather than a payload; generator t is
     the t-th unit vector, index 0 when d_t = 1.  The Cayley table is a fold
-    of cyclic ones, one factor at a time.  A payload-free group: ``find``
+    of cyclic ones, one factor at a time, and the inverse of i negates each
+    digit modulo its factor.  A payload-free group: ``find``
     and ``keys`` do not work on it, every other operation does.  Not naive
     itself: test_groups matches it against a closure of block cycles.
     """
@@ -256,10 +295,12 @@ def cyclic_product(factors):
     order = prod(factors)
     digits = np.stack(np.unravel_index(np.arange(order), factors))
     strides = order // np.cumprod(factors)
+    negated = -digits % np.array(factors, dtype=np.intp).reshape(-1, 1)
     return FiniteGroup(
         elements=tuple(map(tuple, digits.T.tolist())),
         mul=mul,
         generators=tuple(int(s) if d > 1 else 0 for s, d in zip(strides, factors)),
+        inverse=np.ravel_multi_index(tuple(negated), factors).astype(np.int32),
     )
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from strategies import generator_lists
 from cremonalab.conic_fibers import FAMILY_REPRESENTATIVES
 from cremonalab import groups
 from cremonalab.corpus import small_group_corpus
@@ -330,21 +331,6 @@ def test_closure_composes_about_once_per_element(monkeypatch, gens, payload, ord
     assert len(calls) <= composes - (last_coset - 1)
 
 
-@st.composite
-def generator_lists(draw):
-    """One to four permutations of degree at most 6, with repeats and
-    identities mixed in, and maybe a last one the others already generate."""
-    degree = draw(st.integers(min_value=1, max_value=6))
-    perms = st.permutations(range(degree)).map(Permutation)
-    gens = [draw(perms)]
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        gens.append(draw(st.one_of(perms, st.just(Permutation.identity_of_degree(degree)),
-                                   st.sampled_from(gens))))
-    if draw(st.booleans()):
-        gens.append(draw(st.sampled_from(gens)).compose(draw(st.sampled_from(gens))))
-    return gens
-
-
 def assert_closure_matches_breadth_first_oracle(gens):
     group = close_generators(gens)
     assert sorted(group.keys) == sorted(e.key() for e in oracles.breadth_first_elements(gens))
@@ -368,6 +354,34 @@ def test_closure_matches_breadth_first_oracle_at_every_product(gens):
 ], ids=["sl2_mod3", "family_n2", "family_n3", "family_n5"])
 def test_named_closures_match_breadth_first_oracle_at_every_product(gens):
     assert_closure_matches_breadth_first_oracle(gens())
+
+
+def assert_inverse_folded(group):
+    # the inverse folded along the cosets is a two-sided inverse, and it is
+    # the row argmin of a writable copy of the table
+    i = np.arange(group.order)
+    assert group.inverse.dtype == np.int32
+    assert (group.mul[i, group.inverse] == 0).all()
+    assert (group.mul[group.inverse, i] == 0).all()
+    assert np.array_equal(group.inverse, np.array(group.mul).argmin(axis=1))
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda name=name: small_group_corpus()[name], id=name)
+      for name in sorted(small_group_corpus())),
+    pytest.param(lambda: s5_representation().group, id="s5"),
+    *(pytest.param(lambda n=n: build_group(n), id="family_n%d" % n) for n in range(2, 14)),
+    *(pytest.param(lambda path=path: load_group(str(path)), id=path.name)
+      for path in sorted(GROUPFILES.glob("*.json"))),
+])
+def test_folded_inverse_matches_table(build):
+    assert_inverse_folded(build())
+
+
+@given(generator_lists())
+@settings(max_examples=60, deadline=None)
+def test_folded_inverse_matches_table_on_random_generators(gens):
+    assert_inverse_folded(close_generators(gens))
 
 
 def test_table_bytes_bound(monkeypatch):

@@ -1,15 +1,24 @@
 """Normal-subgroup lattice and minimal abelian-normal index vs brute force."""
 
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import oracles
+from cremonalab import jordan
 from cremonalab.conic_fibers import FAMILY_REPRESENTATIVES
 from cremonalab.corpus import small_group_corpus
+from cremonalab.dp5 import s5_representation
+from cremonalab.groupfiles import load_group
 from cremonalab.groups import FiniteGroup, Subgroup, close_generators, conjugacy_classes
 from cremonalab.jordan import jordan_index, normal_subgroups, report_fragment
 from cremonalab.semidirect import build_group, translation_subgroup
+from strategies import generator_lists
+
+GROUPFILES = Path(__file__).resolve().parent.parent / "demos" / "groupfiles"
 
 SMALL = ("s3", "c6", "q8", "c4xc2", "a4", "s4")
 
@@ -165,33 +174,101 @@ def test_lattice_joins_only_incomparable_pairs(monkeypatch):
     # 22 of the 28 pairs of the eight members are containments; none needs a
     # join and no flag needs an |N| x |N| block
     group = build_group(5)
-    classes = {frozenset(cls) for cls in conjugacy_classes(group)}
-    calls = []
-    closure = FiniteGroup.subgroup_closure
+    classes = set(conjugacy_classes(group))
+    closure, join = FiniteGroup.subgroup_closure, jordan._join
+    closed, joins = [], []
 
     def recording_closure(self, seeds):
         seeds = tuple(seeds)
-        members = closure(self, seeds)
-        calls.append((frozenset(seeds), frozenset(members)))
-        return members
+        closed.append(seeds)
+        return closure(self, seeds)
+
+    def recording_join(group, label, reps, mask, seeds):
+        # a join multiplies A (its class mask) by the normal subgroup B that
+        # the seed classes generate
+        joined = join(group, label, reps, mask, seeds)
+        a = frozenset(np.flatnonzero(mask[label]).tolist())
+        b = frozenset(closure(group, np.flatnonzero(seeds[label])))
+        joins.append((a, b, tuple(np.flatnonzero(joined[label]).tolist())))
+        return joined
 
     def no_block(self):
         raise AssertionError("Subgroup.is_abelian reached")
 
     monkeypatch.setattr(FiniteGroup, "subgroup_closure", recording_closure)
+    monkeypatch.setattr(jordan, "_join", recording_join)
     monkeypatch.setattr(Subgroup, "is_abelian", no_block)
     lattice = normal_subgroups(group)
-    # A member's seeds are its class, or the union of the seeds of the two
-    # members it joins; any closure beyond the class closures is a join.
-    seeded: dict[frozenset, frozenset] = {}
-    joins = []
-    for seeds, members in calls:
-        if seeds not in classes:
-            pairs = [(a, b) for x, a in seeded.items() for y, b in seeded.items() if x | y == seeds]
-            assert pairs
-            joins.append(pairs)
-        if members not in seeded.values():
-            seeded[seeds] = members
     assert len(lattice) == 8
     assert len(joins) == 6
-    assert not any(a <= b or b <= a for pairs in joins for a, b in pairs)
+    assert not any(a <= b or b <= a for a, b, _ in joins)
+    # every closure is a class closure, and every join is the product set
+    assert set(closed) <= classes
+    table = oracles.table_of(group)
+    assert all(joined == oracles.product_set(table, a, b) for a, b, joined in joins)
+
+
+def conjugacy_classes_of_cyclic_subgroups(table):
+    """How many conjugacy classes of cyclic subgroups, by brute force."""
+    inv = oracles.inverse_row(table)
+    return len({frozenset(frozenset(table[table[g][x]][inv[g]] for x in sub)
+                          for g in range(len(table)))
+                for sub in oracles.cyclic_subgroups(table)})
+
+
+@pytest.mark.parametrize("build, closures", [
+    *(pytest.param(lambda n=n: build_group(n), closures, id="family_n%d" % n)
+      for n, closures in ((5, 10), (7, 11), (11, 11), (13, 12))),
+    *(pytest.param(lambda name=name: small_group_corpus()[name], closures, id=name)
+      for name, closures in (("s4", 5), ("q8", 5), ("a4", 3))),
+    pytest.param(lambda: s5_representation().group, 7, id="s5"),
+])
+def test_one_class_closure_per_cyclic_subgroup(monkeypatch, build, closures):
+    # g^k with gcd(k, ord g) = 1 has the normal closure of g, so only one
+    # class per conjugacy class of cyclic subgroups is closed
+    group = build()
+    classes = set(conjugacy_classes(group))
+    closure, closed = FiniteGroup.subgroup_closure, []
+
+    def recording_closure(self, seeds):
+        seeds = tuple(seeds)
+        closed.append(seeds)
+        return closure(self, seeds)
+
+    monkeypatch.setattr(FiniteGroup, "subgroup_closure", recording_closure)
+    normal_subgroups(group)
+    assert len(closed) == len(set(closed)) == closures
+    assert set(closed) <= classes
+    if group.order <= 120:
+        assert closures == conjugacy_classes_of_cyclic_subgroups(oracles.table_of(group))
+
+
+REFERENCE_LATTICE_GROUPS = (
+    [pytest.param(lambda name=name: small_group_corpus()[name], id=name)
+     for name in sorted(small_group_corpus())]
+    + [pytest.param(lambda path=path: load_group(str(path)), id=path.name)
+       for path in sorted(GROUPFILES.glob("*.json"))]
+    + [pytest.param(lambda n=n: build_group(n), id="family_n%d" % n)
+       for n in (2, 3, 4, 5, 7, 11, 13)]
+    + [pytest.param(lambda: s5_representation().group, id="s5")]
+)
+
+
+def assert_lattice_matches_closure_reference(group):
+    lattice = normal_subgroups(group)
+    members, flags = oracles.normal_subgroups_by_closure(group)
+    assert [sub.members for sub in lattice] == members
+    assert list(lattice.abelian) == flags
+
+
+@pytest.mark.parametrize("build", REFERENCE_LATTICE_GROUPS)
+def test_lattice_matches_closure_reference(build):
+    # class masks, skipped classes and product joins give the members and
+    # flags of a Dimino closure per class and per join (n = 3 has the tie)
+    assert_lattice_matches_closure_reference(build())
+
+
+@given(generator_lists())
+@settings(max_examples=60, deadline=None)
+def test_lattice_matches_closure_reference_on_random_groups(gens):
+    assert_lattice_matches_closure_reference(close_generators(gens))
