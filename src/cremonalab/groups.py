@@ -14,11 +14,11 @@ Every group and subgroup operation works from the Cayley table alone: a
 subgroup stays a member list inside its parent.  Only ``find`` and ``keys``
 need payloads, and ``jordan_index`` reads keys only to break a real tie.
 Subgroups of a closed group are generated by the same coset extension over
-the table: subgroup closures (the lattice's class closures among them) and
-greedy generating sets both read ``FiniteGroup._extend``.  Conjugation is one
-table gather over an index array, x -> g x g^-1 = ``mul[mul[g, x],
-inverse[g]]``, never one element at a time: conjugacy classes, normality and
-derived subgroups all read it so.
+the table: subgroup closures (the lattice's class closures among them), the
+lattice's joins and greedy generating sets all read ``FiniteGroup._extend``.
+Conjugation is one table gather over an index array, x -> g x g^-1 =
+``mul[mul[g, x], inverse[g]]``, never one element at a time: conjugacy
+classes, normality and derived subgroups all read it so.
 """
 
 from __future__ import annotations
@@ -219,18 +219,21 @@ class FiniteGroup:
         """Index of a payload in this group (KeyError if absent)."""
         return self._index[payload.key()]
 
-    def _extend(self, seeds: Iterable[int]) -> tuple[np.ndarray, list[int]]:
-        """Dimino's coset extension: membership mask and kept generators of <seeds>.
+    def _extend(self, seeds: Iterable[int], start: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Dimino's coset extension: membership mask and kept generators of
+        <N, seeds>, for the normal subgroup N whose membership mask is ``start``.
 
         Seeds are taken in order; one already in the subgroup H found so far
         is skipped, and any other is kept as a generator and extends H to the
         union of the left cosets y H, one row gather each.  The cosets are
-        closed under left multiplication by the generators, so the
-        representatives are the products g y that fall outside every coset so
-        far (Holt, Eick and O'Brien, Handbook of Computational Group Theory).
+        closed under left multiplication by the kept generators, and by N
+        without any of its generators, since n y H = y (y^-1 n y) H = y H
+        for N normal; so the representatives are the products g y that fall
+        outside every coset so far (Holt, Eick and O'Brien, Handbook of
+        Computational Group Theory).  ``start`` is the identity alone for a
+        plain closure and a lattice member for a join; it is not modified.
         """
-        mask = np.zeros(self.order, dtype=bool)
-        mask[0] = True
+        mask = start.copy()
         gens: list[int] = []
         for s in seeds:
             if mask[s]:
@@ -248,7 +251,7 @@ class FiniteGroup:
 
     def subgroup_closure(self, seeds: Iterable[int]) -> tuple[int, ...]:
         """Sorted member indices of the subgroup generated by ``seeds``."""
-        return tuple(np.flatnonzero(self._extend(seeds)[0]).tolist())
+        return tuple(np.flatnonzero(self._extend(seeds, np.arange(self.order) == 0)[0]).tolist())
 
     def subgroup(self, members: Iterable[int], gens: tuple[int, ...] | None = None) -> "Subgroup":
         return Subgroup(self, tuple(sorted(int(m) for m in set(members))), gens)
@@ -434,7 +437,7 @@ def commutator_subgroup(sub: Subgroup) -> Subgroup:
 def minimal_generators(group: FiniteGroup, members: Sequence[int]) -> tuple[int, ...]:
     """Greedy small generating set for a subgroup: each member, in order, that
     the ones kept before it do not generate."""
-    closure, chosen = group._extend(members)
+    closure, chosen = group._extend(members, np.arange(group.order) == 0)
     # the closure holds every member, so it is the member set when no larger
     if np.count_nonzero(closure) != len(set(members)):
         raise GroupError("member list is not closed")

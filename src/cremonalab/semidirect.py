@@ -20,11 +20,13 @@ from .groups import (
     CapExceeded,
     FiniteGroup,
     IncompatiblePayloads,
+    ModMatrix,
     Subgroup,
     check_table_bytes,
     close_generators,
 )
 from .jordan import jordan_index, normal_subgroups
+from .rational import exact_det
 from .report import VerificationReport, checked, informational
 
 __all__ = [
@@ -62,23 +64,8 @@ def dihedral_product(a: int, b: int) -> int:
 _D6 = tuple(tuple(dihedral_product(a, b) for b in range(12)) for a in range(12))
 
 
-def _mat_mul(a: Mat2, b: Mat2, n: int) -> Mat2:
-    return (
-        (
-            (a[0][0] * b[0][0] + a[0][1] * b[1][0]) % n,
-            (a[0][0] * b[0][1] + a[0][1] * b[1][1]) % n,
-        ),
-        (
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0]) % n,
-            (a[1][0] * b[0][1] + a[1][1] * b[1][1]) % n,
-        ),
-    )
-
-
 def _det_minus_identity(m: Mat2, n: int) -> int:
-    a, b = m[0][0] - 1, m[0][1]
-    c, d = m[1][0], m[1][1] - 1
-    return (a * d - b * c) % n
+    return exact_det([[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(m)]) % n
 
 
 @dataclass(frozen=True)
@@ -115,26 +102,26 @@ def build_action_data(n: int) -> ModularDihedralAction:
     """
     if n < 2:
         raise ValueError("modulus must be at least 2")
-    u: Mat2 = (((-1) % n, 1), ((-1) % n, 0))
-    z: Mat2 = (((-1) % n, 0), (0, (-1) % n))
+    u = ModMatrix(n, ((-1, 1), (-1, 0)))
+    z = ModMatrix(n, ((-1, 0), (0, -1)))
     # det U = 1, so U^-1 is the adjugate.
-    u_inv: Mat2 = ((0, (-1) % n), (1, (-1) % n))
-    rho_r = _mat_mul(z, u_inv, n)
-    rho_s: Mat2 = ((0, 1), (1, 0))
+    rho_r = z.compose(ModMatrix(n, ((0, -1), (1, -1))))
+    rho_s = ModMatrix(n, ((0, 1), (1, 0)))
 
-    ident: Mat2 = ((1, 0), (0, 1))
+    ident = rho_s.identity()
     powers = [ident]
     for _ in range(6):
-        powers.append(_mat_mul(powers[-1], rho_r, n))
+        powers.append(powers[-1].compose(rho_r))
     if powers[2] != u or powers[3] != z or powers[6] != ident:
         raise NoConsistentAction("no rho_r with rho_r^2 = U, rho_r^3 = Z mod %d" % n)
-    if _mat_mul(rho_s, rho_s, n) != ident:
+    if rho_s.compose(rho_s) != ident:
         raise NoConsistentAction("rho_s is not an involution mod %d" % n)
-    if _mat_mul(_mat_mul(rho_s, rho_r, n), rho_s, n) != powers[5]:
+    if rho_s.compose(rho_r).compose(rho_s) != powers[5]:
         raise NoConsistentAction("dihedral relation s r s = r^-1 fails mod %d" % n)
 
-    rho = tuple(powers[d % 6] if d < 6 else _mat_mul(powers[d % 6], rho_s, n) for d in range(12))
-    return ModularDihedralAction(n, u, z, rho)
+    rho = tuple((powers[d % 6] if d < 6 else powers[d % 6].compose(rho_s)).entries
+                for d in range(12))
+    return ModularDihedralAction(n, u.entries, z.entries, rho)
 
 
 @dataclass(frozen=True)

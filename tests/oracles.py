@@ -232,8 +232,9 @@ def normal_subgroups_by_closure(group):
     members is joined as the subgroup closure of the union of their seeds
     (a class, or the union of the seeds of the two members joined), and the
     flag is read off the seeds: a subgroup is abelian exactly when its
-    generators commute pairwise.  Same seeds, insertion order and flags as
-    ``jordan.normal_subgroups``, reached without class masks or products."""
+    generators commute pairwise.  The reference for ``jordan.normal_subgroups``,
+    reached with no class skipped, no prime-power filter and no join started
+    from a member."""
     from cremonalab.groups import conjugacy_classes
 
     def commute(left, right):
