@@ -18,13 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
-from typing import Sequence
 
 import numpy as np
 
 from .groups import (
     FiniteGroup,
-    GroupError,
     Permutation,
     Subgroup,
     close_generators,
@@ -106,10 +104,11 @@ def _matrix_from_columns(columns) -> np.ndarray:
 def s5_representation() -> Representation:
     """Integral 6-dimensional representation of the degree-5 symmetric group.
 
-    Built by closure from a transposition and a 5-cycle.  The closure numbers
-    each element after some p = g^-1 . j for a generator g, so taking the
-    elements in order, rho(j) = rho(g) rho(p) is a product of known matrices.
-    ``verify_homomorphism`` checks the result.
+    Built by closure from a transposition and a 5-cycle, then by a walk of
+    the Cayley graph from the identity: rho(g . x) = rho(g) rho(x) for each
+    generator g and each element x already reached.  The walk covers the
+    group because the two generators generate it.  ``verify_homomorphism``
+    checks the result.
     """
     swap = Permutation.from_cycles(5, [[1, 2]])
     cycle = Permutation.from_cycles(5, [[1, 2, 3, 4, 5]])
@@ -118,15 +117,16 @@ def s5_representation() -> Representation:
         _matrix_from_columns(_SWAP_COLUMNS),
         _matrix_from_columns(_CYCLE_COLUMNS),
     )
-    below = group.mul[group.inverse[list(group.generators)]]  # below[v, j] = gens[v]^-1 . j
-    lower = below < np.arange(group.order)
-    if not lower[:, 1:].any(axis=0).all():
-        raise GroupError("some element has no generator below it in the numbering")
-    via = lower.argmax(axis=0)
     mats = np.zeros((group.order, 6, 6), dtype=np.int64)
     mats[0] = np.eye(6, dtype=np.int64)
-    for j in range(1, group.order):
-        mats[j] = genmats[via[j]] @ mats[below[via[j], j]]
+    reached, seen = [0], {0}  # ``reached`` grows while it is walked
+    for x in reached:
+        for g, mat in zip(group.generators, genmats):
+            y = int(group.mul[g, x])
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+                mats[y] = mat @ mats[x]
     mats.flags.writeable = False
     return Representation(group=group, mats=mats)
 
@@ -164,8 +164,8 @@ def standard_subgroups(group: FiniteGroup) -> list[tuple[str, Subgroup]]:
     c5 = group.subgroup(c5_members, gens=(five,))
     in_c5 = np.zeros(group.order, dtype=bool)
     in_c5[list(c5_members)] = True
-    # x five x^-1 for every x at once: row x . five, then column x^-1
-    g5_4 = group.subgroup(np.flatnonzero(in_c5[group.mul[group.mul[:, five], group.inverse]]))
+    # the normalizer: every x with x five x^-1 in c5, all x at once
+    g5_4 = group.subgroup(np.flatnonzero(in_c5[group.conjugates(np.arange(group.order), [five])]))
 
     invol = group.find(Permutation.from_cycles(5, [[2, 3], [4, 5]]))
     g5_2_members = group.subgroup_closure([five, invol])
@@ -207,15 +207,6 @@ def fixed_space(rep: Representation, subgroup: Subgroup) -> list[tuple[int, ...]
     return basis
 
 
-def _coset_order(group: FiniteGroup, element: int, members: set[int]) -> int:
-    power = element
-    order = 1
-    while power not in members:
-        power = int(group.mul[power, element])
-        order += 1
-    return order
-
-
 def _complex_note(
     rep: Representation, subgroup: Subgroup, derived: Subgroup, basis: list[tuple[int, ...]]
 ) -> tuple[int, ...]:
@@ -239,14 +230,11 @@ def _complex_note(
     if quotient_order == 1:
         generator = subgroup.members[0]
     else:
-        generator = next(
-            (
-                m
-                for m in subgroup.members
-                if m not in derived_set and _coset_order(group, m, derived_set) == quotient_order
-            ),
-            None,
-        )
+        # a member whose first power in the derived subgroup is its
+        # quotient_order-th generates the quotient
+        generator = next((m for m in subgroup.members
+                          if next(k for k, p in enumerate(group.powers(m), 1) if p in derived_set)
+                          == quotient_order), None)
         if generator is None:
             return ()
 
@@ -257,11 +245,11 @@ def _complex_note(
         raise ArithmeticError("coset generator moves the fixed space")
     pieces: dict[int, int] = {}  # d -> m_d phi(d), the dimension of the Phi_d-piece
     degrees: list[int] = []
-    power = generator
+    powers = group.powers(generator)  # powers[d - 1] is g^d; ord g is a multiple of N
     # g^N lies in the derived subgroup, which fixes W, so g's order on W divides N
     for d in range(1, quotient_order + 1):
         if quotient_order % d == 0:
-            fixed_dim = len(_kernel_of_elements(rep, (*derived_gens, power)))
+            fixed_dim = len(_kernel_of_elements(rep, (*derived_gens, powers[d - 1])))
             rest = fixed_dim - sum(dim for e, dim in pieces.items() if d % e == 0)
             phi = sum(1 for j in range(1, d + 1) if gcd(j, d) == 1)
             copies, remainder = divmod(rest, phi)
@@ -269,7 +257,6 @@ def _complex_note(
                 raise ArithmeticError("kernel dimensions admit no cyclotomic splitting")
             pieces[d] = rest
             degrees.extend([phi] * copies)
-        power = int(group.mul[power, generator])
     if fixed_dim != len(basis):
         raise ArithmeticError("g^N fixes %d dimensions, not dim W = %d" % (fixed_dim, len(basis)))
     return tuple(sorted(degrees))
@@ -312,15 +299,9 @@ def rational_invariant_lines(
     )
 
 
-def dp5_suite(
-    rep: Representation | None = None, names: Sequence[str] = SUBGROUP_NAMES
-) -> list[InvariantLineReport]:
-    """Reports for the named standard subgroups (default all five), in SUBGROUP_NAMES order."""
+def dp5_suite(rep: Representation | None = None) -> list[InvariantLineReport]:
+    """Reports for the five standard subgroups, in SUBGROUP_NAMES order."""
     if rep is None:
         rep = s5_representation()
         verify_homomorphism(rep)
-    return [
-        rational_invariant_lines(rep, sub, name)
-        for name, sub in standard_subgroups(rep.group)
-        if name in names
-    ]
+    return [rational_invariant_lines(rep, sub, name) for name, sub in standard_subgroups(rep.group)]

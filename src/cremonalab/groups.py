@@ -13,12 +13,14 @@ cosets.
 Every group and subgroup operation works from the Cayley table alone: a
 subgroup stays a member list inside its parent.  Only ``find`` and ``keys``
 need payloads, and ``jordan_index`` reads keys only to break a real tie.
+Other modules read the table through ``FiniteGroup.powers``, ``conjugates``
+(x -> g x g^-1 as one gather over index arrays, never one element at a
+time) and ``centralizes``, as conjugacy classes, normality, derived
+subgroups and the abelian check here do; only dp5's S5 representation reads
+``mul`` itself, to build rho and check it.
 Subgroups of a closed group are generated by the same coset extension over
 the table: subgroup closures (the lattice's class closures among them), the
 lattice's joins and greedy generating sets all read ``FiniteGroup._extend``.
-Conjugation is one table gather over an index array, x -> g x g^-1 =
-``mul[mul[g, x], inverse[g]]``, never one element at a time: conjugacy
-classes, normality and derived subgroups all read it so.
 """
 
 from __future__ import annotations
@@ -249,6 +251,22 @@ class FiniteGroup:
                         reps.append(z)
         return mask, gens
 
+    def powers(self, g: int) -> list[int]:
+        """[g, g^2, ..., 1], read along g's row; its length is the order of g."""
+        row, found = self.mul[g], [int(g)]
+        while found[-1] != 0:
+            found.append(int(row[found[-1]]))
+        return found
+
+    def conjugates(self, by, xs) -> np.ndarray:
+        """g x g^-1 for each g in ``by`` (rows) and x in ``xs`` (columns), one gather."""
+        by = np.asarray(by).reshape(-1, 1)
+        return self.mul[self.mul[by, xs], self.inverse[by]]
+
+    def centralizes(self, xs, members) -> bool:
+        """Whether every element of ``xs`` commutes with every one of ``members``."""
+        return bool((self.conjugates(xs, members) == np.asarray(members)).all())
+
     def subgroup_closure(self, seeds: Iterable[int]) -> tuple[int, ...]:
         """Sorted member indices of the subgroup generated by ``seeds``."""
         return tuple(np.flatnonzero(self._extend(seeds, np.arange(self.order) == 0)[0]).tolist())
@@ -278,18 +296,15 @@ class Subgroup:
         return minimal_generators(self.parent, self.members)
 
     def is_abelian(self) -> bool:
-        m = np.asarray(self.members, dtype=np.int64)
-        block = self.parent.mul[np.ix_(m, m)]
-        return bool(np.array_equal(block, block.T))
+        """Every generator commutes with every member, O(|N| |gens|)."""
+        return self.parent.centralizes(self.generating_set(), self.members)
 
     def is_normal(self) -> bool:
         """Every parent generator conjugates the whole member set into itself."""
         group = self.parent
-        members, gens = np.asarray(self.members), np.asarray(group.generators)
         inside = np.zeros(group.order, dtype=bool)
-        inside[members] = True
-        conjugates = group.mul[group.mul[np.ix_(gens, members)], group.inverse[gens, None]]
-        return bool(inside[conjugates].all())
+        inside[list(self.members)] = True
+        return bool(inside[group.conjugates(group.generators, self.members)].all())
 
 
 def check_table_bytes(order: int) -> None:
@@ -405,8 +420,7 @@ def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     conjugation by g is closed under g^-1 too, so each class ends labelled by
     its smallest member; a stable sort of the labels lists the classes.
     """
-    gens = np.asarray(group.generators)
-    conjugations = group.mul[group.mul[gens], group.inverse[gens, None]]
+    conjugations = group.conjugates(group.generators, np.arange(group.order))
     labels = np.arange(group.order)
     while True:
         least = labels[conjugations].min(axis=0, initial=group.order)
@@ -422,15 +436,13 @@ def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 def commutator_subgroup(sub: Subgroup) -> Subgroup:
     """Derived subgroup of ``sub``, inside the same parent group.
 
-    It is generated by the commutators [a, s] = a s a^-1 s^-1 of every member
-    a with every generator s, one |H| x |S| gather.  Since [h a, s] =
+    It is generated by the commutators [a, s] = (a s a^-1) s^-1 of every
+    member a with every generator s, one |H| x |S| gather.  Since [h a, s] =
     h [a, s] h^-1 . [h, s], they generate a subgroup N normal in ``sub``, and
     modulo N every generator is central, so the quotient is abelian.
     """
-    group, inverse = sub.parent, sub.parent.inverse
-    members, gens = np.asarray(sub.members), np.asarray(sub.generating_set())
-    commutators = group.mul[group.mul[np.ix_(members, gens)],
-                            group.mul[np.ix_(inverse[members], inverse[gens])]]
+    group, gens = sub.parent, list(sub.generating_set())
+    commutators = group.mul[group.conjugates(sub.members, gens), group.inverse[gens]]
     return group.subgroup(group.subgroup_closure(commutators.ravel()))
 
 

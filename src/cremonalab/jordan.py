@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
 
 import numpy as np
 
@@ -54,11 +53,6 @@ class JordanCertificate:
     witness: Subgroup
 
 
-def _commutes(group: FiniteGroup, x: int, members: Sequence[int]) -> bool:
-    """Whether ``x`` commutes with every element of ``members``."""
-    return bool(np.array_equal(group.mul[x, members], group.mul[members, x]))
-
-
 def normal_subgroups(group: FiniteGroup) -> NormalSubgroupLattice:
     """Enumerate every normal subgroup of ``group``.
 
@@ -78,9 +72,7 @@ def normal_subgroups(group: FiniteGroup) -> NormalSubgroupLattice:
     for cls in conjugacy_classes(group):
         if not skipped.isdisjoint(cls):
             continue
-        row, powers = group.mul[cls[0]], [cls[0]]
-        while powers[-1] != 0:
-            powers.append(int(row[powers[-1]]))
+        powers = group.powers(cls[0])
         order = len(powers)  # powers[k - 1] is g^k, and g^order = 1
         skipped.update(p for k, p in enumerate(powers[1:], 2) if gcd(k, order) == 1)
         least = next((p for p in range(2, order + 1) if order % p == 0), 1)
@@ -90,7 +82,7 @@ def normal_subgroups(group: FiniteGroup) -> NormalSubgroupLattice:
         mask[list(group.subgroup_closure(cls))] = True
         if mask.tobytes() not in seen:
             seen.add(mask.tobytes())
-            seeds.append((cls, mask, _commutes(group, cls[0], cls)))
+            seeds.append((cls, mask, group.centralizes(cls[0], cls)))
     # (member mask, abelian) in the order found; it grows inside the loop, so
     # every member meets every seed
     found = [(mask, abelian) for _, mask, abelian in seeds]
@@ -102,7 +94,7 @@ def normal_subgroups(group: FiniteGroup) -> NormalSubgroupLattice:
             if joined.tobytes() not in seen:
                 seen.add(joined.tobytes())
                 found.append((joined, a_abelian and s_abelian
-                              and _commutes(group, cls[0], np.flatnonzero(a))))
+                              and group.centralizes(cls[0], np.flatnonzero(a))))
 
     members = [tuple(np.flatnonzero(mask).tolist()) for mask, _ in found]
     ordered = sorted(range(len(members)), key=lambda i: (len(members[i]), members[i]))
@@ -117,9 +109,9 @@ def jordan_index(
 
     The witness is an abelian normal subgroup of maximal order; when several
     share that order, the one with the smallest sorted member-key list, so
-    the choice does not depend on the group's numbering.  It is
-    checked on its whole member table, independently of the lattice's
-    seed-based flags, and a witness that fails raises GroupError.
+    the choice does not depend on the group's numbering.  It is checked
+    apart from the lattice's seed-based flags, on generators that close to
+    exactly it, and a witness that fails raises GroupError.
     """
     if lattice is None:
         lattice = normal_subgroups(group)

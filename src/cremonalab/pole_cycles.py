@@ -26,6 +26,7 @@ __all__ = [
     "canonical_components",
     "symmetry_group",
     "enumerate_configurations",
+    "max_symmetry_levels",
     "max_symmetry_by_degree",
     "configuration_rows",
     "random_word_ends",
@@ -184,20 +185,20 @@ def _successors(cycle: PoleCycle) -> Iterator[PoleCycle]:
         yield blow_up_smooth(cycle, i)
 
 
-def enumerate_configurations(degree: int) -> list[tuple[PoleCycle, SymmetryGroup]]:
-    """All cycles reachable at the given degree, one per canonical class.
-
-    The witness cycle kept for each class is the first one discovered when
-    bases are taken in their listed order and moves are applied node-first
-    in component order, so reruns are byte-identical and every witness word
-    replays from its base pair.
-    """
-    if not 1 <= degree <= 8:
-        raise InvalidDegree("degree must be between 1 and 8, got %r" % (degree,))
+def _levels(degrees: Iterable[int]) -> Iterator[tuple[int, dict[tuple[Component, ...], PoleCycle]]]:
+    """``(degree, frontier)`` for each given degree, highest first, in one walk
+    down from degree 9.  The frontier maps each canonical component tuple to
+    its witness, the first cycle found when bases are taken in their listed
+    order and moves node-first in component order, so reruns are
+    byte-identical and every witness word replays from its base pair."""
+    wanted = set(degrees)
+    for degree in wanted:
+        if not 1 <= degree <= 8:
+            raise InvalidDegree("degree must be between 1 and 8, got %r" % (degree,))
     frontier: dict[tuple[Component, ...], PoleCycle] = {}
     for base in base_pairs():
         frontier.setdefault(canonical_components(base.components), base)
-    for _ in range(9 - degree):
+    for degree in range(8, min(wanted, default=9) - 1, -1):
         new_frontier: dict[tuple[Component, ...], PoleCycle] = {}
         for key in sorted(frontier):
             for succ in _successors(frontier[key]):
@@ -205,20 +206,29 @@ def enumerate_configurations(degree: int) -> list[tuple[PoleCycle, SymmetryGroup
                     continue
                 new_frontier.setdefault(canonical_components(succ.components), succ)
         frontier = new_frontier
-    out = []
-    for key in sorted(frontier):
-        cycle = frontier[key]
-        out.append((cycle, symmetry_group(cycle)))
-    return out
+        if degree in wanted:
+            yield degree, frontier
+
+
+def enumerate_configurations(degree: int) -> list[tuple[PoleCycle, SymmetryGroup]]:
+    """All cycles reachable at the given degree, one witness per canonical
+    class, in canonical order."""
+    ((_, frontier),) = _levels((degree,))
+    return [(frontier[key], symmetry_group(frontier[key])) for key in sorted(frontier)]
+
+
+def max_symmetry_levels(degrees: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """``(degree, largest symmetry order)`` for each given degree, highest
+    first, each yielded as soon as the walk down reaches its level."""
+    for degree, frontier in _levels(degrees):
+        yield degree, max(symmetry_group(cycle).order for cycle in frontier.values())
 
 
 def max_symmetry_by_degree(degrees: Iterable[int] = range(1, 7)) -> dict[int, int]:
     """Largest symmetry order occurring at each given degree (default 1 to 6)."""
-    table: dict[int, int] = {}
-    for degree in degrees:
-        configs = enumerate_configurations(degree)
-        table[degree] = max(sym.order for _, sym in configs)
-    return table
+    degrees = list(degrees)
+    found = dict(max_symmetry_levels(degrees))
+    return {degree: found[degree] for degree in degrees}
 
 
 def configuration_rows(degree: int) -> list[dict]:

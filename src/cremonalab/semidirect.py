@@ -195,8 +195,10 @@ def verify_lemma52(n: int, cap: int = DEFAULT_CAP, allow_bad_n: bool = False) ->
             "n = %d violates gcd(n, 6) = 1, n > 1; pass allow_bad_n to record it anyway" % n
         )
     start = time.perf_counter()
-    data = build_action_data(n)
     group = build_group(n, cap=cap)
+    # the action build_group solved, off its payloads: U = rho(r^2), Z = rho(r^3)
+    rho = group.elements[0].rho
+    data = ModularDihedralAction(n, rho[2], rho[3], rho)
     lattice = normal_subgroups(group)
     cert = jordan_index(group, lattice=lattice)
     translations = translation_subgroup(group)

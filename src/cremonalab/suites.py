@@ -73,19 +73,19 @@ def _lemma52_rows(ns, cap: int, allow_bad_n: bool) -> list[VerificationReport]:
 
 def _prop44_rows(seed: int) -> list[VerificationReport]:
     rows = []
-    for degree in sorted(EXPECTED_MAX_SYMMETRY):
-        # Each degree is enumerated on its own, so each row has its own time.
-        start = time.perf_counter()
-        table = pole_cycles.max_symmetry_by_degree((degree,))
-        rows.append(checked(
+    # One walk down the degrees, highest first, so each row is timed over its
+    # own level steps; the rows are listed in ascending degree.
+    start = time.perf_counter()
+    for degree, order in pole_cycles.max_symmetry_levels(EXPECTED_MAX_SYMMETRY):
+        rows.insert(0, checked(
             "prop44.deg%d" % degree,
             "Prop 4.4 (degree %d)" % degree,
-            {"max_symmetry_order": table[degree]},
+            {"max_symmetry_order": order},
             {"max_symmetry_order": EXPECTED_MAX_SYMMETRY[degree]},
             "paper",
             wall_time=time.perf_counter() - start,
         ))
-    start = time.perf_counter()
+        start = time.perf_counter()
     violations = pole_cycles.conservation_violations(seed, CONSERVATION_WORDS_PER_BASE)
     rows.append(checked(
         "prop44.conservation",
@@ -114,10 +114,10 @@ def _dp5_rows() -> list[VerificationReport]:
     )]
     verdicts = {}
     complex_data = {}
-    for name in dp5.SUBGROUP_NAMES:
+    for name, sub in dp5.standard_subgroups(rep.group):
         # One subgroup per call, so each line's row has its own time.
         start = time.perf_counter()
-        (lr,) = dp5.dp5_suite(rep, (name,))
+        lr = dp5.rational_invariant_lines(rep, sub, name)
         line_time = time.perf_counter() - start
         verdicts[lr.name] = lr.has_rational_line
         complex_data[lr.name] = {

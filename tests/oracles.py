@@ -207,7 +207,7 @@ def normal_subgroup_lattice_oracle(group):
     """``(members, abelian flags)`` of every normal subgroup of a FiniteGroup,
     sorted by (order, members): the class closures closed under every pairwise
     product-set join, containments included, and each member's flag read off
-    its full |N| x |N| block by ``Subgroup.is_abelian``.  The reference that
+    every pair of its members by ``is_abelian_subset``.  The reference that
     ``jordan.normal_subgroups`` must match member for member and flag for flag."""
     from cremonalab.groups import conjugacy_classes
 
@@ -221,7 +221,7 @@ def normal_subgroup_lattice_oracle(group):
                 seen.add(joined)
                 found.append(joined)
     members = sorted(found, key=lambda m: (len(m), m))
-    return members, [group.subgroup(m).is_abelian() for m in members]
+    return members, [is_abelian_subset(table, m) for m in members]
 
 
 def normal_subgroups_by_closure(group):

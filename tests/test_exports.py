@@ -1,5 +1,6 @@
 """Every name a cremonalab module exports resolves, and every public name is exported."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -55,3 +56,24 @@ def test_traced_layers_exist():
             assert isinstance(value, types.FunctionType), (home, fname)
             assert value.__module__ == module.__name__, (home, fname)
     assert isinstance(FiniteGroup.__dict__.get("subgroup_closure"), types.FunctionType)
+
+
+# The only functions outside groups.py that read a group's Cayley table
+# (``mul`` or ``inverse``) directly: dp5 builds rho by walking the table and
+# checks rho against every product in it.
+TABLE_READERS = {("dp5", "s5_representation"), ("dp5", "verify_homomorphism")}
+
+
+def test_only_groups_reads_the_cayley_table():
+    # every other module goes through FiniteGroup's methods (powers,
+    # conjugates, centralizes, subgroup_closure, ...), so that another group
+    # representation has only those to provide
+    reads = set()
+    for path in sorted(Path(cremonalab.__file__).parent.glob("*.py")):
+        if path.name == "groups.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in ("mul", "inverse"):
+                    reads.add((path.stem, getattr(top, "name", "line %d" % node.lineno)))
+    assert reads == TABLE_READERS

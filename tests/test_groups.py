@@ -156,6 +156,14 @@ def test_element_order_matches_oracle(s4):
         assert oracles.element_order(s4, i) == oracles.perm_order(s4.elements[i].images)
 
 
+def test_powers_walk_to_the_identity_on_the_corpus():
+    for name, group in small_group_corpus().items():
+        for g in range(group.order):
+            powers = group.powers(g)
+            assert len(powers) == oracles.element_order(group, g), (name, g)
+            assert powers[0] == g and powers[-1] == 0 and len(set(powers)) == len(powers)
+
+
 @pytest.mark.parametrize("build", [
     lambda: close_generators(S4_GENS),
     lambda: load_group(str(GROUPFILES / "special_linear_mod3.json")),
@@ -571,6 +579,7 @@ def test_is_normal_and_commutator_subgroup_match_oracles(s4):
         for members in subs:
             sub = group.subgroup(members)
             assert sub.is_normal() == oracles.is_normal_subset(table, members)
+            assert sub.is_abelian() == oracles.is_abelian_subset(table, members)
             commutators = {table[table[a][b]][table[inv[a]][inv[b]]] for a in members for b in members}
             derived = oracles.close_under_product(table, commutators)
             assert commutator_subgroup(sub).members == tuple(sorted(derived))
@@ -708,3 +717,28 @@ def test_closed_table_is_filled_without_a_second_table():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * group.mul.nbytes
+
+
+def test_abelian_check_reads_every_generator(s4):
+    # the dihedral subgroup <(13), (1234)> with its central (13)(24) also
+    # listed: that generator alone commutes with every member
+    z, r, s = (s4.find(Permutation.from_cycles(4, c)) for c in ([[1, 3], [2, 4]], [[1, 2, 3, 4]], [[1, 3]]))
+    members = s4.subgroup_closure((r, s))
+    assert len(members) == 8 and s4.centralizes([z], members)
+    for gens in itertools.permutations((z, r, s)):
+        assert not s4.subgroup(members, gens=gens).is_abelian()
+
+
+def test_abelian_check_reads_no_member_block():
+    # each generator against every member: an |N| x |N| block of the
+    # order-4096 cyclic group alone would take 64 MB
+    group = oracles.cyclic_product((4096,))
+    whole = group.subgroup(range(group.order))
+    tracemalloc.start()
+    try:
+        abelian = whole.is_abelian()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abelian
+    assert peak < 4 << 20

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cremonalab import semidirect
 from cremonalab.jordan import jordan_index, normal_subgroups
 from cremonalab.semidirect import (
     HypothesisViolated,
@@ -126,3 +127,15 @@ def test_bad_n_three_tie_is_broken_by_key():
 def test_build_action_data_rejects_tiny_modulus():
     with pytest.raises(ValueError):
         build_action_data(1)
+
+
+def test_verify_lemma52_solves_the_action_once(monkeypatch):
+    # the determinant fields come from the action build_group solved
+    solved = []
+    monkeypatch.setattr(semidirect, "build_action_data",
+                        lambda n: solved.append(n) or build_action_data(n))
+    row = verify_lemma52(7)
+    assert solved == [7]
+    data = build_action_data(7)
+    assert row.computed["det_u_minus_identity"] == data.det_u_minus_identity == 3
+    assert row.computed["det_z_minus_identity"] == data.det_z_minus_identity == 4

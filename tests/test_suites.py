@@ -4,6 +4,8 @@ import time
 
 import pytest
 
+from cremonalab import pole_cycles
+from cremonalab.dp5 import SUBGROUP_NAMES, standard_subgroups
 from cremonalab.report import emit, exit_code, passed
 from cremonalab.suites import (
     SUITE_NAMES,
@@ -105,9 +107,32 @@ def test_prop44_and_dp5_rows_are_timed_one_by_one():
     degree_times = [prop44["prop44.deg%d" % d] for d in range(1, 7)]
     assert all(t > 0 for t in degree_times)
     assert len(set(degree_times)) > 1
-    # degree 1 is reached by eight rounds of moves, degree 6 by three
-    assert prop44["prop44.deg1"] > prop44["prop44.deg6"]
+    # one walk down from degree 9: degree 6's row covers the three level
+    # steps with the largest frontiers, degree 1's the single step from degree 2
+    assert prop44["prop44.deg6"] > prop44["prop44.deg1"]
     dp5 = {r.claim_id: r.wall_time for r in run_suite("dp5")}
     line_times = [dp5["prop57.%s" % name] for name in ("s5", "a5", "g5_4", "g5_2", "c5")]
     assert all(t > 0 for t in line_times)
     assert len(set(line_times)) > 1
+
+
+def test_prop44_walks_each_level_once(monkeypatch):
+    # every witness of degrees 9 down to 2 is expanded exactly once
+    levels = []
+    successors = pole_cycles._successors
+    monkeypatch.setattr(pole_cycles, "_successors", lambda c: levels.append(c.k2) or successors(c))
+    monkeypatch.setattr(pole_cycles, "conservation_violations", lambda seed, words: {})
+    rows = run_suite("prop44")
+    assert [r.claim_id for r in rows[:6]] == ["prop44.deg%d" % d for d in range(1, 7)]
+    walked = {d: levels.count(d) for d in set(levels)}
+    widths = {d: len(pole_cycles.enumerate_configurations(d)) for d in range(2, 9)}
+    assert walked == {9: len(pole_cycles.base_pairs()), **widths}
+
+
+def test_dp5_suite_builds_the_subgroups_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr("cremonalab.dp5.standard_subgroups",
+                        lambda group: calls.append(group) or standard_subgroups(group))
+    rows = run_suite("dp5")
+    assert len(calls) == 1
+    assert [r.claim_id for r in rows[1:6]] == ["prop57.%s" % name for name in SUBGROUP_NAMES]
