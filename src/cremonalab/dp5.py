@@ -122,7 +122,7 @@ def s5_representation() -> Representation:
     reached, seen = [0], {0}  # ``reached`` grows while it is walked
     for x in reached:
         for g, mat in zip(group.generators, genmats):
-            y = int(group.mul[g, x])
+            y = int(group.products(g, x))
             if y not in seen:
                 seen.add(y)
                 reached.append(y)
@@ -137,11 +137,10 @@ def verify_homomorphism(rep: Representation) -> int:
     Returns the number of pairs checked; raises HomomorphismFailure on any
     discrepancy or non-unit determinant.
     """
-    mats = rep.mats
-    mul = rep.group.mul
-    order = rep.group.order
+    mats, group = rep.mats, rep.group
+    order = group.order
     for a in range(order):
-        if not np.array_equal(mats[a] @ mats, mats[mul[a]]):
+        if not np.array_equal(mats[a] @ mats, mats[group.products(a, np.arange(order))]):
             raise HomomorphismFailure("matrix product disagrees at row %d" % a)
     for j in range(order):
         det = exact_det(mats[j].tolist())

@@ -13,14 +13,14 @@ cosets.
 Every group and subgroup operation works from the Cayley table alone: a
 subgroup stays a member list inside its parent.  Only ``find`` and ``keys``
 need payloads, and ``jordan_index`` reads keys only to break a real tie.
-Other modules read the table through ``FiniteGroup.powers``, ``conjugates``
-(x -> g x g^-1 as one gather over index arrays, never one element at a
-time) and ``centralizes``, as conjugacy classes, normality, derived
-subgroups and the abelian check here do; only dp5's S5 representation reads
-``mul`` itself, to build rho and check it.
-Subgroups of a closed group are generated by the same coset extension over
-the table: subgroup closures (the lattice's class closures among them), the
-lattice's joins and greedy generating sets all read ``FiniteGroup._extend``.
+``FiniteGroup.products`` (x . y for every pair of broadcast index arrays) is
+the one reader of ``mul``.  dp5's S5 representation multiplies through it,
+and so do ``powers``, ``conjugates`` (x -> g x g^-1, one gather over index
+arrays) and ``centralizes``, which conjugacy classes, normality, derived
+subgroups and the abelian check use.  Subgroup closures (the lattice's class
+closures among them), the lattice's joins and greedy generating sets all
+read Dimino's coset extension ``FiniteGroup._extend``, which gathers the
+products of one round of coset representatives at a time.
 """
 
 from __future__ import annotations
@@ -221,6 +221,11 @@ class FiniteGroup:
         """Index of a payload in this group (KeyError if absent)."""
         return self._index[payload.key()]
 
+    def products(self, x, y) -> np.ndarray:
+        """Index of x . y for every pair of x and y, broadcast as NumPy index
+        arrays, as ``mul[x, y]``; the one reader of ``mul``."""
+        return self.mul[x, y]
+
     def _extend(self, seeds: Iterable[int], start: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """Dimino's coset extension: membership mask and kept generators of
         <N, seeds>, for the normal subgroup N whose membership mask is ``start``.
@@ -230,10 +235,11 @@ class FiniteGroup:
         union of the left cosets y H, one row gather each.  The cosets are
         closed under left multiplication by the kept generators, and by N
         without any of its generators, since n y H = y (y^-1 n y) H = y H
-        for N normal; so the representatives are the products g y that fall
-        outside every coset so far (Holt, Eick and O'Brien, Handbook of
-        Computational Group Theory).  ``start`` is the identity alone for a
-        plain closure and a lattice member for a join; it is not modified.
+        for N normal; so the representatives are the products g y, one
+        gather per round of new y, that fall outside every coset so far
+        (Holt, Eick and O'Brien, Handbook of Computational Group Theory).
+        ``start`` is the identity alone for a plain closure and a lattice
+        member for a join; it is not modified.
         """
         mask = start.copy()
         gens: list[int] = []
@@ -241,27 +247,29 @@ class FiniteGroup:
             if mask[s]:
                 continue
             gens.append(int(s))
-            members = np.flatnonzero(mask)
-            reps = [0]  # ``reps`` grows while it is walked
-            for y in reps:
-                for g in gens:
-                    z = self.mul[g, y]
-                    if not mask[z]:
-                        mask[self.mul[z, members]] = True
-                        reps.append(z)
+            column, members = np.array(gens)[:, None], np.flatnonzero(mask)
+            mask[self.products(s, members)] = True  # g . 1 = g is in H for every other kept g
+            frontier = [gens[-1]]  # the representatives found in the last round
+            while frontier:
+                found = self.products(column, frontier).ravel().tolist()
+                frontier = []
+                for z in found:
+                    if not mask[z]:  # an earlier z of this round may have covered it
+                        mask[self.products(z, members)] = True
+                        frontier.append(z)
         return mask, gens
 
     def powers(self, g: int) -> list[int]:
-        """[g, g^2, ..., 1], read along g's row; its length is the order of g."""
-        row, found = self.mul[g], [int(g)]
+        """[g, g^2, ..., 1], each power times g; its length is the order of g."""
+        found = [int(g)]
         while found[-1] != 0:
-            found.append(int(row[found[-1]]))
+            found.append(int(self.products(g, found[-1])))
         return found
 
     def conjugates(self, by, xs) -> np.ndarray:
         """g x g^-1 for each g in ``by`` (rows) and x in ``xs`` (columns), one gather."""
         by = np.asarray(by).reshape(-1, 1)
-        return self.mul[self.mul[by, xs], self.inverse[by]]
+        return self.products(self.products(by, xs), self.inverse[by])
 
     def centralizes(self, xs, members) -> bool:
         """Whether every element of ``xs`` commutes with every one of ``members``."""
@@ -442,7 +450,7 @@ def commutator_subgroup(sub: Subgroup) -> Subgroup:
     modulo N every generator is central, so the quotient is abelian.
     """
     group, gens = sub.parent, list(sub.generating_set())
-    commutators = group.mul[group.conjugates(sub.members, gens), group.inverse[gens]]
+    commutators = group.products(group.conjugates(sub.members, gens), group.inverse[gens])
     return group.subgroup(group.subgroup_closure(commutators.ravel()))
 
 

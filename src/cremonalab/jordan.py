@@ -18,19 +18,26 @@ for A normal, exactly when both factors are abelian and c commutes with A.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import gcd
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupError, Subgroup, conjugacy_classes
+from .groups import CapExceeded, FiniteGroup, GroupError, Subgroup, conjugacy_classes
 
 __all__ = [
+    "MAX_LATTICE_EXTENSIONS",
     "NormalSubgroupLattice",
     "JordanCertificate",
     "normal_subgroups",
     "jordan_index",
     "report_fragment",
 ]
+
+# Class closures and joins that one lattice may take, one coset extension
+# each: (Z/6)^2 x Z/36 takes 34 884 of them, and (Z/2)^6, with 2825 normal
+# subgroups, 154 414.
+MAX_LATTICE_EXTENSIONS = 50_000
 
 
 @dataclass(frozen=True)
@@ -63,8 +70,10 @@ def normal_subgroups(group: FiniteGroup) -> NormalSubgroupLattice:
     is skipped.  Each member, seeds included, is joined with every seed that
     it neither contains nor lies in, by one coset extension of the member
     over the seed's class.  Sorted by (order, member tuple): trivial
-    subgroup first, whole group last.
+    subgroup first, whole group last.  Raises CapExceeded before the
+    closure or join past the first MAX_LATTICE_EXTENSIONS.
     """
+    extensions = count(1)
     skipped: set[int] = set()  # the other generators g^k of every <g> walked
     # (class, closure mask, abelian) per seed with a new closure
     seeds: list[tuple[tuple[int, ...], np.ndarray, bool]] = []
@@ -78,6 +87,7 @@ def normal_subgroups(group: FiniteGroup) -> NormalSubgroupLattice:
         least = next((p for p in range(2, order + 1) if order % p == 0), 1)
         if pow(least, order, order) != 0:  # ord g is neither 1 nor a prime power
             continue
+        _spend(extensions)
         mask = np.zeros(group.order, dtype=bool)
         mask[list(group.subgroup_closure(cls))] = True
         if mask.tobytes() not in seen:
@@ -90,6 +100,7 @@ def normal_subgroups(group: FiniteGroup) -> NormalSubgroupLattice:
         for cls, s, s_abelian in seeds:
             if not (a & ~s).any() or not (s & ~a).any():
                 continue
+            _spend(extensions)
             joined = group._extend(cls, a)[0]
             if joined.tobytes() not in seen:
                 seen.add(joined.tobytes())
@@ -100,6 +111,13 @@ def normal_subgroups(group: FiniteGroup) -> NormalSubgroupLattice:
     ordered = sorted(range(len(members)), key=lambda i: (len(members[i]), members[i]))
     return NormalSubgroupLattice(tuple(Subgroup(group, members[i]) for i in ordered),
                                  tuple(found[i][1] for i in ordered))
+
+
+def _spend(extensions: count) -> None:
+    """Count one class closure or join, and refuse it past MAX_LATTICE_EXTENSIONS."""
+    if next(extensions) > MAX_LATTICE_EXTENSIONS:
+        raise CapExceeded("normal subgroup lattice needs more than MAX_LATTICE_EXTENSIONS=%d "
+                          "class closures and joins" % MAX_LATTICE_EXTENSIONS)
 
 
 def jordan_index(

@@ -58,22 +58,39 @@ def test_traced_layers_exist():
     assert isinstance(FiniteGroup.__dict__.get("subgroup_closure"), types.FunctionType)
 
 
-# The only functions outside groups.py that read a group's Cayley table
-# (``mul`` or ``inverse``) directly: dp5 builds rho by walking the table and
-# checks rho against every product in it.
-TABLE_READERS = {("dp5", "s5_representation"), ("dp5", "verify_homomorphism")}
+# The functions outside groups.py that read a group's Cayley table (``mul``
+# or ``inverse``) directly: none, since every product goes through
+# ``FiniteGroup.products``.
+TABLE_READERS = set()
+
+GROUPS_PY = Path(cremonalab.__file__).parent / "groups.py"
 
 
 def test_only_groups_reads_the_cayley_table():
-    # every other module goes through FiniteGroup's methods (powers,
+    # every other module goes through FiniteGroup's methods (products, powers,
     # conjugates, centralizes, subgroup_closure, ...), so that another group
     # representation has only those to provide
     reads = set()
     for path in sorted(Path(cremonalab.__file__).parent.glob("*.py")):
-        if path.name == "groups.py":
+        if path == GROUPS_PY:
             continue
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
                 if isinstance(node, ast.Attribute) and node.attr in ("mul", "inverse"):
                     reads.add((path.stem, getattr(top, "name", "line %d" % node.lineno)))
     assert reads == TABLE_READERS
+
+
+def test_only_products_reads_mul_inside_groups():
+    # close_generators fills the table and __post_init__ freezes it; every
+    # other function in groups.py multiplies through FiniteGroup.products
+    functions = []
+    for top in ast.parse(GROUPS_PY.read_text()).body:
+        body = top.body if isinstance(top, ast.ClassDef) else [top]
+        functions += [node for node in body if isinstance(node, ast.FunctionDef)]
+    readers = {function.name for function in functions
+               for node in ast.walk(function)
+               if isinstance(node, ast.Attribute) and node.attr == "mul"
+               or isinstance(node, ast.Name) and node.id == "mul"
+               or isinstance(node, ast.keyword) and node.arg == "mul"}
+    assert readers == {"products", "close_generators", "__post_init__"}

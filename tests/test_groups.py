@@ -113,6 +113,9 @@ def assert_table_matches_compose(group):
         for j in range(group.order):
             composed = group.elements[i].compose(group.elements[j])
             assert group.elements[int(group.mul[i, j])] == composed
+    # every other product is read through products, broadcast as mul[x, y]
+    everything = np.arange(group.order)
+    assert np.array_equal(group.products(everything[:, None], everything), group.mul)
     # inverses from the table
     assert group.inverse.dtype == np.int32
     assert group.inverse.tolist() == oracles.inverse_row(oracles.table_of(group))

@@ -13,7 +13,14 @@ from cremonalab.conic_fibers import FAMILY_REPRESENTATIVES
 from cremonalab.corpus import small_group_corpus
 from cremonalab.dp5 import s5_representation
 from cremonalab.groupfiles import load_group
-from cremonalab.groups import FiniteGroup, Subgroup, close_generators, conjugacy_classes
+from cremonalab import jordan
+from cremonalab.groups import (
+    CapExceeded,
+    FiniteGroup,
+    Subgroup,
+    close_generators,
+    conjugacy_classes,
+)
 from cremonalab.jordan import jordan_index, normal_subgroups, report_fragment
 from cremonalab.semidirect import build_group, translation_subgroup
 from strategies import generator_lists
@@ -294,3 +301,41 @@ def test_large_abelian_lattice_is_built_quickly():
     assert time.perf_counter() - start < 30
     assert len(lattice) == 1350
     assert all(lattice.abelian)
+
+
+def elementary_abelian_subgroup_count(p, k):
+    """Subgroups of (Z/p)^k: the sum over j of the Gaussian binomials [k choose j]_p."""
+    total = 0
+    for j in range(k + 1):
+        top = bottom = 1
+        for i in range(j):
+            top *= p ** (k - i) - 1
+            bottom *= p ** (i + 1) - 1
+        total += top // bottom
+    return total
+
+
+def test_elementary_abelian_lattice_has_every_subgroup():
+    # every subgroup of an abelian group is normal; 9518 class closures and joins
+    lattice = normal_subgroups(oracles.cyclic_product((2,) * 5))
+    assert len(lattice) == elementary_abelian_subgroup_count(2, 5) == 374
+
+
+@pytest.mark.parametrize("bound, refused", [(9518, False), (9517, True)])
+def test_lattice_bound_counts_every_closure_and_join(monkeypatch, bound, refused):
+    monkeypatch.setattr(jordan, "MAX_LATTICE_EXTENSIONS", bound)
+    group = oracles.cyclic_product((2,) * 5)
+    if refused:
+        with pytest.raises(CapExceeded, match="MAX_LATTICE_EXTENSIONS=9517"):
+            normal_subgroups(group)
+    else:
+        assert len(normal_subgroups(group)) == 374
+
+
+@pytest.mark.parametrize("k", (6, 7))
+def test_lattice_past_the_bound_is_refused_quickly(k):
+    # 2825 and 29 212 subgroups; (Z/2)^6 alone would take 154 414 extensions
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="MAX_LATTICE_EXTENSIONS=50000"):
+        normal_subgroups(oracles.cyclic_product((2,) * k))
+    assert time.perf_counter() - start < 20

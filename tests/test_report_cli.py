@@ -235,6 +235,19 @@ def test_cli_jordan_cap_exceeded_while_loading(name):
     assert "Traceback" not in result.stderr
 
 
+def test_cli_jordan_refuses_a_lattice_past_its_bound(tmp_path):
+    # seven disjoint transpositions generate (Z/2)^7, of order 128 and with
+    # 29 212 normal subgroups
+    path = tmp_path / "transpositions.json"
+    path.write_text(json.dumps({"kind": "perm", "degree": 14,
+                                "generators": [[[i, i + 1]] for i in range(1, 14, 2)]}))
+    result = run_cli("jordan", str(path), timeout=60)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and "MAX_LATTICE_EXTENSIONS=50000" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_failed_witness_check_fails_the_row_and_the_jordan_command(monkeypatch, capsys):
     # jordan_index checks its witness on the whole member table; a witness
     # that fails the check must fail the verdict, not ride along unread

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from cremonalab import semidirect
@@ -122,6 +123,26 @@ def test_bad_n_three_tie_is_broken_by_key():
     assert row.computed["jordan_index"] == 12
     assert row.computed["witness_order"] == 9
     assert row.computed["witness_is_translation_subgroup"] is False
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 11, 13))
+def test_translations_are_their_own_centralizer_but_at_two(n):
+    # the witness side of Lemma 5.2 without the lattice: T is abelian and
+    # normal, and C_G(T), the elements both unit translations fix under
+    # conjugation, is T itself.  At n = 2, r^3 acts as -I = I, so it
+    # centralizes T as well, and the index there is 6.
+    group = build_group(n)
+    trans = translation_subgroup(group)
+    assert group.centralizes(trans.gens, trans.gens)
+    assert trans.is_normal()
+    everything = np.arange(group.order)
+    fixed = (group.conjugates(trans.gens, everything) == everything).all(axis=0)
+    centralizer = tuple(np.flatnonzero(fixed).tolist())
+    if n == 2:
+        assert len(centralizer) == 2 * n * n == 8
+        assert {group.elements[c].twist for c in centralizer} == {0, 3}
+    else:
+        assert centralizer == trans.members
 
 
 def test_build_action_data_rejects_tiny_modulus():
