@@ -139,8 +139,9 @@ def verify_homomorphism(rep: Representation) -> int:
     """
     mats, group = rep.mats, rep.group
     order = group.order
+    everything = np.arange(order)
     for a in range(order):
-        if not np.array_equal(mats[a] @ mats, mats[group.products(a, np.arange(order))]):
+        if not np.array_equal(mats[a] @ mats, mats[group.products(a, everything)]):
             raise HomomorphismFailure("matrix product disagrees at row %d" % a)
     for j in range(order):
         det = exact_det(mats[j].tolist())

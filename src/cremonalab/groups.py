@@ -19,8 +19,7 @@ and so do ``powers``, ``conjugates`` (x -> g x g^-1, one gather over index
 arrays) and ``centralizes``, which conjugacy classes, normality, derived
 subgroups and the abelian check use.  Subgroup closures (the lattice's class
 closures among them), the lattice's joins and greedy generating sets all
-read Dimino's coset extension ``FiniteGroup._extend``, which gathers the
-products of one round of coset representatives at a time.
+read Dimino's coset extension ``FiniteGroup._extend``.
 """
 
 from __future__ import annotations
@@ -235,11 +234,10 @@ class FiniteGroup:
         union of the left cosets y H, one row gather each.  The cosets are
         closed under left multiplication by the kept generators, and by N
         without any of its generators, since n y H = y (y^-1 n y) H = y H
-        for N normal; so the representatives are the products g y, one
-        gather per round of new y, that fall outside every coset so far
-        (Holt, Eick and O'Brien, Handbook of Computational Group Theory).
-        ``start`` is the identity alone for a plain closure and a lattice
-        member for a join; it is not modified.
+        for N normal; so the representatives are the products g y that fall
+        outside every coset so far (Holt, Eick and O'Brien, Handbook of
+        Computational Group Theory).  ``start`` is the identity alone for a
+        plain closure and a lattice member for a join; it is not modified.
         """
         mask = start.copy()
         gens: list[int] = []
@@ -247,16 +245,14 @@ class FiniteGroup:
             if mask[s]:
                 continue
             gens.append(int(s))
-            column, members = np.array(gens)[:, None], np.flatnonzero(mask)
-            mask[self.products(s, members)] = True  # g . 1 = g is in H for every other kept g
-            frontier = [gens[-1]]  # the representatives found in the last round
-            while frontier:
-                found = self.products(column, frontier).ravel().tolist()
-                frontier = []
-                for z in found:
-                    if not mask[z]:  # an earlier z of this round may have covered it
+            members = np.flatnonzero(mask)
+            reps = [0]  # ``reps`` grows while it is walked
+            for y in reps:
+                for g in gens:
+                    z = self.products(g, y)
+                    if not mask[z]:
                         mask[self.products(z, members)] = True
-                        frontier.append(z)
+                        reps.append(z)
         return mask, gens
 
     def powers(self, g: int) -> list[int]:

@@ -7,10 +7,14 @@ import pkgutil
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cremonalab
-from cremonalab.groups import FiniteGroup
+from cremonalab.dp5 import Representation, s5_representation, verify_homomorphism
+from cremonalab.groups import FiniteGroup, commutator_subgroup, conjugacy_classes, minimal_generators
+from cremonalab.jordan import jordan_index, normal_subgroups
+from cremonalab.semidirect import build_group
 
 MODULES = ["cremonalab"] + [
     "cremonalab." + info.name for info in pkgutil.iter_modules(cremonalab.__path__)
@@ -94,3 +98,33 @@ def test_only_products_reads_mul_inside_groups():
                or isinstance(node, ast.Name) and node.id == "mul"
                or isinstance(node, ast.keyword) and node.arg == "mul"}
     assert readers == {"products", "close_generators", "__post_init__"}
+
+
+class ComposedGroup(FiniteGroup):
+    """A group whose products compose payloads; its ``mul`` is empty, so a
+    read of the table that bypasses ``products`` raises IndexError."""
+
+    def products(self, x, y):
+        compose = lambda a, b: self.find(self.elements[a].compose(self.elements[b]))
+        return np.vectorize(compose, otypes=[np.intp])(x, y)
+
+
+def test_every_group_operation_runs_on_products_alone():
+    # the same answers with products computed instead of read, which is all
+    # that another group representation has to provide besides ``inverse``
+    table = build_group(2)
+    composed = ComposedGroup(table.elements, np.zeros((0, 0), np.int32), table.generators,
+                             table.inverse)
+    lattices = normal_subgroups(table), normal_subgroups(composed)
+    assert [n.members for n in lattices[1]] == [n.members for n in lattices[0]]
+    assert lattices[1].abelian == lattices[0].abelian
+    assert jordan_index(composed).witness.members == jordan_index(table).witness.members
+    assert conjugacy_classes(composed) == conjugacy_classes(table)
+    whole = (table.subgroup(range(table.order)), composed.subgroup(range(table.order)))
+    assert commutator_subgroup(whole[1]).members == commutator_subgroup(whole[0]).members
+    assert minimal_generators(composed, whole[1].members) == minimal_generators(table, whole[0].members)
+    assert [composed.powers(g) for g in range(8)] == [table.powers(g) for g in range(8)]
+    rep = s5_representation()
+    s5 = ComposedGroup(rep.group.elements, np.zeros((0, 0), np.int32), rep.group.generators,
+                       rep.group.inverse)
+    assert verify_homomorphism(Representation(group=s5, mats=rep.mats)) == 120 * 120
