@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from . import conic_fibers, dp5, pole_cycles, report, suites
-from .groups import DEFAULT_CAP, GroupError
+from .groups import GroupError
 from .groupfiles import GroupFileError, load_group
 from .jordan import report_fragment
 
@@ -49,18 +49,13 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _positive_int(text: str) -> int:
+def _trial_count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError("wants a positive integer, got %r" % text)
-    return value
-
-
-def _trial_count(text: str) -> int:
-    value = _positive_int(text)
     if value > MAX_TRIALS:
         raise argparse.ArgumentTypeError("wants at most MAX_TRIALS=%d trials, got %r"
                                          % (MAX_TRIALS, text))
@@ -80,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated n values (default 5,7,11)")
     p_verify.add_argument("--allow-bad-n", action="store_true",
                           help="record hypothesis-violating n as informational instead of failing")
-    p_verify.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p_verify.add_argument("--emit", choices=["json", "md"], default="json")
     p_verify.add_argument("--times", action="store_true", help=TIMES_HELP)
 
@@ -100,12 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_jordan = sub.add_parser("jordan", help="minimal abelian-normal index of a group file")
     p_jordan.add_argument("groupfile")
-    p_jordan.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
 
     p_report = sub.add_parser("report", help="run a verification suite")
     p_report.add_argument("suite", choices=list(suites.SUITE_NAMES))
     p_report.add_argument("--emit", choices=["json", "md"], default="json")
-    p_report.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p_report.add_argument("--seed", type=int, default=0)
     p_report.add_argument("--trials", type=_trial_count, default=500)
     p_report.add_argument("--times", action="store_true", help=TIMES_HELP)
@@ -113,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_verify(args) -> int:
-    rows = suites.run_suite("lemma52", ns=args.n, cap=args.cap, allow_bad_n=args.allow_bad_n)
+    rows = suites.run_suite("lemma52", ns=args.n, allow_bad_n=args.allow_bad_n)
     sys.stdout.write(report.emit(rows, args.emit, include_times=args.times))
     return report.exit_code(rows)
 
@@ -152,7 +144,7 @@ def _run_conic(args) -> int:
 
 def _run_jordan(args) -> int:
     try:
-        fragment = report_fragment(load_group(args.groupfile, cap=args.cap))
+        fragment = report_fragment(load_group(args.groupfile))
     except FileNotFoundError:
         sys.stderr.write("error: no such file: %s\n" % args.groupfile)
         return USAGE_EXIT
@@ -170,7 +162,7 @@ def _run_jordan(args) -> int:
 
 
 def _run_report(args) -> int:
-    rows = suites.run_suite(args.suite, seed=args.seed, trials=args.trials, cap=args.cap)
+    rows = suites.run_suite(args.suite, seed=args.seed, trials=args.trials)
     sys.stdout.write(report.emit(rows, args.emit, include_times=args.times))
     return report.exit_code(rows)
 

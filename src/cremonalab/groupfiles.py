@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from math import gcd, isqrt
 
-from .groups import DEFAULT_CAP, FiniteGroup, ModMatrix, Permutation, close_generators
+from .groups import FiniteGroup, ModMatrix, Permutation, close_generators
 from .rational import exact_det
 from .semidirect import build_group
 
@@ -22,19 +22,20 @@ __all__ = ["MAX_DEGREE", "MAX_GENERATORS", "MAX_MATRIX_DIM", "MAX_MODULUS_BITS",
            "parse_group", "load_group"]
 
 # Parsing costs time and memory per generator, so their number is bounded
-# before any is read: an irredundant generating list of a group of order at
-# most DEFAULT_CAP has fewer than log2(DEFAULT_CAP) < 17 entries.
+# before any is read: a group whose table fits MAX_TABLE_BYTES has order at
+# most 16 384 = 2^14, so an irredundant generating list has at most 14 entries.
 MAX_GENERATORS = 64
 # Permutation generators are built point by point, so the degree is bounded
 # before any of them is.
 MAX_DEGREE = 4096
-# Each matrix generator's determinant is computed exactly before any closure
-# cap applies, so its dimension is bounded first (``exact_det`` takes about
+# Each matrix generator's determinant is computed exactly before the table
+# bound applies, so its dimension is bounded first (``exact_det`` takes about
 # 0.007 s at 32 x 32 with 20-bit entries).
 MAX_MATRIX_DIM = 32
 # ``exact_det`` works on entries below the modulus, and its cost grows with
 # their size: at 32 x 32 about 0.03 s with 64-bit entries and 0.33 s with
-# 256-bit ones (best of 7, 2-vCPU host).
+# 256-bit ones (best of 7, 2-vCPU host).  A lemma52 modulus n is bounded too:
+# the table bound's error prints 48 n^4, past Python's 4 300-digit str limit.
 MAX_MODULUS_BITS = 64
 
 
@@ -47,6 +48,14 @@ def _require_int(doc: dict, key: str, minimum: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise GroupFileError("%r must be an integer >= %d, got %r" % (key, minimum, value))
     return value
+
+
+def _modulus(doc: dict) -> int:
+    modulus = _require_int(doc, "modulus", 2)
+    if modulus.bit_length() > MAX_MODULUS_BITS:
+        raise GroupFileError("'modulus' has %d bits, more than MAX_MODULUS_BITS=%d"
+                             % (modulus.bit_length(), MAX_MODULUS_BITS))
+    return modulus
 
 
 def _matrix_rows(raw, modulus: int) -> tuple[tuple[int, ...], ...]:
@@ -78,13 +87,13 @@ def _matrix_rows(raw, modulus: int) -> tuple[tuple[int, ...], ...]:
     return reduced
 
 
-def parse_group(doc, cap: int = DEFAULT_CAP) -> FiniteGroup:
+def parse_group(doc) -> FiniteGroup:
     """Build the FiniteGroup described by an already-parsed JSON document."""
     if not isinstance(doc, dict):
         raise GroupFileError("group definition must be a JSON object")
     kind = doc.get("kind")
     if kind == "lemma52":
-        return build_group(_require_int(doc, "modulus", 2), cap=cap)
+        return build_group(_modulus(doc))
     raw_gens = doc.get("generators")
     if not isinstance(raw_gens, list) or not raw_gens:
         raise GroupFileError("'generators' must be a non-empty array")
@@ -106,27 +115,24 @@ def parse_group(doc, cap: int = DEFAULT_CAP) -> FiniteGroup:
                 payloads.append(Permutation.from_cycles(degree, cycles))
             except (ValueError, TypeError) as exc:
                 raise GroupFileError("bad permutation generator %r: %s" % (cycles, exc)) from exc
-        return close_generators(payloads, cap=cap)
+        return close_generators(payloads)
     if kind == "modmatrix":
-        modulus = _require_int(doc, "modulus", 2)
-        if modulus.bit_length() > MAX_MODULUS_BITS:
-            raise GroupFileError("'modulus' has %d bits, more than MAX_MODULUS_BITS=%d"
-                                 % (modulus.bit_length(), MAX_MODULUS_BITS))
+        modulus = _modulus(doc)
         payloads = [ModMatrix(modulus, _matrix_rows(raw, modulus)) for raw in raw_gens]
         dims = {p.dim for p in payloads}
         if len(dims) != 1:
             raise GroupFileError("matrix generators disagree on dimension: %s" % sorted(dims))
-        return close_generators(payloads, cap=cap)
+        return close_generators(payloads)
     raise GroupFileError("'kind' must be 'perm', 'modmatrix' or 'lemma52', got %r" % (kind,))
 
 
-def load_group(path: str, cap: int = DEFAULT_CAP) -> FiniteGroup:
+def load_group(path: str) -> FiniteGroup:
     """Read and build a group definition from a JSON file."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GroupFileError("not valid JSON: %s" % exc) from exc
-        except UnicodeDecodeError as exc:
+        except UnicodeDecodeError as exc:  # a ValueError, so caught first
             raise GroupFileError("not UTF-8 text: %s" % exc) from exc
-    return parse_group(doc, cap=cap)
+        except (ValueError, RecursionError) as exc:  # bad syntax, too deep, or too many digits
+            raise GroupFileError("not valid JSON: %s" % exc) from exc
+    return parse_group(doc)

@@ -32,7 +32,6 @@ from typing import Iterable, Protocol, Sequence
 import numpy as np
 
 __all__ = [
-    "DEFAULT_CAP",
     "MAX_TABLE_BYTES",
     "GroupError",
     "CapExceeded",
@@ -49,7 +48,6 @@ __all__ = [
     "minimal_generators",
 ]
 
-DEFAULT_CAP = 100_000
 MAX_TABLE_BYTES = 1 << 30
 
 
@@ -58,7 +56,7 @@ class GroupError(RuntimeError):
 
 
 class CapExceeded(GroupError):
-    """Closure grew past the element cap or its table past MAX_TABLE_BYTES."""
+    """A Cayley table past MAX_TABLE_BYTES or a lattice past MAX_LATTICE_EXTENSIONS."""
 
 
 class IncompatiblePayloads(GroupError):
@@ -318,7 +316,7 @@ def check_table_bytes(order: int) -> None:
                           % (order, order * order * 4, MAX_TABLE_BYTES))
 
 
-def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
+def close_generators(gens: Sequence) -> FiniteGroup:
     """Close a generator list into a FiniteGroup by Dimino's coset extension.
 
     A generator already in the closure so far is skipped; each other one is
@@ -332,18 +330,15 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
     filled a coset block at a time: the rows of z H = g (y H) are g's
     left-product row read along the rows of y H.  The inverse is folded
     along the same cosets, (g p)^-1 = p^-1 g^-1, one gather per coset.  Raises
-    CapExceeded when ``cap`` < 1 and before composing a coset that would
-    outgrow ``cap`` or MAX_TABLE_BYTES, so at most ``cap`` payloads, the
-    identity among them, are ever kept, and IncompatiblePayloads when
-    generators cannot be composed.
+    CapExceeded before composing a coset whose table would outgrow
+    MAX_TABLE_BYTES, so at most 16 384 payloads, the identity among them,
+    are ever kept, and IncompatiblePayloads when generators cannot be composed.
     """
     if not gens:
         raise ValueError("need at least one generator")
     kinds = {getattr(g, "kind", None) for g in gens}
     if len(kinds) != 1:
         raise IncompatiblePayloads("mixed payload kinds: %r" % kinds)
-    if cap < 1:
-        raise CapExceeded("closure exceeds cap=%d" % cap)
 
     ident = gens[0].identity()
     elements: list = [ident]
@@ -378,8 +373,6 @@ def close_generators(gens: Sequence, cap: int = DEFAULT_CAP) -> FiniteGroup:
                 z = g if y == 0 else g.compose(elements[y])
                 j = index.setdefault(z.key(), len(elements))
                 if j == len(elements):  # a new coset z H, checked before it is composed
-                    if j + size > cap:
-                        raise CapExceeded("closure exceeds cap=%d" % cap)
                     check_table_bytes(j + size)
                     coset = [z] + [z.compose(h) for h in elements[1:size]]
                     index.update((coset[t].key(), j + t) for t in range(1, size))

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .groups import (
-    DEFAULT_CAP,
-    CapExceeded,
     FiniteGroup,
     IncompatiblePayloads,
     ModMatrix,
@@ -152,11 +150,9 @@ class SemidirectPair:
         return SemidirectPair(self.modulus, (0, 0), 0, self.rho)
 
 
-def build_group(n: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
+def build_group(n: int) -> FiniteGroup:
     """Close the full group of order 12 n^2 from translations and D6 twists."""
     expected = 12 * n * n
-    if expected > cap:
-        raise CapExceeded("group of order %d exceeds cap=%d" % (expected, cap))
     check_table_bytes(expected)
     data = build_action_data(n)
     gens = [
@@ -165,7 +161,7 @@ def build_group(n: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
         SemidirectPair(n, (0, 0), 1, data.rho),   # order-6 rotation
         SemidirectPair(n, (0, 0), 6, data.rho),   # reflection
     ]
-    group = close_generators(gens, cap=cap)
+    group = close_generators(gens)
     if group.order != expected:
         raise NoConsistentAction("closure has order %d, wanted %d" % (group.order, expected))
     return group
@@ -180,7 +176,7 @@ def translation_subgroup(group: FiniteGroup) -> Subgroup:
     return group.subgroup(members, gens=group.generators[:2])
 
 
-def verify_lemma52(n: int, cap: int = DEFAULT_CAP, allow_bad_n: bool = False) -> VerificationReport:
+def verify_lemma52(n: int, allow_bad_n: bool = False) -> VerificationReport:
     """Check the minimal abelian-normal index of the order-12n^2 group.
 
     For gcd(n, 6) = 1 and n > 1 the claim is: the index is 12 and the witness
@@ -195,7 +191,7 @@ def verify_lemma52(n: int, cap: int = DEFAULT_CAP, allow_bad_n: bool = False) ->
             "n = %d violates gcd(n, 6) = 1, n > 1; pass allow_bad_n to record it anyway" % n
         )
     start = time.perf_counter()
-    group = build_group(n, cap=cap)
+    group = build_group(n)
     # the action build_group solved, off its payloads: U = rho(r^2), Z = rho(r^3)
     rho = group.elements[0].rho
     data = ModularDihedralAction(n, rho[2], rho[3], rho)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import time
 
 from . import conic_fibers, dp5, pole_cycles
-from .groups import DEFAULT_CAP
 from .report import VerificationReport, checked, informational
 from .semidirect import verify_lemma52
 
@@ -60,12 +59,12 @@ def _error_row(claim_id: str, anchor: str, exc: Exception) -> VerificationReport
     return checked(claim_id, anchor, detail, {"error": None}, "module error")
 
 
-def _lemma52_rows(ns, cap: int, allow_bad_n: bool) -> list[VerificationReport]:
+def _lemma52_rows(ns, allow_bad_n: bool) -> list[VerificationReport]:
     rows = []
     for n in ns:
         anchor = "Lemma 5.2 (n = %d)" % n
         try:
-            rows.append(verify_lemma52(n, cap=cap, allow_bad_n=allow_bad_n))
+            rows.append(verify_lemma52(n, allow_bad_n=allow_bad_n))
         except Exception as exc:
             rows.append(_error_row("lemma52.n%d" % n, anchor, exc))
     return rows
@@ -216,12 +215,12 @@ def paper_constant_rows() -> list[VerificationReport]:
 
 
 def run_suite(name: str, ns=DEFAULT_NS, seed: int = 0, trials: int = 500,
-              cap: int = DEFAULT_CAP, allow_bad_n: bool = False) -> list[VerificationReport]:
+              allow_bad_n: bool = False) -> list[VerificationReport]:
     """Run one named suite and return its report rows.
 
     ``ns`` feeds the lemma52 suite, ``seed``/``trials`` the randomized
-    checks, ``cap`` the group-closure guard.  ``allow_bad_n`` downgrades
-    hypothesis-violating n values to informational rows instead of failing.
+    checks.  ``allow_bad_n`` downgrades hypothesis-violating n values to
+    informational rows instead of failing.
     Raises UnknownSuite for unknown names; any error inside a suite becomes
     a fail row so a report is always produced.
     """
@@ -229,7 +228,7 @@ def run_suite(name: str, ns=DEFAULT_NS, seed: int = 0, trials: int = 500,
         raise UnknownSuite("unknown suite %r; expected one of %s" % (name, ", ".join(SUITE_NAMES)))
     parts: list[tuple[str, object]] = []
     if name in ("lemma52", "all"):
-        parts.append(("lemma52", lambda: _lemma52_rows(ns, cap, allow_bad_n)))
+        parts.append(("lemma52", lambda: _lemma52_rows(ns, allow_bad_n)))
     if name in ("prop44", "all"):
         parts.append(("prop44", lambda: _prop44_rows(seed)))
     if name in ("dp5", "all"):

@@ -244,20 +244,18 @@ def test_redundant_powers_of_a_long_cycle_cost_no_stage():
     assert best_time([c] + powers) < 5 * best_time([c])
 
 
-def test_cap_exceeded():
-    with pytest.raises(CapExceeded):
-        close_generators(S4_GENS, cap=10)
-
-
 @pytest.mark.parametrize("build", [
-    lambda cap: close_generators(S4_GENS, cap=cap),
-    lambda cap: load_group(str(GROUPFILES / "special_linear_mod3.json"), cap=cap),
+    lambda: close_generators(S4_GENS),
+    lambda: load_group(str(GROUPFILES / "special_linear_mod3.json")),
 ], ids=["s4", "special_linear_mod3"])
-def test_cap_admits_exactly_the_group_order(build):
-    order = build(groups.DEFAULT_CAP).order
-    assert build(order).order == order == 24
-    with pytest.raises(CapExceeded, match="cap=23"):
-        build(order - 1)
+def test_cap_admits_exactly_the_group_order(monkeypatch, build):
+    # an order-24 table is 24^2 int32 entries: the bound admits it at exactly
+    # that many bytes and refuses it, at the last coset, one byte below
+    monkeypatch.setattr(groups, "MAX_TABLE_BYTES", 24 * 24 * 4)
+    assert build().order == 24
+    monkeypatch.setattr(groups, "MAX_TABLE_BYTES", 24 * 24 * 4 - 1)
+    with pytest.raises(CapExceeded, match="order 24 needs 2304 bytes, over MAX_TABLE_BYTES=2303"):
+        build()
 
 
 def test_payload_entries_are_read_as_integers():
@@ -273,8 +271,8 @@ def test_payload_entries_are_read_as_integers():
 
 
 def test_cap_is_checked_as_each_product_is_found(monkeypatch):
-    # the 15 transpositions of S6 fit the cap, their 225 products do not: the
-    # cap must stop the closure within the first few of them
+    # the 15 transpositions of S6 fit a table of order 20, their 225 products
+    # do not: the bound must stop the closure within the first few of them
     gens = [Permutation.from_cycles(6, [[a, b]]) for a in range(1, 7) for b in range(a + 1, 7)]
     calls = []
     compose = Permutation.compose
@@ -284,8 +282,9 @@ def test_cap_is_checked_as_each_product_is_found(monkeypatch):
         return compose(self, other)
 
     monkeypatch.setattr(Permutation, "compose", counting_compose)
-    with pytest.raises(CapExceeded, match="cap=20"):
-        close_generators(gens, cap=20)
+    monkeypatch.setattr(groups, "MAX_TABLE_BYTES", 20 * 20 * 4)
+    with pytest.raises(CapExceeded, match="MAX_TABLE_BYTES=1600"):
+        close_generators(gens)
     assert len(calls) < 2 * len(gens)
 
 
@@ -300,16 +299,6 @@ def counted_composes(monkeypatch, cls):
 
     monkeypatch.setattr(cls, "compose", counting_compose)
     return calls
-
-
-@pytest.mark.parametrize("gens", [[E4], S4_GENS], ids=["identity", "s4"])
-def test_cap_below_one_is_refused_before_any_compose(monkeypatch, gens):
-    # the identity alone is one kept payload, so cap=0 admits no group at all
-    calls = counted_composes(monkeypatch, Permutation)
-    with pytest.raises(CapExceeded, match="cap=0"):
-        close_generators(gens, cap=0)
-    assert calls == []
-    assert close_generators([E4], cap=1).order == 1
 
 
 def family_generators(n):
@@ -334,11 +323,12 @@ def test_closure_composes_about_once_per_element(monkeypatch, gens, payload, ord
     assert close_generators(gens).order == order
     assert len(calls) == composes
     assert composes < (1.1 if order >= 300 else 1.5) * order
-    # one short of the order, the cap refuses the last coset before any of its
-    # other members is composed
+    # one row short of the order, the table bound refuses the last coset
+    # before any of its other members is composed
     calls.clear()
-    with pytest.raises(CapExceeded, match="cap=%d" % (order - 1)):
-        close_generators(gens, cap=order - 1)
+    monkeypatch.setattr(groups, "MAX_TABLE_BYTES", (order - 1) ** 2 * 4)
+    with pytest.raises(CapExceeded, match="MAX_TABLE_BYTES=%d" % ((order - 1) ** 2 * 4)):
+        close_generators(gens)
     assert len(calls) <= composes - (last_coset - 1)
 
 
@@ -496,10 +486,13 @@ _group_docs = _or_junk(st.fixed_dictionaries(
 @given(_group_docs)
 @settings(max_examples=300, deadline=None)
 def test_parse_group_returns_a_group_or_a_named_error(doc):
-    try:
-        group = parse_group(doc, cap=64)
-    except (GroupFileError, groups.GroupError):
-        return
+    # the health check refuses function-scoped fixtures under @given
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "MAX_TABLE_BYTES", 64 * 64 * 4)
+        try:
+            group = parse_group(doc)
+        except (GroupFileError, groups.GroupError):
+            return
     assert isinstance(group, groups.FiniteGroup)
     assert group.order <= 64
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cremonalab import cli
+from cremonalab import cli, groups
 from cremonalab.cli import main
 from cremonalab.groups import Subgroup
 from cremonalab.pole_cycles import configuration_rows
@@ -226,12 +226,34 @@ def test_cli_jordan_bad_inputs(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["s4.json", "family_n5.json"])
-def test_cli_jordan_cap_exceeded_while_loading(name):
-    # the closure outgrows --cap inside load_group, before any report
-    result = run_cli("jordan", str(PKG_ROOT / "demos" / "groupfiles" / name), "--cap", "5")
-    assert result.returncode == 1
+def test_cli_jordan_cap_exceeded_while_loading(monkeypatch, capsys, name):
+    # the closure outgrows a table of order 5 inside load_group, before any report
+    monkeypatch.setattr(groups, "MAX_TABLE_BYTES", 5 * 5 * 4)
+    assert main(["jordan", str(PKG_ROOT / "demos" / "groupfiles" / name)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "MAX_TABLE_BYTES=100" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    "[" * 100_000 + "]" * 100_000,
+    '{"kind": "perm", "degree": %s, "generators": [[[1, 2]]]}' % ("9" * 5000),
+    '{"kind": "lemma52", "modulus": %s}' % ("7" * 3000),
+], ids=["unclosed", "nested", "digits", "modulus"])
+def test_cli_jordan_refuses_hostile_json(tmp_path, text):
+    # json.load raises RecursionError on deep nesting and, where Python limits
+    # int digits, ValueError on the 5000-digit degree; without that limit the
+    # degree is past MAX_DEGREE.  A lemma52 modulus past MAX_MODULUS_BITS is
+    # refused before the table bound's error would print its 12 000-digit
+    # byte figure.
+    path = tmp_path / "hostile.json"
+    path.write_text(text, encoding="utf-8")
+    result = run_cli("jordan", str(path))
+    assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr.startswith("error: ") and "cap=5" in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr
 
 
@@ -298,7 +320,8 @@ def test_cli_usage_errors_exit_2(capsys):
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("verify", "lemma52", "--n", "five").returncode == 2
     assert run_cli().returncode == 2
-    # counts and caps must be positive, --n values distinct, and --parallel is gone
+    # trial counts must be positive, --n values distinct, and --parallel and
+    # --cap are gone
     for args in (
         ("report", "conic", "--trials", "-3"),
         ("report", "conic", "--trials", "0"),
@@ -306,6 +329,9 @@ def test_cli_usage_errors_exit_2(capsys):
         ("verify", "lemma52", "--cap", "0"),
         ("report", "dp5", "--cap", "-1"),
         ("jordan", str(PKG_ROOT / "demos" / "groupfiles" / "s4.json"), "--cap", "0"),
+        ("verify", "lemma52", "--cap", "5"),
+        ("report", "dp5", "--cap", "5"),
+        ("jordan", str(PKG_ROOT / "demos" / "groupfiles" / "s4.json"), "--cap", "5"),
         ("report", "all", "--parallel"),
         ("verify", "lemma52", "--n", "5,5"),
     ):
@@ -427,23 +453,21 @@ MALFORMED_GROUP_DOCS = JSON_VALUES | st.fixed_dictionaries(
 GROUP_FILE_TEXT = (VALID_GROUP_DOCS | MALFORMED_GROUP_DOCS).map(json.dumps) | st.text(max_size=12)
 
 
-@given(GROUP_FILE_TEXT, st.none() | st.integers(-2, 130))
+@given(GROUP_FILE_TEXT)
 @settings(max_examples=150, deadline=None)
-def test_fuzzed_group_files_exit_0_1_or_2(tmp_path_factory, text, cap):
+def test_fuzzed_group_files_exit_0_1_or_2(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("fuzz") / "group.json"
     path.write_text(text, encoding="utf-8")
-    argv = ["jordan", str(path)] + ([] if cap is None else ["--cap", str(cap)])
+    argv = ["jordan", str(path)]
     code, err = run_quietly(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err
 
 
-@given(st.integers(1, 20), st.none() | st.integers(-1, 1500), st.sampled_from(["json", "md"]))
+@given(st.integers(1, 20), st.sampled_from(["json", "md"]))
 @settings(max_examples=10, deadline=None)
-def test_fuzzed_report_all_exits_0_1_or_2(trials, cap, emit):
-    # caps below 300 fail every lemma52 row, and below 1452 the n = 11 one
+def test_fuzzed_report_all_exits_0_1_or_2(trials, emit):
     argv = ["report", "all", "--trials", str(trials), "--emit", emit]
-    argv += [] if cap is None else ["--cap", str(cap)]
     code, err = run_quietly(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from cremonalab import pole_cycles
+from cremonalab import groups, pole_cycles
 from cremonalab.dp5 import SUBGROUP_NAMES, standard_subgroups
 from cremonalab.report import emit, exit_code, passed
 from cremonalab.suites import (
@@ -41,15 +41,16 @@ def test_bad_n_downgrades_with_allow_flag():
     assert exit_code(rows) == 0
 
 
-def test_cap_errors_become_fail_rows():
-    rows = run_suite("lemma52", ns=(7,), cap=100)
+def test_cap_errors_become_fail_rows(monkeypatch):
+    monkeypatch.setattr(groups, "MAX_TABLE_BYTES", 100 * 100 * 4)
+    rows = run_suite("lemma52", ns=(7,))
     assert rows[0].claim_id == "lemma52.n7"
     assert rows[0].status == "fail"
     assert "CapExceeded" in rows[0].computed["error"]
 
 
 def test_table_bytes_bound_fails_fast():
-    # order 99372 is under the element cap, but its table would need 39 GB
+    # a table of order 99372 would need 39 GB
     start = time.perf_counter()
     rows = run_suite("lemma52", ns=(91,))
     assert time.perf_counter() - start < 5
