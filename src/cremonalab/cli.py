@@ -40,7 +40,7 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("--n wants a comma-separated integer list, got %r" % text)
     if not values:
         raise argparse.ArgumentTypeError("--n list is empty")
-    # distinct values bound the work: only n <= 36 fit under MAX_TABLE_BYTES
+    # distinct values bound the work: only n <= 91 fit under semidirect.MAX_FAMILY_ORDER
     seen: set[int] = set()
     for n in values:
         if n in seen:

@@ -34,8 +34,8 @@ MAX_DEGREE = 4096
 MAX_MATRIX_DIM = 32
 # ``exact_det`` works on entries below the modulus, and its cost grows with
 # their size: at 32 x 32 about 0.03 s with 64-bit entries and 0.33 s with
-# 256-bit ones (best of 7, 2-vCPU host).  A lemma52 modulus n is bounded too:
-# the table bound's error prints 48 n^4, past Python's 4 300-digit str limit.
+# 256-bit ones (best of 7, 2-vCPU host).  A lemma52 modulus n is held to the
+# same bound, though semidirect.MAX_FAMILY_ORDER refuses any n above 91.
 MAX_MODULUS_BITS = 64
 
 

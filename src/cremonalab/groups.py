@@ -10,14 +10,16 @@ closures of the same generator list are byte-identical.  The Cayley table is
 filled a coset block at a time, and the inverse is folded along the same
 cosets.
 
-Every group and subgroup operation works from the Cayley table alone: a
-subgroup stays a member list inside its parent.  Only ``find`` and ``keys``
-need payloads, and ``jordan_index`` reads keys only to break a real tie.
-``FiniteGroup.products`` (x . y for every pair of broadcast index arrays) is
-the one reader of ``mul``.  dp5's S5 representation multiplies through it,
-and so do ``powers``, ``conjugates`` (x -> g x g^-1, one gather over index
-arrays) and ``centralizes``, which conjugacy classes, normality, derived
-subgroups and the abelian check use.  Subgroup closures (the lattice's class
+Every group and subgroup operation works from ``products`` and ``inverse``
+alone, so a group may compute them instead of storing a table, as
+``semidirect.FamilyGroup`` does: a subgroup stays a member list inside its
+parent.  Only ``find`` and ``keys`` need payloads, and ``jordan_index``
+reads keys only to break a real tie.  ``FiniteGroup.products`` (x . y for
+every pair of broadcast index arrays) is the one reader of ``mul``.  dp5's
+S5 representation multiplies through it, and so do ``powers``,
+``conjugates`` (x -> g x g^-1, one gather over index arrays) and
+``centralizes``, which conjugacy classes, normality, derived subgroups and
+the abelian check use.  Subgroup closures (the lattice's class
 closures among them), the lattice's joins and greedy generating sets all
 read Dimino's coset extension ``FiniteGroup._extend``.
 """
@@ -180,7 +182,7 @@ class ModMatrix:
         return ModMatrix(self.modulus, tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)))
 
 
-@dataclass
+@dataclass(eq=False)
 class FiniteGroup:
     """Explicit finite group: payload list plus an index multiplication table.
 
@@ -190,7 +192,10 @@ class FiniteGroup:
     ``mul[i, j]`` is the index of elements[i] composed with elements[j];
     ``inverse[i]`` the index of the inverse.  Both are int32 and made
     read-only here.  ``keys`` and the key index behind ``find`` are derived
-    from the payloads on first use.
+    from the payloads on first use.  A subclass that computes its products
+    (``semidirect.FamilyGroup``) provides ``products``, ``inverse``,
+    ``generators`` and ``keys``, and no ``elements`` or ``mul``; ``order`` is
+    the length of ``inverse``.
     """
 
     elements: tuple
@@ -212,7 +217,7 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.inverse)
 
     def find(self, payload) -> int:
         """Index of a payload in this group (KeyError if absent)."""

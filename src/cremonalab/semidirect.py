@@ -7,20 +7,27 @@ the half-turn part by Z = -I.  The determinants det(U - I) = 3 and
 det(Z - I) = 4 are units mod n exactly when gcd(n, 6) = 1, which is what makes
 the translation subgroup the unique largest abelian normal subgroup and the
 minimal index equal to 12.
+
+``build_group`` closes a small group into a Cayley table and gives a larger
+one as a ``FamilyGroup``, which computes each product from the action
+instead of storing a table.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
+import numpy as np
+
 from .groups import (
+    CapExceeded,
     FiniteGroup,
     IncompatiblePayloads,
     ModMatrix,
     Subgroup,
-    check_table_bytes,
     close_generators,
 )
 from .jordan import jordan_index, normal_subgroups
@@ -28,18 +35,32 @@ from .rational import exact_det
 from .report import VerificationReport, checked, informational
 
 __all__ = [
+    "MAX_FAMILY_ORDER",
+    "MAX_TABLE_ORDER",
     "NoConsistentAction",
     "HypothesisViolated",
     "ModularDihedralAction",
     "SemidirectPair",
+    "FamilyGroup",
     "dihedral_product",
     "build_action_data",
+    "family_generators",
     "build_group",
     "translation_subgroup",
     "verify_lemma52",
 ]
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
+
+# The largest group order ``build_group`` makes, so n <= 91: a FamilyGroup
+# holds a few order-length arrays, and n = 89 (order 95 052) takes about
+# 0.8 s and 53 MB from the command line.
+MAX_FAMILY_ORDER = 100_000
+# The largest order closed into a Cayley table, so n <= 10; a larger group
+# is a FamilyGroup.  In process (build, lattice and index, best of 15, three
+# runs) the table is faster up to n = 10 (10.3-13.4 against 10.3-15.0 ms),
+# and the computed products from n = 11 (7.8-12.6 against 9.7-14.9 ms).
+MAX_TABLE_ORDER = 1200
 
 
 class NoConsistentAction(RuntimeError):
@@ -59,7 +80,9 @@ def dihedral_product(a: int, b: int) -> int:
 
 
 # dihedral_product as a table, _D6[a][b], read by SemidirectPair.compose
+# and FamilyGroup; _D6_INVERSE[a] is the b with _D6[a][b] = 0
 _D6 = tuple(tuple(dihedral_product(a, b) for b in range(12)) for a in range(12))
+_D6_INVERSE = tuple(row.index(0) for row in _D6)
 
 
 def _det_minus_identity(m: Mat2, n: int) -> int:
@@ -150,18 +173,90 @@ class SemidirectPair:
         return SemidirectPair(self.modulus, (0, 0), 0, self.rho)
 
 
-def build_group(n: int) -> FiniteGroup:
-    """Close the full group of order 12 n^2 from translations and D6 twists."""
-    expected = 12 * n * n
-    check_table_bytes(expected)
-    data = build_action_data(n)
-    gens = [
-        SemidirectPair(n, (1, 0), 0, data.rho),
-        SemidirectPair(n, (0, 1), 0, data.rho),
-        SemidirectPair(n, (0, 0), 1, data.rho),   # order-6 rotation
-        SemidirectPair(n, (0, 0), 6, data.rho),   # reflection
+class FamilyGroup(FiniteGroup):
+    """(Z/n)^2 x| D6 with computed products: no Cayley table and no payloads.
+
+    Element i = d n^2 + v0 n + v1 is the pair ((v0, v1), d), with d the
+    dihedral index of ``dihedral_product``, so the translations are the
+    indices below n^2; (v, d) . (w, e) = (v + rho(d) w, d e).  ``products``
+    reads ``act[d, w]``, the index of rho(d) w, and the D6 table, and
+    ``inverse`` is an order-length array built on first use, so every array
+    is O(order).  The generators are those of ``family_generators``, and
+    ``keys`` are the ``SemidirectPair`` keys, derived on first use.
+    """
+
+    def __init__(self, action: ModularDihedralAction) -> None:
+        self.action = action
+        n = action.modulus
+        v0, v1 = np.divmod(np.arange(n * n), n)
+        rho = np.array(action.rho)[:, :, :, None]  # rho[d, row, column, 0]
+        self._act = ((rho[:, 0, 0] * v0 + rho[:, 0, 1] * v1) % n * n
+                     + (rho[:, 1, 0] * v0 + rho[:, 1, 1] * v1) % n)
+        self._d6 = np.array(_D6)
+        self.generators = (n, 1, n * n, 6 * n * n)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """(-rho(d^-1) v, d^-1) for every element (v, d), read-only."""
+        n = self.action.modulus
+        d, v = np.divmod(np.arange(12 * n * n), n * n)
+        d = np.array(_D6_INVERSE)[d]
+        w = self._act[d, v]
+        inverse = d * (n * n) + -(w // n) % n * n + -w % n
+        inverse.flags.writeable = False
+        return inverse
+
+    def __repr__(self) -> str:
+        return "FamilyGroup(n=%d)" % self.action.modulus
+
+    @cached_property
+    def keys(self) -> tuple[bytes, ...]:
+        n, rho = self.action.modulus, self.action.rho
+        return tuple(SemidirectPair(n, divmod(v, n), d, rho).key()
+                     for d in range(12) for v in range(n * n))
+
+    def products(self, x, y) -> np.ndarray:
+        """Index of x . y for every pair of x and y, broadcast as NumPy index
+        arrays: (v + rho(d) w, d e) for x = (v, d) and y = (w, e)."""
+        # divmod keeps an int an int: _extend reads one product per
+        # (representative, generator) pair, and ufuncs on scalars cost 5 times more
+        n = self.action.modulus
+        dx, vx = divmod(_indices(x), n * n)
+        dy, vy = divmod(_indices(y), n * n)
+        w = self._act[dx, vy]
+        return self._d6[dx, dy] * (n * n) + (vx // n + w // n) % n * n + (vx + w) % n
+
+
+def _indices(x):
+    """An int, NumPy integer or array as it is, and any other index list as an array."""
+    return x if isinstance(x, (int, np.integer, np.ndarray)) else np.asarray(x)
+
+
+def family_generators(n: int) -> list[SemidirectPair]:
+    """The unit translations, the rotation r and the reflection s, as payloads."""
+    rho = build_action_data(n).rho
+    return [
+        SemidirectPair(n, (1, 0), 0, rho),
+        SemidirectPair(n, (0, 1), 0, rho),
+        SemidirectPair(n, (0, 0), 1, rho),   # order-6 rotation
+        SemidirectPair(n, (0, 0), 6, rho),   # reflection
     ]
-    group = close_generators(gens)
+
+
+def build_group(n: int) -> FiniteGroup:
+    """The group of order 12 n^2, generated by ``family_generators(n)``.
+
+    Up to MAX_TABLE_ORDER it is closed into a Cayley table, above it a
+    FamilyGroup computes its products; past MAX_FAMILY_ORDER it is refused
+    with CapExceeded before any work.
+    """
+    expected = 12 * n * n
+    if expected > MAX_FAMILY_ORDER:
+        raise CapExceeded("lemma52 n = %d gives a group of order 12 n^2 over MAX_FAMILY_ORDER=%d"
+                          % (n, MAX_FAMILY_ORDER))
+    if expected > MAX_TABLE_ORDER:
+        return FamilyGroup(build_action_data(n))
+    group = close_generators(family_generators(n))
     if group.order != expected:
         raise NoConsistentAction("closure has order %d, wanted %d" % (group.order, expected))
     return group
@@ -170,10 +265,11 @@ def build_group(n: int) -> FiniteGroup:
 def translation_subgroup(group: FiniteGroup) -> Subgroup:
     """The subgroup of pure translations (trivial dihedral part).
 
-    ``build_group`` lists the two unit translations first among its generators.
+    It is generated by the two unit translations, which ``build_group`` lists
+    first among its generators; in a FamilyGroup it is the indices below n^2.
     """
-    members = [i for i, e in enumerate(group.elements) if e.twist == 0]
-    return group.subgroup(members, gens=group.generators[:2])
+    gens = group.generators[:2]
+    return group.subgroup(group.subgroup_closure(gens), gens=gens)
 
 
 def verify_lemma52(n: int, allow_bad_n: bool = False) -> VerificationReport:
@@ -192,9 +288,13 @@ def verify_lemma52(n: int, allow_bad_n: bool = False) -> VerificationReport:
         )
     start = time.perf_counter()
     group = build_group(n)
-    # the action build_group solved, off its payloads: U = rho(r^2), Z = rho(r^3)
-    rho = group.elements[0].rho
-    data = ModularDihedralAction(n, rho[2], rho[3], rho)
+    # the action build_group solved: a FamilyGroup keeps it, and a table's
+    # payloads carry its matrices, U = rho(r^2) and Z = rho(r^3)
+    if isinstance(group, FamilyGroup):
+        data = group.action
+    else:
+        rho = group.elements[0].rho
+        data = ModularDihedralAction(n, rho[2], rho[3], rho)
     lattice = normal_subgroups(group)
     cert = jordan_index(group, lattice=lattice)
     translations = translation_subgroup(group)

@@ -238,7 +238,7 @@ def normal_subgroups_by_closure(group):
     from cremonalab.groups import conjugacy_classes
 
     def commute(left, right):
-        return all(group.mul[x, y] == group.mul[y, x] for x in left for y in right)
+        return all(group.products(x, y) == group.products(y, x) for x in left for y in right)
 
     # members -> (member set, generating seeds, abelian)
     found: dict[tuple[int, ...], tuple[frozenset[int], tuple[int, ...], bool]] = {}

@@ -30,7 +30,7 @@ from cremonalab.groups import (
     minimal_generators,
 )
 from cremonalab.jordan import jordan_index, report_fragment
-from cremonalab.semidirect import SemidirectPair, build_group
+from cremonalab.semidirect import SemidirectPair, build_group, family_generators
 
 S4_GENS = [
     Permutation.from_cycles(4, [[1, 2]]),
@@ -301,12 +301,6 @@ def counted_composes(monkeypatch, cls):
     return calls
 
 
-def family_generators(n):
-    """The four payload generators ``build_group(n)`` closes."""
-    group = build_group(n)
-    return [group.elements[g] for g in group.generators]
-
-
 @pytest.mark.parametrize("gens, payload, order, composes, last_coset", [
     (lambda: S4_GENS, Permutation, 24, 34, 2),
     (lambda: family_generators(5), SemidirectPair, 300, 316, 150),
@@ -371,7 +365,8 @@ def assert_inverse_folded(group):
     *(pytest.param(lambda name=name: small_group_corpus()[name], id=name)
       for name in sorted(small_group_corpus())),
     pytest.param(lambda: s5_representation().group, id="s5"),
-    *(pytest.param(lambda n=n: build_group(n), id="family_n%d" % n) for n in range(2, 14)),
+    *(pytest.param(lambda n=n: close_generators(family_generators(n)), id="family_n%d" % n)
+      for n in range(2, 14)),
     *(pytest.param(lambda path=path: load_group(str(path)), id=path.name)
       for path in sorted(GROUPFILES.glob("*.json"))),
 ])
@@ -708,7 +703,7 @@ def test_closed_table_is_filled_without_a_second_table():
     # which alone would be another mul.nbytes
     tracemalloc.start()
     try:
-        group = build_group(11)
+        group = close_generators(family_generators(11))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

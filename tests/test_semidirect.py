@@ -1,18 +1,22 @@
 """The order-12n^2 family: determinant criteria, translations, commutators."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cremonalab import semidirect
+from cremonalab.groups import CapExceeded, close_generators
 from cremonalab.jordan import jordan_index, normal_subgroups
 from cremonalab.semidirect import (
+    FamilyGroup,
     HypothesisViolated,
     SemidirectPair,
     build_action_data,
     build_group,
     dihedral_product,
+    family_generators,
     translation_subgroup,
     verify_lemma52,
 )
@@ -160,3 +164,64 @@ def test_verify_lemma52_solves_the_action_once(monkeypatch):
     data = build_action_data(7)
     assert row.computed["det_u_minus_identity"] == data.det_u_minus_identity == 3
     assert row.computed["det_z_minus_identity"] == data.det_z_minus_identity == 4
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_formula_group_matches_the_closed_table(n):
+    # the same group twice: computed products against the Cayley table closed
+    # from the payload generators, matched element by element through keys
+    # (bad n included; n = 3 has the order-9 tie that the keys break)
+    formula = FamilyGroup(build_action_data(n))
+    table = close_generators(family_generators(n))
+    to_formula = np.array([formula.find(e) for e in table.elements])
+    assert sorted(to_formula.tolist()) == list(range(formula.order)) == list(range(12 * n * n))
+    assert formula.generators == tuple(to_formula[list(table.generators)].tolist())
+    for start in range(0, table.order, 256):
+        rows = np.arange(start, min(start + 256, table.order))
+        assert np.array_equal(formula.products(to_formula[rows, None], to_formula),
+                              to_formula[table.mul[rows]])
+    assert np.array_equal(formula.inverse[to_formula], to_formula[table.inverse])
+
+    def mapped(sub):
+        return tuple(sorted(to_formula[list(sub.members)].tolist()))
+
+    lattices = normal_subgroups(formula), normal_subgroups(table)
+    assert ({sub.members: flag for sub, flag in zip(lattices[0], lattices[0].abelian)}
+            == {mapped(sub): flag for sub, flag in zip(lattices[1], lattices[1].abelian)})
+    certs = jordan_index(formula, lattice=lattices[0]), jordan_index(table, lattice=lattices[1])
+    assert certs[0].index == certs[1].index == (6 if n == 2 else 12)
+    assert certs[0].witness.members == mapped(certs[1].witness)
+    assert translation_subgroup(formula).members == tuple(range(n * n))
+
+
+@pytest.mark.parametrize("n, kind", [(5, "table"), (7, "table"), (10, "table"),
+                                     (11, "formula"), (13, "formula"), (29, "formula")])
+def test_build_group_tabulates_only_small_orders(n, kind):
+    group = build_group(n)
+    assert isinstance(group, FamilyGroup) == (kind == "formula")
+    assert group.order == 12 * n * n
+
+
+def test_family_order_bound_names_n_before_any_work(monkeypatch):
+    # n = 92 is the first n past MAX_FAMILY_ORDER; no action is solved for it
+    monkeypatch.setattr(semidirect, "build_action_data", lambda n: pytest.fail("solved %d" % n))
+    assert 12 * 91 * 91 <= semidirect.MAX_FAMILY_ORDER < 12 * 92 * 92
+    with pytest.raises(CapExceeded, match=r"^lemma52 n = 92 .* MAX_FAMILY_ORDER=100000$"):
+        build_group(92)
+
+
+def test_formula_group_memory_is_linear_in_the_order():
+    # the Cayley table of order 10 092 would take 407 MB; the largest blocks
+    # here are the four generators' conjugation rows of conjugacy_classes,
+    # about 232 bytes per element in all
+    tracemalloc.start()
+    try:
+        group = build_group(29)
+        lattice = normal_subgroups(group)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.order == 10_092
+    assert peak < 384 * group.order
+    assert jordan_index(group, lattice=lattice).witness.members == translation_subgroup(group).members
+    assert "keys" not in vars(group)

@@ -49,13 +49,14 @@ def test_cap_errors_become_fail_rows(monkeypatch):
     assert "CapExceeded" in rows[0].computed["error"]
 
 
-def test_table_bytes_bound_fails_fast():
-    # a table of order 99372 would need 39 GB
+def test_family_order_bound_fails_fast():
+    # n = 95 gives order 108 300, past MAX_FAMILY_ORDER: refused before any work
     start = time.perf_counter()
-    rows = run_suite("lemma52", ns=(91,))
+    rows = run_suite("lemma52", ns=(95,))
     assert time.perf_counter() - start < 5
     assert rows[0].status == "fail"
-    assert "CapExceeded" in rows[0].computed["error"]
+    assert rows[0].computed["error"].startswith("CapExceeded: lemma52 n = 95 ")
+    assert "MAX_FAMILY_ORDER=100000" in rows[0].computed["error"]
 
 
 def test_all_suite_covers_documented_ids(documented_claim_ids):
