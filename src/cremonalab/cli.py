@@ -137,9 +137,7 @@ def _run_conic(args) -> int:
     else:
         rows = [{"key": k, "value": sim[k]} for k in sorted(sim)]
         sys.stdout.write(report.table(rows, ("key", "value"), "md"))
-    clean = (sim["greedy_failures"] == 0 and sim["invariance_failures"] == 0
-             and sim["scan_disagreements"] == 0 and sim["bound_violations"] == 0)
-    return 0 if clean else 1
+    return report.exit_code(suites.conic_rows(sim, args.trials))
 
 
 def _run_jordan(args) -> int:

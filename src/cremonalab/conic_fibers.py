@@ -29,6 +29,7 @@ __all__ = [
     "SwapFailure",
     "BASE_ORDER_BOUND",
     "MAX_FIBERS",
+    "MAX_MODEL_ORDER",
     "FAMILY_REPRESENTATIVES",
     "make_model",
     "greedy_selection",
@@ -46,6 +47,8 @@ BASE_ORDER_BOUND = 288
 
 # component rows are bytes, so a model has at most 256 components
 MAX_FIBERS = 128
+# a model lists one component row per group element
+MAX_MODEL_ORDER = 4096
 
 # admissible abelian types with the largest 2-rank each family allows
 FAMILY_REPRESENTATIVES = (
@@ -204,8 +207,8 @@ def make_model(
     if not factors or any(d < 1 for d in factors):
         raise ModelError("factors must be positive integers")
     order = prod(factors)
-    if order > 4096:
-        raise ModelError("group order %d too large for the model" % order)
+    if order > MAX_MODEL_ORDER:
+        raise ModelError("group order %d over MAX_MODEL_ORDER=%d" % (order, MAX_MODEL_ORDER))
     (fiber_count,) = _integers((fiber_count,), "fiber_count")
     if fiber_count < 1:
         raise ModelError("need at least one fiber")

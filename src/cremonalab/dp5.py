@@ -227,16 +227,13 @@ def _complex_note(
     group = rep.group
     derived_set = set(derived.members)
     quotient_order = subgroup.order // len(derived_set)
-    if quotient_order == 1:
-        generator = subgroup.members[0]
-    else:
-        # a member whose first power in the derived subgroup is its
-        # quotient_order-th generates the quotient
-        generator = next((m for m in subgroup.members
-                          if next(k for k, p in enumerate(group.powers(m), 1) if p in derived_set)
-                          == quotient_order), None)
-        if generator is None:
-            return ()
+    # a member whose first power in the derived subgroup is its
+    # quotient_order-th generates the quotient (the identity, when it is 1)
+    generator = next((m for m in subgroup.members
+                      if next(k for k, p in enumerate(group.powers(m), 1) if p in derived_set)
+                      == quotient_order), None)
+    if generator is None:
+        return ()
 
     derived_gens = derived.generating_set()
     images = rep.mats[generator] @ np.array(basis, dtype=np.int64).T

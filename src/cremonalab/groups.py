@@ -62,7 +62,7 @@ class CapExceeded(GroupError):
 
 
 class IncompatiblePayloads(GroupError):
-    """Two payloads cannot be composed (different kinds or parameters)."""
+    """Payloads that cannot be composed, or generators without one shared identity key."""
 
 
 def _integers(values: Iterable, what: str) -> tuple[int, ...]:
@@ -74,8 +74,6 @@ def _integers(values: Iterable, what: str) -> tuple[int, ...]:
 
 
 class Payload(Protocol):
-    kind: str
-
     def key(self) -> bytes: ...
 
     def compose(self, other: "Payload") -> "Payload": ...
@@ -88,8 +86,6 @@ class Permutation:
     """Permutation of {0, ..., degree-1}; images[i] is the image of point i."""
 
     images: tuple[int, ...]
-
-    kind = "perm"
 
     def __post_init__(self) -> None:
         images = _integers(self.images, "images")
@@ -140,8 +136,6 @@ class ModMatrix:
 
     modulus: int
     entries: tuple[tuple[int, ...], ...]
-
-    kind = "modmatrix"
 
     def __post_init__(self) -> None:
         (n,) = _integers((self.modulus,), "modulus")
@@ -268,7 +262,7 @@ class FiniteGroup:
     def conjugates(self, by, xs) -> np.ndarray:
         """g x g^-1 for each g in ``by`` (rows) and x in ``xs`` (columns), one gather."""
         by = np.asarray(by).reshape(-1, 1)
-        return self.products(self.products(by, xs), self.inverse[by])
+        return self.products(self.products(by, np.asarray(xs)), self.inverse[by])
 
     def centralizes(self, xs, members) -> bool:
         """Whether every element of ``xs`` commutes with every one of ``members``."""
@@ -337,15 +331,15 @@ def close_generators(gens: Sequence) -> FiniteGroup:
     along the same cosets, (g p)^-1 = p^-1 g^-1, one gather per coset.  Raises
     CapExceeded before composing a coset whose table would outgrow
     MAX_TABLE_BYTES, so at most 16 384 payloads, the identity among them,
-    are ever kept, and IncompatiblePayloads when generators cannot be composed.
+    are ever kept, and IncompatiblePayloads before any compose unless all
+    generators share one identity key (a skipped generator is never composed).
     """
     if not gens:
         raise ValueError("need at least one generator")
-    kinds = {getattr(g, "kind", None) for g in gens}
-    if len(kinds) != 1:
-        raise IncompatiblePayloads("mixed payload kinds: %r" % kinds)
-
     ident = gens[0].identity()
+    for gen in gens:
+        if gen.identity().key() != ident.key():
+            raise IncompatiblePayloads("%r and %r have different identities" % (gens[0], gen))
     elements: list = [ident]
     index: dict[bytes, int] = {ident.key(): 0}
     kept: list = []

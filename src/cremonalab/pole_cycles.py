@@ -150,19 +150,12 @@ def canonical_components(components: tuple[Component, ...]) -> tuple[Component, 
 def symmetry_group(cycle: PoleCycle) -> SymmetryGroup:
     """Symmetry of the labeled cycle inside the dihedral group of the ring.
 
-    One- and two-component cycles carry extra node swaps: the self-crossing
-    branches of a genus-1 component can be exchanged, and the two
-    intersection points of a two-component cycle can be exchanged
-    independently of swapping the components.
+    The dihedral count already includes the node swaps of short rings: the
+    reversal of one component exchanges its two self-crossing branches, and
+    that of two components their two intersection points.
     """
     comps = cycle.components
     length = len(comps)
-    if length == 1:
-        return SymmetryGroup(2, "c2")
-    if length == 2:
-        if comps[0] == comps[1]:
-            return SymmetryGroup(4, "klein4")
-        return SymmetryGroup(2, "c2")
     fixed = [image == comps for image in _dihedral_images(comps)]
     rotations = sum(fixed[:length])
     reflects = any(fixed[length:])

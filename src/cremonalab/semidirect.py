@@ -154,8 +154,6 @@ class SemidirectPair:
     twist: int
     rho: tuple[Mat2, ...]
 
-    kind = "semidirect"
-
     def key(self) -> bytes:
         return ("S|%d|%d,%d|%d" % (self.modulus, self.vector[0], self.vector[1], self.twist)).encode()
 
@@ -221,15 +219,10 @@ class FamilyGroup(FiniteGroup):
         # divmod keeps an int an int: _extend reads one product per
         # (representative, generator) pair, and ufuncs on scalars cost 5 times more
         n = self.action.modulus
-        dx, vx = divmod(_indices(x), n * n)
-        dy, vy = divmod(_indices(y), n * n)
+        dx, vx = divmod(x, n * n)
+        dy, vy = divmod(y, n * n)
         w = self._act[dx, vy]
         return self._d6[dx, dy] * (n * n) + (vx // n + w // n) % n * n + (vx + w) % n
-
-
-def _indices(x):
-    """An int, NumPy integer or array as it is, and any other index list as an array."""
-    return x if isinstance(x, (int, np.integer, np.ndarray)) else np.asarray(x)
 
 
 def family_generators(n: int) -> list[SemidirectPair]:

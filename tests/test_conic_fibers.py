@@ -15,6 +15,7 @@ from cremonalab import conic_fibers
 from cremonalab.conic_fibers import (
     FAMILY_REPRESENTATIVES,
     MAX_FIBERS,
+    MAX_MODEL_ORDER,
     AbelianType,
     ModelError,
     SwapFailure,
@@ -177,6 +178,13 @@ def test_fiber_count_is_bounded_by_the_byte_rows():
         make_model((2,), MAX_FIBERS + 1, (), [identity_perm(MAX_FIBERS + 1)])
     with pytest.raises(ModelError, match="fibers"):
         make_model((2,), 10**12, (), [[0, 1]])
+
+
+def test_model_order_is_bounded_by_a_named_constant():
+    model = make_model((MAX_MODEL_ORDER,), 1, (), [[1, 0]])
+    assert len(model.components) == MAX_MODEL_ORDER
+    with pytest.raises(ModelError, match="MAX_MODEL_ORDER=4096"):
+        make_model((MAX_MODEL_ORDER + 1,), 1, (), [[1, 0]])
 
 
 def test_marked_list_is_deduplicated():

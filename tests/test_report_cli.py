@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cremonalab import cli, groups
+from cremonalab import cli, conic_fibers, groups
 from cremonalab.cli import main
 from cremonalab.groups import Subgroup
 from cremonalab.pole_cycles import configuration_rows
@@ -144,6 +144,22 @@ def test_cli_conic_simulate_deterministic():
     assert doc["bound_violations"] == 0
 
 
+def test_conic_commands_share_one_verdict(monkeypatch, capsys):
+    # an index over 16 with every counter clean fails conic.indexbound, so
+    # both commands exit 1 on it
+    def simulate(seed, trials):
+        return {"trials": trials, "seed": seed, "greedy_failures": 0, "invariance_failures": 0,
+                "scan_disagreements": 0, "bound_violations": 0, "max_index": 17,
+                "index_histogram": {"17": trials}, "no_clean_lift": 0, "inadmissible": 0}
+
+    monkeypatch.setattr(conic_fibers, "simulate", simulate)
+    assert main(["report", "conic", "--trials", "3"]) == 1
+    rows = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["claim_id"] for r in rows if r["status"] == "fail"] == ["conic.indexbound"]
+    assert main(["conic", "simulate", "--trials", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["max_index"] == 17
+
+
 def test_cli_jordan_groupfile(tmp_path):
     path = tmp_path / "quaternion.json"
     path.write_text(json.dumps({
@@ -164,6 +180,7 @@ def test_cli_jordan_groupfile(tmp_path):
 # order, jordan index, witness order and normal subgroup count of each file
 GROUP_FILE_FRAGMENTS = {
     "family_n5.json": (300, 12, 25, 8),
+    "family_n13.json": (2028, 12, 169, 8),
     "quaternion.json": (8, 2, 4, 6),
     "s4.json": (24, 6, 4, 4),
     "special_linear_mod3.json": (24, 12, 2, 4),

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from math import gcd
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from cremonalab.semidirect import (
 
 UNIT_NS = (5, 7, 11, 13)
 NON_UNIT_NS = (2, 3, 4, 6, 9)
+# every n of Lemma 5.2's hypothesis that build_group admits: 5, 7, ..., 91
+ADMISSIBLE_NS = tuple(n for n in range(2, 100)
+                      if gcd(n, 6) == 1 and 12 * n * n <= semidirect.MAX_FAMILY_ORDER)
 
 
 def test_dihedral_product_relations():
@@ -108,6 +112,23 @@ def test_verify_lemma52_passes_for_n5():
     assert row.computed["witness_is_translation_subgroup"] is True
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("n", ADMISSIBLE_NS)
+def test_lemma52_holds_at_every_admissible_n(n):
+    assert len(ADMISSIBLE_NS) == 30 and ADMISSIBLE_NS[-1] == 91
+    row = verify_lemma52(n)
+    assert row.status == "pass"
+    assert row.computed == {
+        "order": 12 * n * n,
+        "jordan_index": 12,
+        "witness_order": n * n,
+        "witness_is_translation_subgroup": True,
+        "det_u_minus_identity": 3 % n,
+        "det_z_minus_identity": 4 % n,
+        "determinants_are_units": True,
+    }
+
+
 def test_bad_n_raises_unless_allowed():
     with pytest.raises(HypothesisViolated):
         verify_lemma52(4)
@@ -129,7 +150,8 @@ def test_bad_n_three_tie_is_broken_by_key():
     assert row.computed["witness_is_translation_subgroup"] is False
 
 
-@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 11, 13))
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 11, 13) + tuple(
+    pytest.param(n, marks=pytest.mark.slow) for n in ADMISSIBLE_NS if n > 13))
 def test_translations_are_their_own_centralizer_but_at_two(n):
     # the witness side of Lemma 5.2 without the lattice: T is abelian and
     # normal, and C_G(T), the elements both unit translations fix under

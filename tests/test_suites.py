@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from cremonalab import groups, pole_cycles
+from cremonalab import dp5, groups, pole_cycles
 from cremonalab.dp5 import SUBGROUP_NAMES, standard_subgroups
 from cremonalab.report import emit, exit_code, passed
 from cremonalab.suites import (
@@ -116,6 +116,14 @@ def test_prop44_and_dp5_rows_are_timed_one_by_one():
     line_times = [dp5["prop57.%s" % name] for name in ("s5", "a5", "g5_4", "g5_2", "c5")]
     assert all(t > 0 for t in line_times)
     assert len(set(line_times)) > 1
+
+
+def test_dp5_rows_time_the_subgroup_build(monkeypatch):
+    # building the five subgroups sits on a row's time, not outside every timer
+    build = dp5.standard_subgroups
+    monkeypatch.setattr(dp5, "standard_subgroups", lambda group: time.sleep(0.2) or build(group))
+    rows = run_suite("dp5")
+    assert max(r.wall_time for r in rows if r.claim_id != "prop57.hom") >= 0.2
 
 
 def test_prop44_walks_each_level_once(monkeypatch):
