@@ -15,7 +15,8 @@ the cyclotomic degrees are read off the dimensions of such kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from itertools import product
 from math import gcd
 
@@ -31,7 +32,9 @@ from .groups import (
 from .rational import exact_det, kernel_basis
 
 __all__ = [
+    "SUBGROUP_ORDERS",
     "SUBGROUP_NAMES",
+    "CAVEAT",
     "HomomorphismFailure",
     "ProjectorMismatch",
     "Representation",
@@ -44,7 +47,12 @@ __all__ = [
     "dp5_suite",
 ]
 
-SUBGROUP_NAMES = ("s5", "a5", "g5_4", "g5_2", "c5")
+# The five subgroups the verdict table is about, largest first, by order.
+SUBGROUP_ORDERS = {"s5": 120, "a5": 60, "g5_4": 20, "g5_2": 10, "c5": 5}
+SUBGROUP_NAMES = tuple(SUBGROUP_ORDERS)
+# A positive verdict certifies the linear-algebra condition only; whether
+# the corresponding hyperplane section is nodal is outside this model.
+CAVEAT = "line existence shown representation-theoretically; nodality of the section not checked"
 
 # Images of the basis vectors under the two generators, as matrix columns in
 # the label order s12, s13, s21, s23, s31, s32.  The transposition permutes
@@ -95,6 +103,7 @@ class InvariantLineReport:
     fix_space_dim: int
     complex_note: tuple[int, ...]
     caveat: str = ""
+    seconds: float = field(default=0.0, compare=False)  # set by dp5_suite
 
 
 def _matrix_from_columns(columns) -> np.ndarray:
@@ -151,10 +160,10 @@ def verify_homomorphism(rep: Representation) -> int:
 
 
 def standard_subgroups(group: FiniteGroup) -> list[tuple[str, Subgroup]]:
-    """The five subgroups the verdict table is about, largest first.
+    """The five subgroups of SUBGROUP_ORDERS, in its order.
 
-    Order 120 (everything), 60 (commutator), 20 (normalizer of a 5-cycle),
-    10 (5-cycle with an inverting involution), 5 (the cycle alone).
+    Everything, the commutator subgroup, the normalizer of a 5-cycle, the
+    5-cycle with an inverting involution, and the cycle alone.
     """
     full = group.subgroup(range(group.order), gens=group.generators)
     alt = commutator_subgroup(full)
@@ -171,13 +180,11 @@ def standard_subgroups(group: FiniteGroup) -> list[tuple[str, Subgroup]]:
     g5_2_members = group.subgroup_closure([five, invol])
     g5_2 = group.subgroup(g5_2_members, gens=(five, invol))
 
-    named = [("s5", full), ("a5", alt), ("g5_4", g5_4), ("g5_2", g5_2), ("c5", c5)]
-    expected_orders = {"s5": 120, "a5": 60, "g5_4": 20, "g5_2": 10, "c5": 5}
+    named = list(zip(SUBGROUP_NAMES, (full, alt, g5_4, g5_2, c5)))
     for name, sub in named:
-        if sub.order != expected_orders[name]:
-            raise RuntimeError(
-                "subgroup %s has order %d, expected %d" % (name, sub.order, expected_orders[name])
-            )
+        if sub.order != SUBGROUP_ORDERS[name]:
+            raise RuntimeError("subgroup %s has order %d, expected %d"
+                               % (name, sub.order, SUBGROUP_ORDERS[name]))
     return named
 
 
@@ -282,9 +289,6 @@ def rational_invariant_lines(
 
     derived = commutator_subgroup(subgroup)
     fixed = fixed_space(rep, derived)
-    # a positive verdict certifies the linear-algebra condition only; whether
-    # the corresponding hyperplane section is nodal is outside this model
-    caveat = "" if witness is None else "line existence shown representation-theoretically; nodality of the section not checked"
     return InvariantLineReport(
         name=name,
         subgroup_order=subgroup.order,
@@ -292,13 +296,22 @@ def rational_invariant_lines(
         witness=witness,
         fix_space_dim=len(fixed),
         complex_note=_complex_note(rep, subgroup, derived, fixed),
-        caveat=caveat,
+        caveat="" if witness is None else CAVEAT,
     )
 
 
 def dp5_suite(rep: Representation | None = None) -> list[InvariantLineReport]:
-    """Reports for the five standard subgroups, in SUBGROUP_NAMES order."""
+    """Reports for the five standard subgroups, in SUBGROUP_NAMES order.
+
+    Each report carries its measured seconds; the first also covers building
+    the subgroups.
+    """
     if rep is None:
         rep = s5_representation()
         verify_homomorphism(rep)
-    return [rational_invariant_lines(rep, sub, name) for name, sub in standard_subgroups(rep.group)]
+    reports, start = [], time.perf_counter()
+    for name, sub in standard_subgroups(rep.group):
+        line = rational_invariant_lines(rep, sub, name)
+        reports.append(replace(line, seconds=time.perf_counter() - start))
+        start = time.perf_counter()
+    return reports

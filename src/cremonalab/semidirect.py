@@ -281,13 +281,7 @@ def verify_lemma52(n: int, allow_bad_n: bool = False) -> VerificationReport:
         )
     start = time.perf_counter()
     group = build_group(n)
-    # the action build_group solved: a FamilyGroup keeps it, and a table's
-    # payloads carry its matrices, U = rho(r^2) and Z = rho(r^3)
-    if isinstance(group, FamilyGroup):
-        data = group.action
-    else:
-        rho = group.elements[0].rho
-        data = ModularDihedralAction(n, rho[2], rho[3], rho)
+    data = build_action_data(n)
     lattice = normal_subgroups(group)
     cert = jordan_index(group, lattice=lattice)
     translations = translation_subgroup(group)

@@ -103,48 +103,35 @@ def _dp5_rows() -> list[VerificationReport]:
     start = time.perf_counter()
     rep = dp5.s5_representation()
     pairs = dp5.verify_homomorphism(rep)
-    hom_time = time.perf_counter() - start
     rows = [checked(
         "prop57.hom",
         "Prop 5.7 (representation is a homomorphism)",
         {"pairs_checked": pairs, "determinants_unimodular": True},
         {"pairs_checked": rep.group.order ** 2, "determinants_unimodular": True},
         "derived",
-        wall_time=hom_time,
+        wall_time=time.perf_counter() - start,
     )]
-    verdicts = {}
-    complex_data = {}
-    # One subgroup per call, so each line's row has its own time; building
-    # the subgroups is timed on the first line's row.
-    start = time.perf_counter()
-    for name, sub in dp5.standard_subgroups(rep.group):
-        lr = dp5.rational_invariant_lines(rep, sub, name)
-        line_time = time.perf_counter() - start
-        verdicts[lr.name] = lr.has_rational_line
-        complex_data[lr.name] = {
-            "fix_space_dim": lr.fix_space_dim,
-            "complex_note": list(lr.complex_note),
-        }
-        rows.append(checked(
-            "prop57.%s" % lr.name,
-            "Prop 5.7 (G = %s, order %d)" % (lr.name, lr.subgroup_order),
-            {"rational_line_exists": lr.has_rational_line},
-            {"rational_line_exists": EXPECTED_LINE_VERDICTS[lr.name]},
-            "paper",
-            wall_time=line_time,
-        ))
-        start = time.perf_counter()
+    lines = dp5.dp5_suite(rep)
+    rows += [checked(
+        "prop57.%s" % lr.name,
+        "Prop 5.7 (G = %s, order %d)" % (lr.name, lr.subgroup_order),
+        {"rational_line_exists": lr.has_rational_line},
+        {"rational_line_exists": EXPECTED_LINE_VERDICTS[lr.name]},
+        "paper",
+        wall_time=lr.seconds,
+    ) for lr in lines]
     rows.append(checked(
         "prop57.dp5",
         "Prop 5.7 (all five verdicts)",
-        verdicts,
+        {lr.name: lr.has_rational_line for lr in lines},
         dict(EXPECTED_LINE_VERDICTS),
         "paper",
     ))
     rows.append(informational(
         "prop57.complex",
         "Prop 5.7 (fixed-space data)",
-        complex_data,
+        {lr.name: {"fix_space_dim": lr.fix_space_dim, "complex_note": list(lr.complex_note)}
+         for lr in lines},
         "derived",
     ))
     return rows

@@ -1,5 +1,5 @@
-"""The benchmark's recorded reports, and the lemma52 rows at the n that
-violate its hypothesis, reproduced byte for byte in process."""
+"""The benchmark's recorded reports, the lemma52 rows at the n that violate
+its hypothesis and the dp5 check table, reproduced byte for byte in process."""
 
 from pathlib import Path
 
@@ -19,7 +19,8 @@ REFERENCE = TESTS.parent / "perfbench" / "reference"
     # of order 9 broken by key, so the witness is not the translations
     (["verify", "lemma52", "--n", "2,3,4,6", "--allow-bad-n"],
      TESTS / "reference" / "lemma52_bad_n.json"),
-], ids=["report_all", "lemma52_large", "conic_many", "lemma52_bad_n"])
+    (["dp5", "check"], TESTS / "reference" / "dp5_check.json"),
+], ids=["report_all", "lemma52_large", "conic_many", "lemma52_bad_n", "dp5_check"])
 def test_output_matches_reference(capsys, argv, path):
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == path.read_bytes()

@@ -1,6 +1,7 @@
 """Report rows, canonical emission and the command-line surface."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cremonalab import cli, conic_fibers, groups
+from cremonalab import cli, conic_fibers, dp5, groups
 from cremonalab.cli import main
 from cremonalab.groups import Subgroup
 from cremonalab.pole_cycles import configuration_rows
@@ -158,6 +159,42 @@ def test_conic_commands_share_one_verdict(monkeypatch, capsys):
     assert [r["claim_id"] for r in rows if r["status"] == "fail"] == ["conic.indexbound"]
     assert main(["conic", "simulate", "--trials", "3"]) == 1
     assert json.loads(capsys.readouterr().out)["max_index"] == 17
+
+
+def _raises(exc):
+    def patch(real):
+        def fault(*args):
+            raise exc
+        return fault
+    return patch
+
+
+def _flip_g5_4(rational_invariant_lines):
+    def flipped(rep, subgroup, name):
+        line = rational_invariant_lines(rep, subgroup, name)
+        return dataclasses.replace(line, has_rational_line=line.has_rational_line != (name == "g5_4"))
+    return flipped
+
+
+@pytest.mark.parametrize("attribute, patch, failing", [
+    ("verify_homomorphism", _raises(dp5.HomomorphismFailure("row 0")), ["dp5.error"]),
+    ("verify_homomorphism", lambda real: lambda rep: 0, ["prop57.hom"]),
+    ("standard_subgroups", _raises(RuntimeError("no subgroups")), ["dp5.error"]),
+    ("rational_invariant_lines", _flip_g5_4, ["prop57.g5_4", "prop57.dp5"]),
+], ids=["hom_raises", "hom_pairs_zero", "subgroups_raise", "g5_4_flipped"])
+def test_dp5_commands_share_one_verdict(monkeypatch, capsys, attribute, patch, failing):
+    # dp5 check is a view of the report dp5 rows: under each fault both exit
+    # 1 without raising, and dp5 check names each fail row on stderr
+    monkeypatch.setattr(dp5, attribute, patch(getattr(dp5, attribute)))
+    assert main(["report", "dp5"]) == 1
+    rows = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["claim_id"] for r in rows if r["status"] == "fail"] == failing
+    assert main(["dp5", "check"]) == 1
+    captured = capsys.readouterr()
+    assert [line.split()[1] for line in captured.err.splitlines()] == failing
+    assert all(line.startswith("fail: ") for line in captured.err.splitlines())
+    names = [row["name"] for row in json.loads(captured.out)["rows"]]
+    assert names == ([] if failing == ["dp5.error"] else list(dp5.SUBGROUP_NAMES))
 
 
 def test_cli_jordan_groupfile(tmp_path):

@@ -176,16 +176,15 @@ def test_build_action_data_rejects_tiny_modulus():
         build_action_data(1)
 
 
-def test_verify_lemma52_solves_the_action_once(monkeypatch):
-    # the determinant fields come from the action build_group solved
-    solved = []
-    monkeypatch.setattr(semidirect, "build_action_data",
-                        lambda n: solved.append(n) or build_action_data(n))
-    row = verify_lemma52(7)
-    assert solved == [7]
-    data = build_action_data(7)
-    assert row.computed["det_u_minus_identity"] == data.det_u_minus_identity == 3
-    assert row.computed["det_z_minus_identity"] == data.det_z_minus_identity == 4
+def test_verify_lemma52_reads_its_determinants_from_the_action():
+    # the three determinant fields are build_action_data(n)'s, on the table
+    # path (n = 7) and the computed-product path (n = 13) alike
+    for n in (7, 13):
+        row = verify_lemma52(n)
+        data = build_action_data(n)
+        assert row.computed["det_u_minus_identity"] == data.det_u_minus_identity == 3
+        assert row.computed["det_z_minus_identity"] == data.det_z_minus_identity == 4
+        assert row.computed["determinants_are_units"] is data.determinants_are_units() is True
 
 
 @pytest.mark.parametrize("n", range(2, 14))

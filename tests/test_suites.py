@@ -5,6 +5,7 @@ import time
 import pytest
 
 from cremonalab import dp5, groups, pole_cycles
+from cremonalab.cli import main
 from cremonalab.dp5 import SUBGROUP_NAMES, standard_subgroups
 from cremonalab.report import emit, exit_code, passed
 from cremonalab.suites import (
@@ -139,10 +140,13 @@ def test_prop44_walks_each_level_once(monkeypatch):
     assert walked == {9: len(pole_cycles.base_pairs()), **widths}
 
 
-def test_dp5_suite_builds_the_subgroups_once(monkeypatch):
+def test_dp5_suite_builds_the_subgroups_once(monkeypatch, capsys):
     calls = []
     monkeypatch.setattr("cremonalab.dp5.standard_subgroups",
                         lambda group: calls.append(group) or standard_subgroups(group))
     rows = run_suite("dp5")
     assert len(calls) == 1
     assert [r.claim_id for r in rows[1:6]] == ["prop57.%s" % name for name in SUBGROUP_NAMES]
+    # dp5 check renders the same suite's rows and builds nothing of its own
+    assert main(["dp5", "check"]) == 0
+    assert len(calls) == 2
