@@ -43,6 +43,8 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     # distinct values bound the work: only n <= 91 fit under semidirect.MAX_FAMILY_ORDER
     seen: set[int] = set()
     for n in values:
+        if n < 2:
+            raise argparse.ArgumentTypeError("--n values must be at least 2, got %d" % n)
         if n in seen:
             raise argparse.ArgumentTypeError("--n names %d more than once" % n)
         seen.add(n)

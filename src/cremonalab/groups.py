@@ -1,7 +1,7 @@
 """Finite groups as explicit multiplication tables over typed element payloads.
 
 Elements are small immutable payloads (permutations, matrices over Z/nZ, or
-semidirect-product pairs defined elsewhere) that know how to compose and how to
+semidirect.FamilyGroup's element indices) that know how to compose and how to
 serialize themselves to a canonical byte key.  A group is closed from a
 generator list by Dimino's coset extension over payloads, one stage per
 generator not already in the closure and about one compose per element, and

@@ -8,9 +8,10 @@ det(Z - I) = 4 are units mod n exactly when gcd(n, 6) = 1, which is what makes
 the translation subgroup the unique largest abelian normal subgroup and the
 minimal index equal to 12.
 
-``build_group`` closes a small group into a Cayley table and gives a larger
-one as a ``FamilyGroup``, which computes each product from the action
-instead of storing a table.
+``FamilyGroup`` computes each product (v + rho(d) w, d e) from the action
+instead of storing a table, and is the one implementation of the product
+law.  ``build_group`` gives a larger group as a FamilyGroup and closes a
+small one into a Cayley table, reading each product from a FamilyGroup.
 """
 
 from __future__ import annotations
@@ -40,11 +41,9 @@ __all__ = [
     "NoConsistentAction",
     "HypothesisViolated",
     "ModularDihedralAction",
-    "SemidirectPair",
     "FamilyGroup",
     "dihedral_product",
     "build_action_data",
-    "family_generators",
     "build_group",
     "translation_subgroup",
     "verify_lemma52",
@@ -58,8 +57,8 @@ Mat2 = tuple[tuple[int, int], tuple[int, int]]
 MAX_FAMILY_ORDER = 100_000
 # The largest order closed into a Cayley table, so n <= 10; a larger group
 # is a FamilyGroup.  In process (build, lattice and index, best of 15, three
-# runs) the table is faster up to n = 10 (10.3-13.4 against 10.3-15.0 ms),
-# and the computed products from n = 11 (7.8-12.6 against 9.7-14.9 ms).
+# runs) the table is faster at n = 5 and 7, n = 10 is a near-tie, and the
+# computed products win from n = 11 (6.8-9.6 against 10.3-16.7 ms).
 MAX_TABLE_ORDER = 1200
 
 
@@ -79,8 +78,8 @@ def dihedral_product(a: int, b: int) -> int:
     return rot + 6 * ((ea + eb) % 2)
 
 
-# dihedral_product as a table, _D6[a][b], read by SemidirectPair.compose
-# and FamilyGroup; _D6_INVERSE[a] is the b with _D6[a][b] = 0
+# dihedral_product as a table, _D6[a][b], read by FamilyGroup;
+# _D6_INVERSE[a] is the b with _D6[a][b] = 0
 _D6 = tuple(tuple(dihedral_product(a, b) for b in range(12)) for a in range(12))
 _D6_INVERSE = tuple(row.index(0) for row in _D6)
 
@@ -145,32 +144,6 @@ def build_action_data(n: int) -> ModularDihedralAction:
     return ModularDihedralAction(n, u.entries, z.entries, rho)
 
 
-@dataclass(frozen=True)
-class SemidirectPair:
-    """Element (vector, dihedral index) of (Z/n)^2 x| D6."""
-
-    modulus: int
-    vector: tuple[int, int]
-    twist: int
-    rho: tuple[Mat2, ...]
-
-    def key(self) -> bytes:
-        return ("S|%d|%d,%d|%d" % (self.modulus, self.vector[0], self.vector[1], self.twist)).encode()
-
-    def compose(self, other: "SemidirectPair") -> "SemidirectPair":
-        if not isinstance(other, SemidirectPair) or other.modulus != self.modulus:
-            raise IncompatiblePayloads("cannot compose %r with %r" % (self, other))
-        n = self.modulus
-        (a, b), (c, d) = self.rho[self.twist]
-        v0, v1 = self.vector
-        w0, w1 = other.vector
-        moved = ((v0 + a * w0 + b * w1) % n, (v1 + c * w0 + d * w1) % n)
-        return SemidirectPair(n, moved, _D6[self.twist][other.twist], self.rho)
-
-    def identity(self) -> "SemidirectPair":
-        return SemidirectPair(self.modulus, (0, 0), 0, self.rho)
-
-
 class FamilyGroup(FiniteGroup):
     """(Z/n)^2 x| D6 with computed products: no Cayley table and no payloads.
 
@@ -179,8 +152,9 @@ class FamilyGroup(FiniteGroup):
     indices below n^2; (v, d) . (w, e) = (v + rho(d) w, d e).  ``products``
     reads ``act[d, w]``, the index of rho(d) w, and the D6 table, and
     ``inverse`` is an order-length array built on first use, so every array
-    is O(order).  The generators are those of ``family_generators``, and
-    ``keys`` are the ``SemidirectPair`` keys, derived on first use.
+    is O(order).  The generators are the unit translations, the rotation r
+    and the reflection s, and the key of (v, d) is ``S|n|v0,v1|d``, derived
+    on first use.
     """
 
     def __init__(self, action: ModularDihedralAction) -> None:
@@ -209,8 +183,8 @@ class FamilyGroup(FiniteGroup):
 
     @cached_property
     def keys(self) -> tuple[bytes, ...]:
-        n, rho = self.action.modulus, self.action.rho
-        return tuple(SemidirectPair(n, divmod(v, n), d, rho).key()
+        n = self.action.modulus
+        return tuple(("S|%d|%d,%d|%d" % (n, v // n, v % n, d)).encode()
                      for d in range(12) for v in range(n * n))
 
     def products(self, x, y) -> np.ndarray:
@@ -225,31 +199,39 @@ class FamilyGroup(FiniteGroup):
         return self._d6[dx, dy] * (n * n) + (vx // n + w // n) % n * n + (vx + w) % n
 
 
-def family_generators(n: int) -> list[SemidirectPair]:
-    """The unit translations, the rotation r and the reflection s, as payloads."""
-    rho = build_action_data(n).rho
-    return [
-        SemidirectPair(n, (1, 0), 0, rho),
-        SemidirectPair(n, (0, 1), 0, rho),
-        SemidirectPair(n, (0, 0), 1, rho),   # order-6 rotation
-        SemidirectPair(n, (0, 0), 6, rho),   # reflection
-    ]
+@dataclass(frozen=True)
+class _FamilyElement:
+    """Element ``index`` of a FamilyGroup as a payload, to close into a table."""
+
+    family: FamilyGroup
+    index: int
+
+    def key(self) -> bytes:
+        return self.family.keys[self.index]
+
+    def compose(self, other: "_FamilyElement") -> "_FamilyElement":
+        if not isinstance(other, _FamilyElement) or other.family is not self.family:
+            raise IncompatiblePayloads("cannot compose %r with %r" % (self, other))
+        return _FamilyElement(self.family, int(self.family.products(self.index, other.index)))
+
+    def identity(self) -> "_FamilyElement":
+        return _FamilyElement(self.family, 0)
 
 
 def build_group(n: int) -> FiniteGroup:
-    """The group of order 12 n^2, generated by ``family_generators(n)``.
-
-    Up to MAX_TABLE_ORDER it is closed into a Cayley table, above it a
-    FamilyGroup computes its products; past MAX_FAMILY_ORDER it is refused
+    """The group of order 12 n^2: a FamilyGroup above MAX_TABLE_ORDER, and up
+    to it the Cayley table closed from the FamilyGroup's generators, each
+    product read from the FamilyGroup.  Past MAX_FAMILY_ORDER it is refused
     with CapExceeded before any work.
     """
     expected = 12 * n * n
     if expected > MAX_FAMILY_ORDER:
         raise CapExceeded("lemma52 n = %d gives a group of order 12 n^2 over MAX_FAMILY_ORDER=%d"
                           % (n, MAX_FAMILY_ORDER))
+    family = FamilyGroup(build_action_data(n))
     if expected > MAX_TABLE_ORDER:
-        return FamilyGroup(build_action_data(n))
-    group = close_generators(family_generators(n))
+        return family
+    group = close_generators([_FamilyElement(family, g) for g in family.generators])
     if group.order != expected:
         raise NoConsistentAction("closure has order %d, wanted %d" % (group.order, expected))
     return group

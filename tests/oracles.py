@@ -4,16 +4,20 @@ Everything here is deliberately naive: direct loops over multiplication
 tables, permutation images and Fraction matrices.  The only shared substrate
 with the package is the Cayley table itself, whose entries are validated
 against raw payload composition in test_groups before anything else relies
-on it.
+on it, and the dihedral action rho that the order-12n^2 family's payloads
+read from ``semidirect.build_action_data``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
 
 import numpy as np
+
+from cremonalab.groups import IncompatiblePayloads
 
 
 def table_of(group) -> list[list[int]]:
@@ -303,6 +307,60 @@ def cyclic_product(factors):
         generators=tuple(int(s) if d > 1 else 0 for s, d in zip(strides, factors)),
         inverse=np.ravel_multi_index(tuple(negated), factors).astype(np.int32),
     )
+
+
+# --- the order-12n^2 family as payloads ----------------------------------
+
+def dihedral_index_product(a: int, b: int) -> int:
+    """D6 product of indices rotation + 6 * reflection_bit, by composing the
+    maps x -> rotation + (-1)^reflection x of Z/6 they stand for and reading
+    the product's rotation and reflection back off its images of 0 and 1."""
+    def images(d):
+        return [(d % 6 + (-x if d >= 6 else x)) % 6 for x in range(6)]
+
+    left, right = images(a), images(b)
+    composed = [left[right[x]] for x in range(6)]
+    return composed[0] + 6 * ((composed[1] - composed[0]) % 6 == 5)
+
+
+@dataclass(frozen=True)
+class SemidirectPair:
+    """Element (vector, dihedral index) of (Z/n)^2 x| D6 as a payload, with
+    (v, d) . (w, e) = (v + rho(d) w, d e) by a direct matrix-vector product
+    and ``dihedral_index_product``: the reference the package's FamilyGroup
+    must match, sharing only the action rho with it."""
+
+    modulus: int
+    vector: tuple[int, int]
+    twist: int
+    rho: tuple
+
+    def key(self) -> bytes:
+        return ("S|%d|%d,%d|%d" % (self.modulus, self.vector[0], self.vector[1], self.twist)).encode()
+
+    def compose(self, other: "SemidirectPair") -> "SemidirectPair":
+        if not isinstance(other, SemidirectPair) or other.modulus != self.modulus:
+            raise IncompatiblePayloads("cannot compose %r with %r" % (self, other))
+        n, m = self.modulus, self.rho[self.twist]
+        moved = tuple((self.vector[i] + sum(m[i][j] * other.vector[j] for j in range(2))) % n
+                      for i in range(2))
+        return SemidirectPair(n, moved, dihedral_index_product(self.twist, other.twist), self.rho)
+
+    def identity(self) -> "SemidirectPair":
+        return SemidirectPair(self.modulus, (0, 0), 0, self.rho)
+
+
+def family_generators(n: int) -> list[SemidirectPair]:
+    """The unit translations, the rotation r and the reflection s, as payloads."""
+    from cremonalab.semidirect import build_action_data
+
+    rho = build_action_data(n).rho
+    return [
+        SemidirectPair(n, (1, 0), 0, rho),
+        SemidirectPair(n, (0, 1), 0, rho),
+        SemidirectPair(n, (0, 0), 1, rho),   # order-6 rotation
+        SemidirectPair(n, (0, 0), 6, rho),   # reflection
+    ]
 
 
 # --- permutation and matrix arithmetic ---------------------------------

@@ -1,21 +1,14 @@
 """Every demo script runs to completion in a fresh interpreter."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from checkout import ROOT, run_python
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def run_demo(path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(path)], capture_output=True, text=True,
-                          env=env, cwd=ROOT, timeout=120)
+    return run_python(str(path), timeout=120)
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])

@@ -30,7 +30,7 @@ from cremonalab.groups import (
     minimal_generators,
 )
 from cremonalab.jordan import jordan_index, report_fragment
-from cremonalab.semidirect import SemidirectPair, build_group, family_generators
+from cremonalab.semidirect import build_group
 
 S4_GENS = [
     Permutation.from_cycles(4, [[1, 2]]),
@@ -118,7 +118,7 @@ def test_generators_must_share_one_identity():
     with pytest.raises(IncompatiblePayloads, match="different identities"):
         close_generators([identity2, order4])
     with pytest.raises(IncompatiblePayloads, match="different identities"):
-        close_generators(family_generators(5)[:1] + family_generators(7)[1:])
+        close_generators(oracles.family_generators(5)[:1] + oracles.family_generators(7)[1:])
 
 
 def assert_table_matches_compose(group):
@@ -215,7 +215,7 @@ def test_closure_is_generator_order_independent():
     # member keys, and lemma52 at n = 3 has one
     quaternion = load_group(str(GROUPFILES / "quaternion.json"))
     cases = [S4_GENS, [quaternion.elements[g] for g in quaternion.generators],
-             family_generators(3), family_generators(5)]
+             oracles.family_generators(3), oracles.family_generators(5)]
     for gens in cases:
         numberings, seen = set(), set()
         for shuffled in itertools.permutations(gens):
@@ -317,7 +317,7 @@ def counted_composes(monkeypatch, cls):
 
 @pytest.mark.parametrize("gens, payload, order, composes, last_coset", [
     (lambda: S4_GENS, Permutation, 24, 34, 2),
-    (lambda: family_generators(5), SemidirectPair, 300, 316, 150),
+    (lambda: oracles.family_generators(5), oracles.SemidirectPair, 300, 316, 150),
 ], ids=["s4", "family_n5"])
 def test_closure_composes_about_once_per_element(monkeypatch, gens, payload, order, composes,
                                                   last_coset):
@@ -359,7 +359,7 @@ def test_closure_matches_breadth_first_oracle_at_every_product(gens):
 
 @pytest.mark.parametrize("gens", [
     lambda: [ModMatrix(3, ((1, 1), (0, 1))), ModMatrix(3, ((0, 1), (2, 0)))],
-    *(lambda n=n: family_generators(n) for n in (2, 3, 5)),
+    *(lambda n=n: oracles.family_generators(n) for n in (2, 3, 5)),
 ], ids=["sl2_mod3", "family_n2", "family_n3", "family_n5"])
 def test_named_closures_match_breadth_first_oracle_at_every_product(gens):
     assert_closure_matches_breadth_first_oracle(gens())
@@ -379,7 +379,7 @@ def assert_inverse_folded(group):
     *(pytest.param(lambda name=name: small_group_corpus()[name], id=name)
       for name in sorted(small_group_corpus())),
     pytest.param(lambda: s5_representation().group, id="s5"),
-    *(pytest.param(lambda n=n: close_generators(family_generators(n)), id="family_n%d" % n)
+    *(pytest.param(lambda n=n: close_generators(oracles.family_generators(n)), id="family_n%d" % n)
       for n in range(2, 14)),
     # family_n13.json loads as a FamilyGroup, which folds no inverse and has
     # no table; test_semidirect checks its inverse against the closed table
@@ -719,7 +719,7 @@ def test_closed_table_is_filled_without_a_second_table():
     # which alone would be another mul.nbytes
     tracemalloc.start()
     try:
-        group = close_generators(family_generators(11))
+        group = close_generators(oracles.family_generators(11))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -5,31 +5,21 @@ import dataclasses
 import io
 import json
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checkout import ROOT as PKG_ROOT, run_python
 from cremonalab import cli, conic_fibers, dp5, groups
 from cremonalab.cli import main
 from cremonalab.groups import Subgroup
 from cremonalab.pole_cycles import configuration_rows
 from cremonalab.report import VerificationReport, checked, emit, exit_code, informational
 
-PKG_ROOT = Path(__file__).resolve().parent.parent
-
 
 def run_cli(*args, **kwargs):
-    return subprocess.run(
-        [sys.executable, "-m", "cremonalab.cli", *args],
-        capture_output=True,
-        text=True,
-        cwd=PKG_ROOT,
-        **kwargs,
-    )
+    return run_python("-m", "cremonalab.cli", *args, **kwargs)
 
 
 # --- report rows ---------------------------------------------------------
@@ -386,8 +376,8 @@ def test_cli_usage_errors_exit_2(capsys):
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("verify", "lemma52", "--n", "five").returncode == 2
     assert run_cli().returncode == 2
-    # trial counts must be positive, --n values distinct, and --parallel and
-    # --cap are gone
+    # trial counts must be positive, --n values distinct and at least 2, and
+    # --parallel and --cap are gone
     for args in (
         ("report", "conic", "--trials", "-3"),
         ("report", "conic", "--trials", "0"),
@@ -400,12 +390,17 @@ def test_cli_usage_errors_exit_2(capsys):
         ("jordan", str(PKG_ROOT / "demos" / "groupfiles" / "s4.json"), "--cap", "5"),
         ("report", "all", "--parallel"),
         ("verify", "lemma52", "--n", "5,5"),
+        ("verify", "lemma52", "--n", "1", "--allow-bad-n"),
+        ("verify", "lemma52", "--n", "0", "--allow-bad-n"),
+        ("verify", "lemma52", "--n", "-5"),
     ):
         assert main(list(args)) == 2, args
         assert capsys.readouterr().out == "", args
     # each n runs once, so the distinct values that fit a table bound the work
     assert main(["verify", "lemma52", "--n", "7,5,7"]) == 2
     assert "--n names 7 more than once" in capsys.readouterr().err
+    assert main(["verify", "lemma52", "--n", "5,1", "--allow-bad-n"]) == 2
+    assert "--n values must be at least 2, got 1" in capsys.readouterr().err
 
 
 def test_commands_never_import_numpy_ma():
@@ -419,8 +414,7 @@ def test_commands_never_import_numpy_ma():
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
         "print('numpy.ma' in sys.modules)\n")
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            cwd=PKG_ROOT, timeout=120)
+    result = run_python("-c", script, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
 

@@ -7,17 +7,16 @@ from math import gcd
 import numpy as np
 import pytest
 
+import oracles
 from cremonalab import semidirect
-from cremonalab.groups import CapExceeded, close_generators
+from cremonalab.groups import CapExceeded, IncompatiblePayloads, close_generators
 from cremonalab.jordan import jordan_index, normal_subgroups
 from cremonalab.semidirect import (
     FamilyGroup,
     HypothesisViolated,
-    SemidirectPair,
     build_action_data,
     build_group,
     dihedral_product,
-    family_generators,
     translation_subgroup,
     verify_lemma52,
 )
@@ -27,6 +26,12 @@ NON_UNIT_NS = (2, 3, 4, 6, 9)
 # every n of Lemma 5.2's hypothesis that build_group admits: 5, 7, ..., 91
 ADMISSIBLE_NS = tuple(n for n in range(2, 100)
                       if gcd(n, 6) == 1 and 12 * n * n <= semidirect.MAX_FAMILY_ORDER)
+
+
+def pair_of(group, i):
+    """(v, d) of element i, read off its key ``S|n|v0,v1|d``."""
+    _, _, vector, twist = group.keys[i].decode().split("|")
+    return tuple(map(int, vector.split(","))), int(twist)
 
 
 def test_dihedral_product_relations():
@@ -66,9 +71,8 @@ def test_group_order_and_translations(n):
     assert group.order // trans.order == 12
     assert trans.is_abelian()
     assert trans.is_normal()
-    assert all(group.elements[i].twist == 0 for i in trans.members)
-    assert [group.elements[g].vector for g in trans.gens] == [(1, 0), (0, 1)]
-    assert all(group.elements[g].twist == 0 for g in trans.gens)
+    assert all(pair_of(group, i)[1] == 0 for i in trans.members)
+    assert [pair_of(group, g) for g in trans.gens] == [((1, 0), 0), ((0, 1), 0)]
 
 
 def test_lemma52_path_builds_no_element_keys():
@@ -90,16 +94,15 @@ def test_commutator_with_translation_is_twisted_difference():
         d = rng.randrange(12)
         v = (rng.randrange(n), rng.randrange(n))
         w = (rng.randrange(n), rng.randrange(n))
-        x = group.find(SemidirectPair(n, v, d, data.rho))
-        a = group.find(SemidirectPair(n, w, 0, data.rho))
-        commutator = group.elements[mul[mul[x, a], mul[inv[x], inv[a]]]]
+        x = group.find(oracles.SemidirectPair(n, v, d, data.rho))
+        a = group.find(oracles.SemidirectPair(n, w, 0, data.rho))
+        commutator = pair_of(group, mul[mul[x, a], mul[inv[x], inv[a]]])
         m = data.rho[d]
         expected = (
             (m[0][0] * w[0] + m[0][1] * w[1] - w[0]) % n,
             (m[1][0] * w[0] + m[1][1] * w[1] - w[1]) % n,
         )
-        assert commutator.twist == 0
-        assert commutator.vector == expected
+        assert commutator == (expected, 0)
 
 
 def test_verify_lemma52_passes_for_n5():
@@ -166,7 +169,7 @@ def test_translations_are_their_own_centralizer_but_at_two(n):
     centralizer = tuple(np.flatnonzero(fixed).tolist())
     if n == 2:
         assert len(centralizer) == 2 * n * n == 8
-        assert {group.elements[c].twist for c in centralizer} == {0, 3}
+        assert {pair_of(group, c)[1] for c in centralizer} == {0, 3}
     else:
         assert centralizer == trans.members
 
@@ -193,7 +196,7 @@ def test_formula_group_matches_the_closed_table(n):
     # from the payload generators, matched element by element through keys
     # (bad n included; n = 3 has the order-9 tie that the keys break)
     formula = FamilyGroup(build_action_data(n))
-    table = close_generators(family_generators(n))
+    table = close_generators(oracles.family_generators(n))
     to_formula = np.array([formula.find(e) for e in table.elements])
     assert sorted(to_formula.tolist()) == list(range(formula.order)) == list(range(12 * n * n))
     assert formula.generators == tuple(to_formula[list(table.generators)].tolist())
@@ -221,6 +224,27 @@ def test_build_group_tabulates_only_small_orders(n, kind):
     group = build_group(n)
     assert isinstance(group, FamilyGroup) == (kind == "formula")
     assert group.order == 12 * n * n
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_tabulated_family_is_the_closure_of_the_oracle_payloads(n):
+    # the table is a FamilyGroup's products closed along the same generator
+    # list, so Dimino numbers it as it numbers the reference payloads
+    group, reference = build_group(n), close_generators(oracles.family_generators(n))
+    assert np.array_equal(group.mul, reference.mul)
+    assert np.array_equal(group.inverse, reference.inverse)
+    assert group.generators == reference.generators
+    assert group.keys == reference.keys
+
+
+def test_tabulated_family_payload_refuses_a_foreign_payload():
+    # an element of another family, and a reference payload with the same key
+    element = build_group(5).elements[1]
+    foreign = [build_group(7).elements[1], oracles.family_generators(5)[0]]
+    assert foreign[1].key() == element.key()
+    for other in foreign:
+        with pytest.raises(IncompatiblePayloads):
+            element.compose(other)
 
 
 def test_family_order_bound_names_n_before_any_work(monkeypatch):
