@@ -17,11 +17,15 @@ parent.  Only ``find`` and ``keys`` need payloads, and ``jordan_index``
 reads keys only to break a real tie.  ``FiniteGroup.products`` (x . y for
 every pair of broadcast index arrays) is the one reader of ``mul``.  dp5's
 S5 representation multiplies through it, and so do ``powers``,
-``conjugates`` (x -> g x g^-1, one gather over index arrays) and
-``centralizes``, which conjugacy classes, normality, derived subgroups and
-the abelian check use.  Subgroup closures (the lattice's class
-closures among them), the lattice's joins and greedy generating sets all
-read Dimino's coset extension ``FiniteGroup._extend``.
+``conjugates`` (x -> g x g^-1, one gather over index arrays),
+``commutators`` ([x, y] = x y x^-1 y^-1, one gather) and ``centralizes``,
+which conjugacy classes, normality, derived subgroups, the lattice and the
+abelian check use.  Subgroup closures, the lattice's joins and greedy
+generating sets all read Dimino's coset extension ``FiniteGroup._extend``,
+which may start from any normal subgroup N inside the result.  The
+lattice's class closures start from the closure of the class of a
+commutator [g, x] of their representative g: [g, x] = g (x g^-1 x^-1) lies
+in the normal closure of g's class, and so does the closure of its class.
 """
 
 from __future__ import annotations
@@ -234,7 +238,8 @@ class FiniteGroup:
         for N normal; so the representatives are the products g y that fall
         outside every coset so far (Holt, Eick and O'Brien, Handbook of
         Computational Group Theory).  ``start`` is the identity alone for a
-        plain closure and a lattice member for a join; it is not modified.
+        plain closure, a normal subgroup inside the closure for a lattice
+        class closure and a lattice member for a join; it is not modified.
         """
         mask = start.copy()
         gens: list[int] = []
@@ -264,13 +269,24 @@ class FiniteGroup:
         by = np.asarray(by).reshape(-1, 1)
         return self.products(self.products(by, np.asarray(xs)), self.inverse[by])
 
+    def commutators(self, xs, ys) -> np.ndarray:
+        """[x, y] = x y x^-1 y^-1 for each x in ``xs`` (rows) and y in ``ys``
+        (columns), one gather."""
+        ys = np.asarray(ys)
+        return self.products(self.conjugates(xs, ys), self.inverse[ys])
+
     def centralizes(self, xs, members) -> bool:
         """Whether every element of ``xs`` commutes with every one of ``members``."""
         return bool((self.conjugates(xs, members) == np.asarray(members)).all())
 
-    def subgroup_closure(self, seeds: Iterable[int]) -> tuple[int, ...]:
-        """Sorted member indices of the subgroup generated by ``seeds``."""
-        return tuple(np.flatnonzero(self._extend(seeds, np.arange(self.order) == 0)[0]).tolist())
+    def subgroup_closure(self, seeds: Iterable[int],
+                         start: np.ndarray | None = None) -> tuple[int, ...]:
+        """Sorted member indices of the subgroup generated by ``seeds`` and the
+        normal subgroup whose membership mask is ``start`` (by default the
+        identity alone)."""
+        if start is None:
+            start = np.arange(self.order) == 0
+        return tuple(np.flatnonzero(self._extend(seeds, start)[0]).tolist())
 
     def subgroup(self, members: Iterable[int], gens: tuple[int, ...] | None = None) -> "Subgroup":
         return Subgroup(self, tuple(sorted(int(m) for m in set(members))), gens)
@@ -437,8 +453,8 @@ def commutator_subgroup(sub: Subgroup) -> Subgroup:
     h [a, s] h^-1 . [h, s], they generate a subgroup N normal in ``sub``, and
     modulo N every generator is central, so the quotient is abelian.
     """
-    group, gens = sub.parent, list(sub.generating_set())
-    commutators = group.products(group.conjugates(sub.members, gens), group.inverse[gens])
+    group = sub.parent
+    commutators = group.commutators(sub.members, sub.generating_set())
     return group.subgroup(group.subgroup_closure(commutators.ravel()))
 
 

@@ -5,7 +5,10 @@ normal subgroup is generated by its elements of prime-power order, so it is
 the join of the normal closures of the classes of those elements (Holt, Eick
 and O'Brien, Handbook of Computational Group Theory).  These class closures
 are the seeds, one per cyclic subgroup: the classes of the other generators
-g^k of <g> have the same normal closure and are skipped.  Each member is a
+g^k of <g> have the same normal closure and are skipped.  A class closure
+starts from a normal subgroup it already contains: the commutator [g, x] =
+g (x g^-1 x^-1) of its representative g with any x lies in it, and so does
+the closure of the class of [g, x], if that closure is known.  Each member is a
 boolean mask over the elements.  Every member is joined with each seed that
 it neither contains nor lies in, so the lattice is closed under joins with
 the seeds, and hence complete.  A join A ncl(c) is one Dimino coset
@@ -67,29 +70,46 @@ def normal_subgroups(group: FiniteGroup) -> NormalSubgroupLattice:
     prime power (each class is already conjugation-invariant, so its subgroup
     closure is normal), one closure per cyclic subgroup: g^k with
     gcd(k, ord g) = 1 generates the same normal subgroup as g, so its class
-    is skipped.  Each member, seeds included, is joined with every seed that
+    is skipped, and its closure is recorded as that of g.  Each closure of
+    the class C of g starts from the largest recorded closure among the
+    classes of [g, x] for the group's generators x, or from the identity
+    when none is recorded: [g, x] = g (x g^-1 x^-1) lies in the normal
+    subgroup <C>, so the closure of its class does too.  Each member, seeds
+    included, is joined with every seed that
     it neither contains nor lies in, by one coset extension of the member
     over the seed's class.  Sorted by (order, member tuple): trivial
     subgroup first, whole group last.  Raises CapExceeded before the
     closure or join past the first MAX_LATTICE_EXTENSIONS.
     """
     extensions = count(1)
-    skipped: set[int] = set()  # the other generators g^k of every <g> walked
+    classes = conjugacy_classes(group)
+    class_of = np.empty(group.order, dtype=np.intp)
+    for i, cls in enumerate(classes):
+        class_of[list(cls)] = i
+    skipped: set[int] = set()  # the classes of the generators g^k of every <g> walked
+    closure_of: dict[int, np.ndarray] = {}  # class -> its normal closure's mask, once known
     # (class, closure mask, abelian) per seed with a new closure
     seeds: list[tuple[tuple[int, ...], np.ndarray, bool]] = []
     seen: set[bytes] = set()
-    for cls in conjugacy_classes(group):
-        if not skipped.isdisjoint(cls):
+    for i, cls in enumerate(classes):
+        if i in skipped:
             continue
         powers = group.powers(cls[0])
         order = len(powers)  # powers[k - 1] is g^k, and g^order = 1
-        skipped.update(p for k, p in enumerate(powers[1:], 2) if gcd(k, order) == 1)
+        coprime = {int(class_of[p]) for k, p in enumerate(powers, 1) if gcd(k, order) == 1}
+        skipped.update(coprime)
         least = next((p for p in range(2, order + 1) if order % p == 0), 1)
         if pow(least, order, order) != 0:  # ord g is neither 1 nor a prime power
             continue
         _spend(extensions)
+        # [g, x] = g (x g^-1 x^-1) lies in <cls>, and so does any recorded
+        # closure of its class: start from the largest of them
+        commutators = group.commutators([cls[0]], group.generators)[0]
+        below = [closure_of[c] for c in class_of[commutators].tolist() if c in closure_of]
+        start = max(below, key=np.count_nonzero, default=None)
         mask = np.zeros(group.order, dtype=bool)
-        mask[list(group.subgroup_closure(cls))] = True
+        mask[list(group.subgroup_closure(cls, start))] = True
+        closure_of.update(dict.fromkeys(coprime, mask))
         if mask.tobytes() not in seen:
             seen.add(mask.tobytes())
             seeds.append((cls, mask, group.centralizes(cls[0], cls)))

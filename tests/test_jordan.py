@@ -22,7 +22,7 @@ from cremonalab.groups import (
     conjugacy_classes,
 )
 from cremonalab.jordan import jordan_index, normal_subgroups, report_fragment
-from cremonalab.semidirect import build_group, translation_subgroup
+from cremonalab.semidirect import FamilyGroup, build_group, translation_subgroup
 from strategies import generator_lists
 
 GROUPFILES = Path(__file__).resolve().parent.parent / "demos" / "groupfiles"
@@ -183,21 +183,27 @@ def test_lattice_joins_only_incomparable_pairs(monkeypatch):
     group = build_group(5)
     classes = set(conjugacy_classes(group))
     closure, extend = FiniteGroup.subgroup_closure, FiniteGroup._extend
-    closed, joins = [], []
+    closed, joins, closing = [], [], []
 
-    def recording_closure(self, seeds):
+    def recording_closure(self, seeds, start=None):
         seeds = tuple(seeds)
         closed.append(seeds)
-        return closure(self, seeds)
+        closing.append(seeds)
+        try:
+            return closure(self, seeds, start)
+        finally:
+            closing.pop()
 
     def recording_extend(self, seeds, start):
-        # a join extends a member A (more than the identity) by the class
-        # of a seed, whose normal closure is B
+        # a join extends a member A by the class of a seed, whose normal
+        # closure is B; a class closure, even one started from a normal
+        # subgroup inside it, is not a join
         seeds = tuple(seeds)
         result = extend(self, seeds, start)
-        if np.count_nonzero(start) > 1:
+        if not closing:
             a = frozenset(np.flatnonzero(start).tolist())
-            b = frozenset(closure(self, seeds))
+            ncl = extend(self, seeds, np.arange(self.order) == 0)[0]
+            b = frozenset(np.flatnonzero(ncl).tolist())
             joins.append((a, b, tuple(np.flatnonzero(result[0]).tolist())))
         return result
 
@@ -242,20 +248,44 @@ def test_one_class_closure_per_cyclic_subgroup(monkeypatch, build, closures):
     # power is closed
     group = build()
     classes = set(conjugacy_classes(group))
-    closure, closed = FiniteGroup.subgroup_closure, []
+    closure, closed, starts = FiniteGroup.subgroup_closure, [], []
 
-    def recording_closure(self, seeds):
+    def recording_closure(self, seeds, start=None):
         seeds = tuple(seeds)
         closed.append(seeds)
-        return closure(self, seeds)
+        result = closure(self, seeds, start)
+        if start is not None:
+            starts.append((tuple(np.flatnonzero(start).tolist()), result))
+        return result
 
     monkeypatch.setattr(FiniteGroup, "subgroup_closure", recording_closure)
-    normal_subgroups(group)
+    lattice = normal_subgroups(group)
     assert len(closed) == len(set(closed)) == closures
     assert set(closed) <= classes
+    # a closure that does not start from the identity starts from a normal
+    # subgroup that it contains
+    members = {sub.members for sub in lattice}
+    assert all(start in members and set(start) <= set(result) for start, result in starts)
     if group.order <= 120:
         assert closures == conjugacy_classes_of_prime_power_cyclic_subgroups(
             oracles.table_of(group))
+
+
+def test_class_closures_start_inside_their_closure(monkeypatch):
+    # two of the four closures of T and every larger class closure start
+    # from a recorded normal subgroup inside them instead of the identity:
+    # 337 products, where closing every class from the identity takes 1417
+    group = build_group(13)
+    assert isinstance(group, FamilyGroup)
+    products, calls = FamilyGroup.products, []
+
+    def counting_products(self, x, y):
+        calls.append(1)
+        return products(self, x, y)
+
+    monkeypatch.setattr(FamilyGroup, "products", counting_products)
+    assert len(normal_subgroups(group)) == 8
+    assert len(calls) <= 400
 
 
 REFERENCE_LATTICE_GROUPS = (
