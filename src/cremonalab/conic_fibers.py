@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import operator
 import random
+import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -154,10 +156,21 @@ def _after(perm: bytes) -> bytes:
 
 
 def _fiber_row(components: bytes) -> bytes:
-    """The fiber permutation a component permutation induces."""
+    """The fiber permutation a component permutation induces.  Rows have
+    even length, so of a blob of rows this is the blob of their fiber rows."""
     return components[::2].translate(_HALF)
 
 
+def _split(blob: bytes, width: int) -> tuple[bytes, ...]:
+    """The consecutive rows of ``width`` bytes that make up blob, cut by one
+    struct.unpack."""
+    return struct.unpack("%ds" % width * (len(blob) // width), blob)
+
+
+# Generator rows, fiber rows and factor tuples repeat from model to model
+# (2000 random models hold about 600 distinct rows and 63 factor tuples).
+# Both caches are bounded, so a long run keeps them at a constant size.
+@lru_cache(maxsize=1024)
 def _cycle_lcm(perm: bytes) -> int:
     """Order of a permutation: the lcm of its cycle lengths."""
     seen = [False] * len(perm)
@@ -182,6 +195,11 @@ def _element_order(factors: tuple[int, ...], e: int) -> int:
     return order
 
 
+@lru_cache(maxsize=256)
+def _abelian_type(factors: tuple[int, ...]) -> AbelianType:
+    return AbelianType.from_factors(factors)
+
+
 def _integers(values: Iterable, what: str) -> tuple[int, ...]:
     """The values as ints, refused with ModelError unless each is an integer
     (so 2.5 is not read as 2)."""
@@ -204,7 +222,7 @@ def make_model(
     its cyclic factor, and that the induced action on fibers is cyclic.
     """
     factors = _integers(factors, "factors")
-    if not factors or any(d < 1 for d in factors):
+    if not factors or min(factors) < 1:
         raise ModelError("factors must be positive integers")
     order = prod(factors)
     if order > MAX_MODEL_ORDER:
@@ -224,52 +242,61 @@ def make_model(
         raise ModelError("one component permutation per factor required")
 
     width = 2 * fiber_count
-    for gi, perm in enumerate(perms):
-        if sorted(perm) != list(range(width)):
-            raise ModelError("generator %d is not a permutation of components" % gi)
-        for f in range(fiber_count):
-            if perm[2 * f] // 2 != perm[2 * f + 1] // 2:
-                raise ModelError("generator %d breaks the pairing at fiber %d" % (gi, f))
-        for f in marked:
-            if perm[2 * f] // 2 != f:
-                raise ModelError("generator %d moves marked fiber %d" % (gi, f))
-    # Row e of the component table is the product of the generator powers
-    # named by the digits of e, folded in mixed-radix order.  Each power is
-    # applied after a row by one bytes.translate.  perm^d is the identity
-    # exactly when perm's order divides d.
     identity = _BYTES[:width]
-    gens = tuple(map(bytes, perms))
-    components = [identity]
-    for gi, (d, perm) in enumerate(zip(factors, gens)):
-        powers = [identity]
-        step = _after(perm)
-        for _ in range(d):
-            powers.append(powers[-1].translate(step))
-        if powers.pop() != identity:
+    gens = []
+    for gi, perm in enumerate(perms):
+        try:
+            row = bytes(perm)
+        except ValueError:  # an entry outside range(256)
+            row = b""
+        # width entries that cover every component are a permutation of them
+        if len(row) != width or identity.translate(None, row):
+            raise ModelError("generator %d is not a permutation of components" % gi)
+        if row[::2].translate(_HALF) != row[1::2].translate(_HALF):
+            f = next(f for f in range(fiber_count) if row[2 * f] // 2 != row[2 * f + 1] // 2)
+            raise ModelError("generator %d breaks the pairing at fiber %d" % (gi, f))
+        for f in marked:
+            if row[2 * f] // 2 != f:
+                raise ModelError("generator %d moves marked fiber %d" % (gi, f))
+        gens.append(row)
+    # perm^d is the identity exactly when perm's order divides d
+    for gi, (d, row) in enumerate(zip(factors, gens)):
+        if d % _cycle_lcm(row):
             raise ModelError("generator %d has component order not dividing %d" % (gi, d))
-        afters = list(map(_after, powers))
-        components = [row.translate(after) for row in components for after in afters]
+    steps = list(map(_after, gens))
     for i, gi in enumerate(gens):
         for j in range(i + 1, len(gens)):
-            gj = gens[j]
-            if gj.translate(_after(gi)) != gi.translate(_after(gj)):
+            if gens[j].translate(steps[i]) != gi.translate(steps[j]):
                 raise ModelError("generators %d and %d do not commute" % (i, j))
+
+    # Row e of the component table is the product of the generator powers
+    # named by the digits of e, and the table is one blob of rows.  Folding
+    # from the last factor, the rows so far are those of the digits after
+    # factor i; block k applies generator i after each row of block k - 1,
+    # one translate for all of them, so it holds digit k of factor i.  The
+    # generators commute, so the order of the product does not matter.
+    blob = identity
+    for d, step in zip(reversed(factors), reversed(steps)):
+        blocks = [blob]
+        for _ in range(d - 1):
+            blocks.append(blocks[-1].translate(step))
+        blob = b"".join(blocks)
 
     # The fiber rows of the component table are the whole induced action,
     # and a cyclic group has an element whose order is the group order.
-    fiber_rows = {_fiber_row(row) for row in components}
+    fiber_rows = set(_split(_fiber_row(blob), fiber_count))
     base_order = len(fiber_rows)
     if all(_cycle_lcm(row) != base_order for row in fiber_rows):
         raise ModelError("induced fiber action is not cyclic")
 
     return FiberActionModel(
         factors=factors,
-        abelian_type=AbelianType.from_factors(factors),
+        abelian_type=_abelian_type(factors),
         fiber_count=fiber_count,
         marked=marked,
         gen_perms=perms,
         base_order=base_order,
-        components=tuple(components),
+        components=_split(blob, width),
     )
 
 
@@ -298,21 +325,32 @@ def greedy_selection(model: FiberActionModel, members: Sequence[int]) -> Compone
     when an orbit reaches both components of one fiber, which is exactly
     when no invariant selection exists for that subgroup.
     """
-    member_list = _member_list(model, members)
+    return _greedy(model, _member_list(model, members))
+
+
+def _greedy(model: FiberActionModel, member_list: list[int]) -> ComponentSelection:
+    """``greedy_selection`` on sorted members already checked."""
+    width = 2 * model.fiber_count
+    images = b"".join([model.components[a] for a in member_list])
     sides: list[int | None] = [None] * model.fiber_count
     for f in range(model.fiber_count):
         if sides[f] is not None:
             continue
-        reached: dict[int, tuple[int, int]] = {}
-        for a in member_list:
-            image = model.components[a][2 * f]
-            f2, s2 = divmod(image, 2)
-            if f2 in reached and reached[f2][0] != s2:
-                raise SwapFailure(_quotient(model.factors, a, reached[f2][1]), f2)
-            reached[f2] = (s2, a)
-        for f2, (s2, _) in reached.items():
-            sides[f2] = s2
-    return ComponentSelection(tuple(int(s) for s in sides))
+        # the image of component 2f under each member, in member order
+        column = images[2 * f::width]
+        reached = set(column)
+        if len(reached) != len(set(column.translate(_HALF))):
+            # some fiber is reached on both sides: the witness is the first
+            # member that reaches one opposite the latest earlier member
+            side_by: dict[int, tuple[int, int]] = {}
+            for a, image in zip(member_list, column):
+                f2, s2 = divmod(image, 2)
+                if f2 in side_by and side_by[f2][0] != s2:
+                    raise SwapFailure(_quotient(model.factors, a, side_by[f2][1]), f2)
+                side_by[f2] = (s2, a)
+        for c in reached:
+            sides[c >> 1] = c & 1
+    return ComponentSelection(tuple(sides))
 
 
 def _quotient(factors: tuple[int, ...], a: int, b: int) -> int:
@@ -340,12 +378,18 @@ def selection_invariant(
     model: FiberActionModel, members: Sequence[int], selection: ComponentSelection
 ) -> bool:
     """Every member maps the selected components onto themselves; members are
-    checked as in ``greedy_selection``."""
-    chosen = set(selection.components())
-    for a in _member_list(model, members):
-        if {model.components[a][x] for x in chosen} != chosen:
-            return False
-    return True
+    checked as in ``greedy_selection``, and the selection must give side 0 or
+    1 for each fiber.  A member is a bijection, so it maps the selection onto
+    itself exactly when it keeps the selection's marks: ``marks[row[x]] ==
+    marks[x]`` for every component x, one translate for all member rows."""
+    member_list = _member_list(model, members)
+    sides = _integers(selection.sides, "selection sides")
+    if len(sides) != model.fiber_count or not set(sides) <= {0, 1}:
+        raise ModelError("selection must give side 0 or 1 for each of the %d fibers"
+                         % model.fiber_count)
+    marks = bytes([mark for s in sides for mark in (1 - s, s)])
+    images = b"".join([model.components[a] for a in member_list])
+    return images.translate(marks + bytes(256 - len(marks))) == marks * len(member_list)
 
 
 @dataclass(frozen=True)
@@ -371,43 +415,44 @@ def construct_no_swap_subgroup(model: FiberActionModel) -> NoSwapConstruction:
     returned subgroup always admits a selection.
     """
     rows = model.components
+    identity = rows[0]
     marked_sides = [2 * f for f in model.marked]
 
-    # a0: no marked fiber swapped.  The swap-free part of the fiber
-    # stabilizer (every fiber fixed, none swapped; marked fibers are fixed by
-    # every element) fixes every component: it is the kernel of the component
-    # action, the rows equal to the identity row 0, and already a subgroup.
-    # a0 is scanned only up to the first lift.
-    a0 = (m for m, row in enumerate(rows) if all(row[c] != c + 1 for c in marked_sides))
-    kernel = tuple(m for m, row in enumerate(rows) if row == rows[0])
-
-    # The base is cyclic, so an element's fiber order equals |base| exactly
-    # when its fiber permutation generates the base; the element's own order
-    # is computed only for such a candidate.
+    # The lift is the first element of a0 (no marked fiber swapped) whose
+    # fiber order and own order equal |base|; the scan stops there, after
+    # under three rows on average for random models.  The base is cyclic, so
+    # an element's fiber order equals |base| exactly when its fiber
+    # permutation generates the base.  The cheapest test comes first.
+    base_order = model.base_order
     lift = None
-    for m in a0:
-        if _cycle_lcm(_fiber_row(rows[m])) == model.base_order == _element_order(model.factors, m):
+    for m, row in enumerate(rows):
+        if (_cycle_lcm(_fiber_row(row)) == base_order
+                and all(row[c] != c + 1 for c in marked_sides)
+                and _element_order(model.factors, m) == base_order):
             lift = m
             break
 
-    # The kernel is that of the action e -> rows[e], so <kernel, lift> is the
+    # The swap-free part of the fiber stabilizer (every fiber fixed, none
+    # swapped; marked fibers are fixed by every element) fixes every
+    # component: it is the kernel of the component action, the rows equal to
+    # the identity row 0, and already a subgroup.  So <kernel, lift> is the
     # preimage of the cyclic group the lift's row generates.
-    members = kernel
     if lift is not None:
-        powers, power, step = {rows[0]}, rows[lift], _after(rows[lift])
+        powers, power, step = {identity}, rows[lift], _after(rows[lift])
         while power not in powers:
             powers.add(power)
             power = power.translate(step)
-        members = tuple(m for m, row in enumerate(rows) if row in powers)
+        members = [m for m, row in enumerate(rows) if row in powers]
         try:
-            selection = greedy_selection(model, members)
+            selection = _greedy(model, members)
         except SwapFailure:
-            lift, members = None, kernel
+            lift = None
     if lift is None:
-        selection = greedy_selection(model, members)
+        members = [m for m, row in enumerate(rows) if row == identity]
+        selection = _greedy(model, members)
 
     return NoSwapConstruction(
-        members=members,
+        members=tuple(members),
         index=len(rows) // len(members),
         clean_lift=lift is not None,
         lift_generator=lift,
@@ -450,12 +495,11 @@ def random_model(seed: int, trial: int) -> FiberActionModel:
     j = rng.randrange(len(factors))
     dj = factors[j]
     if unmarked:
-        candidates = [
+        nontrivial = [
             c
-            for c in range(1, dj + 1)
+            for c in range(2, dj + 1)
             if dj % c == 0 and gcd(c, dj // c) == 1 and len(unmarked) % c == 0
         ]
-        nontrivial = [c for c in candidates if c > 1]
         c = rng.choice(nontrivial) if nontrivial else 1
     else:
         c = 1

@@ -554,3 +554,38 @@ def pole_cycle_walk_ends(seed: int, words_per_base: int, max_moves: int = 8):
                 cycle = options[rng.randrange(len(options))]
             ends.append((base.base_name, cycle.components, cycle.k2))
     return ends
+
+
+# --- component selections ------------------------------------------------
+
+def greedy_walk(model, members):
+    """The orbit-by-orbit selection walked member by member, lowest fiber
+    first: ``("sides", sides)``, or ``("swap", (element, fiber))`` at the
+    first member that reaches a fiber on the side opposite an earlier one,
+    the element being that member times the earlier one's inverse.  The
+    reference ``conic_fibers.greedy_selection`` must match on any member list
+    that holds the identity."""
+    member_list = sorted(members)
+    sides = [None] * model.fiber_count
+    for f in range(model.fiber_count):
+        if sides[f] is not None:
+            continue
+        reached = {}
+        for a in member_list:
+            f2, s2 = divmod(model.components[a][2 * f], 2)
+            if f2 in reached and reached[f2][0] != s2:
+                return "swap", (digit_quotient(model.factors, a, reached[f2][1]), f2)
+            reached[f2] = (s2, a)
+        for f2, (s2, _) in reached.items():
+            sides[f2] = s2
+    return "sides", tuple(sides)
+
+
+def digit_quotient(factors, a: int, b: int) -> int:
+    """a * b^-1 in Z/d_1 x ... x Z/d_k, elements in mixed radix (first factor
+    most significant), by subtracting digits."""
+    index, stride = 0, 1
+    for d in reversed(factors):
+        index += (a - b) % d * stride
+        a, b, stride = a // d, b // d, stride * d
+    return index

@@ -3,6 +3,7 @@
 import importlib
 import pkgutil
 import random
+import re
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import prod
@@ -17,6 +18,7 @@ from cremonalab.conic_fibers import (
     MAX_FIBERS,
     MAX_MODEL_ORDER,
     AbelianType,
+    ComponentSelection,
     ModelError,
     SwapFailure,
     construct_no_swap_subgroup,
@@ -118,33 +120,35 @@ def test_entangled_order_four_generator_degrades_without_clean_lift():
 
 
 def test_validator_rejections():
-    with pytest.raises(ModelError):
-        make_model((2,), 3, (0, 1, 2), [identity_perm(3)])  # three marked fibers
-    with pytest.raises(ModelError):
-        make_model((2,), 2, (5,), [identity_perm(2)])  # marked out of range
-    with pytest.raises(ModelError):
-        make_model((2,), 2, (0,), [[2, 3, 0, 1]])  # generator moves a marked fiber
-    with pytest.raises(ModelError):
-        make_model((2,), 2, (), [[1, 2, 3, 0]])  # breaks the pairing
-    with pytest.raises(ModelError):
-        make_model((3,), 2, (), [[1, 0, 2, 3]])  # order 2 does not divide 3
-    with pytest.raises(ModelError):
+    cases = [
+        (((2,), 3, (0, 1, 2), [identity_perm(3)]), "at most two fibers may be marked"),
+        (((2,), 2, (5,), [identity_perm(2)]), "marked fiber out of range"),
+        (((2,), 2, (0,), [[2, 3, 0, 1]]), "generator 0 moves marked fiber 0"),
+        (((2,), 2, (), [[1, 2, 3, 0]]), "generator 0 breaks the pairing at fiber 0"),
+        (((2,), 3, (), [[0, 1, 3, 4, 2, 5]]), "generator 0 breaks the pairing at fiber 1"),
+        (((3,), 2, (), [[1, 0, 2, 3]]), "generator 0 has component order not dividing 3"),
         # two independent fiber swaps: induced action is klein4, not cyclic
-        make_model(
-            (2, 2), 4, (),
-            [[2, 3, 0, 1, 4, 5, 6, 7], [0, 1, 2, 3, 6, 7, 4, 5]],
-        )
-    with pytest.raises(ModelError):
+        (((2, 2), 4, (), [[2, 3, 0, 1, 4, 5, 6, 7], [0, 1, 2, 3, 6, 7, 4, 5]]),
+         "induced fiber action is not cyclic"),
         # a fiber swap and a side swap on fiber 0 only do not commute
-        make_model((2, 2), 2, (), [[2, 3, 0, 1], [1, 0, 2, 3]])
-    with pytest.raises(ModelError):
-        make_model((2,), 2, (), [[0, 0, 2, 3]])  # not a permutation
-    with pytest.raises(ModelError):
-        make_model((64, 65), 1, (), [[0, 1], [0, 1]])  # order 4160 > 4096
-    with pytest.raises(ModelError):
-        make_model((0,), 1, (), [[0, 1]])  # zero factor
-    with pytest.raises(ModelError):
-        make_model((2, 2), 1, (), [[0, 1]])  # two factors, one permutation
+        (((2, 2), 2, (), [[2, 3, 0, 1], [1, 0, 2, 3]]), "generators 0 and 1 do not commute"),
+        (((2,), 2, (), [[0, 0, 2, 3]]), "generator 0 is not a permutation of components"),
+        (((2,), 2, (), [[0, 1, 2]]), "generator 0 is not a permutation of components"),
+        (((2,), 1, (), [[0, 256]]), "generator 0 is not a permutation of components"),
+        (((2,), 1, (), [[-1, 1]]), "generator 0 is not a permutation of components"),
+        (((64, 65), 1, (), [[0, 1], [0, 1]]), "group order 4160 over MAX_MODEL_ORDER=4096"),
+        (((0,), 1, (), [[0, 1]]), "factors must be positive integers"),
+        (((2, 2), 1, (), [[0, 1]]), "one component permutation per factor required"),
+        # more than one fault: the first check in generator order names it
+        (((2, 2), 2, (), [[1, 2, 3, 0], [0, 0, 2, 3]]),
+         "generator 0 breaks the pairing at fiber 0"),
+        # generator 1's order does not divide 3, and the generators do not commute
+        (((2, 3), 2, (), [[2, 3, 0, 1], [1, 0, 2, 3]]),
+         "generator 1 has component order not dividing 3"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ModelError, match="^%s$" % re.escape(message)):
+            make_model(*args)
 
 
 def test_non_integer_inputs_are_refused():
@@ -218,6 +222,13 @@ def test_admissible_types():
         assert not AbelianType.from_factors(factors).is_admissible(), factors
 
 
+def greedy_outcome(model, members):
+    try:
+        return "sides", greedy_selection(model, members).sides
+    except SwapFailure as exc:
+        return "swap", (exc.element, exc.fiber)
+
+
 def test_greedy_agrees_with_swap_scan_on_random_subgroups():
     rng = random.Random(41)
     for trial in range(60):
@@ -225,16 +236,16 @@ def test_greedy_agrees_with_swap_scan_on_random_subgroups():
         seeds = [rng.randrange(model.order) for _ in range(rng.randrange(1, 3))]
         members = oracle_group(model.factors).subgroup_closure(seeds)
         scan_hit = swap_scan(model, members)
-        try:
-            greedy_selection(model, members)
-            failed = None
-        except SwapFailure as exc:
-            failed = (exc.element, exc.fiber)
-        assert (failed is None) == (scan_hit is None)
-        if failed is not None:
-            element, fiber = failed
+        outcome = greedy_outcome(model, members)
+        assert outcome == oracles.greedy_walk(model, members), trial
+        assert (outcome[0] == "sides") == (scan_hit is None)
+        if outcome[0] == "swap":
+            element, fiber = outcome[1]
             assert element in set(members)
             assert swaps_fiber(model, element, fiber)
+        # any member list holding the identity, a subgroup or not
+        others = rng.sample(range(1, model.order), rng.randrange(model.order))
+        assert greedy_outcome(model, [0, *others]) == oracles.greedy_walk(model, [0, *others])
 
 
 def relabel(model, sigma, flips):
@@ -384,6 +395,20 @@ def test_scan_and_invariance_check_reject_members_outside_the_group():
             greedy_selection(model, members)
     assert swap_scan(model, [0, 1]) is None
     assert selection_invariant(model, [0, 1], selection)
+
+
+def test_invariance_check_refuses_a_selection_that_misses_a_fiber():
+    # the empty selection is trivially invariant on any model, a partial one
+    # says nothing of the fibers it leaves out, and a side of 2 names a
+    # component of the next fiber or none
+    model = make_model((2,), 2, (), [[2, 3, 0, 1]])
+    for sides in ((), (0,), (0, 0, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ModelError, match="2 fibers"):
+            selection_invariant(model, [0, 1], ComponentSelection(sides))
+    with pytest.raises(ModelError, match="integers"):
+        selection_invariant(model, [0, 1], ComponentSelection((1, 0.5)))
+    assert selection_invariant(model, [0, 1], ComponentSelection((1, 1)))
+    assert not selection_invariant(model, [0, 1], ComponentSelection((0, 1)))
 
 
 def test_simulation_is_deterministic_and_clean():
