@@ -3,18 +3,18 @@
 Run:  python3 demos/jordan_small_groups.py
 """
 
-from cremonalab import jordan_index, normal_subgroups, small_group_corpus
+from cremonalab import report_fragment, small_group_corpus
 
 
 def main() -> None:
     print("group   order  normals  index  witness order")
     print("-----   -----  -------  -----  -------------")
     for name, group in small_group_corpus().items():
-        lattice = normal_subgroups(group)
-        cert = jordan_index(group, lattice=lattice)
+        fragment = report_fragment(group)
         print(
             "%-7s %5d  %7d  %5d  %13d"
-            % (name, group.order, len(lattice), cert.index, cert.witness.order)
+            % (name, fragment["order"], fragment["normal_subgroup_count"],
+               fragment["jordan_index"], fragment["witness_order"])
         )
     print()
     print("The index is the smallest index of an abelian normal subgroup;")

@@ -6,8 +6,8 @@ that index equal to 12, enumerates boundary-cycle configurations with their
 dihedral symmetries, checks rational invariant lines in a 6-dimensional
 permutation representation, and stress-tests a fiber-swap index bound.
 
-Only the entry points the demos use and ``run_suite`` are re-exported here;
-everything else is imported from its submodule.
+Only the demos' entry points, the two steps ``report_fragment`` composes and
+``run_suite`` are re-exported here; the rest is imported from its submodule.
 """
 
 from .conic_fibers import (
@@ -19,7 +19,7 @@ from .conic_fibers import (
 )
 from .corpus import small_group_corpus
 from .dp5 import dp5_suite, s5_representation, verify_homomorphism
-from .jordan import jordan_index, normal_subgroups
+from .jordan import jordan_index, normal_subgroups, report_fragment
 from .pole_cycles import configuration_rows, max_symmetry_by_degree
 from .semidirect import build_action_data, verify_lemma52
 from .suites import run_suite
@@ -38,6 +38,7 @@ __all__ = [
     "make_model",
     "max_symmetry_by_degree",
     "normal_subgroups",
+    "report_fragment",
     "run_suite",
     "s5_representation",
     "simulate",

@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conic = sub.add_parser("conic", help="fiber-model simulation")
     p_conic.add_argument("action", choices=["simulate"])
     p_conic.add_argument("--seed", type=int, default=0)
-    p_conic.add_argument("--trials", type=_trial_count, default=500)
+    p_conic.add_argument("--trials", type=_trial_count, default=suites.DEFAULT_TRIALS)
     p_conic.add_argument("--emit", choices=["json", "md"], default="json")
 
     p_jordan = sub.add_parser("jordan", help="minimal abelian-normal index of a group file")
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("suite", choices=list(suites.SUITE_NAMES))
     p_report.add_argument("--emit", choices=["json", "md"], default="json")
     p_report.add_argument("--seed", type=int, default=0)
-    p_report.add_argument("--trials", type=_trial_count, default=500)
+    p_report.add_argument("--trials", type=_trial_count, default=suites.DEFAULT_TRIALS)
     p_report.add_argument("--times", action="store_true", help=TIMES_HELP)
     return parser
 

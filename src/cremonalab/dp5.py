@@ -300,15 +300,13 @@ def rational_invariant_lines(
     )
 
 
-def dp5_suite(rep: Representation | None = None) -> list[InvariantLineReport]:
-    """Reports for the five standard subgroups, in SUBGROUP_NAMES order.
+def dp5_suite(rep: Representation) -> list[InvariantLineReport]:
+    """Reports for the five standard subgroups, in SUBGROUP_NAMES order, of
+    ``rep`` as given: ``verify_homomorphism(rep)`` is the caller's step.
 
     Each report carries its measured seconds; the first also covers building
     the subgroups.
     """
-    if rep is None:
-        rep = s5_representation()
-        verify_homomorphism(rep)
     reports, start = [], time.perf_counter()
     for name, sub in standard_subgroups(rep.group):
         line = rational_invariant_lines(rep, sub, name)

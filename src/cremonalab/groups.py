@@ -205,6 +205,10 @@ class FiniteGroup:
         self.mul.flags.writeable = False
         self.inverse.flags.writeable = False
 
+    def __repr__(self) -> str:
+        # not the table or payloads, which every Subgroup's repr would embed
+        return "%s(order=%d)" % (type(self).__name__, self.order)
+
     @cached_property
     def keys(self) -> tuple[bytes, ...]:
         return tuple(e.key() for e in self.elements)

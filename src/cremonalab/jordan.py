@@ -140,10 +140,9 @@ def _spend(extensions: count) -> None:
                           "class closures and joins" % MAX_LATTICE_EXTENSIONS)
 
 
-def jordan_index(
-    group: FiniteGroup, lattice: NormalSubgroupLattice | None = None
-) -> JordanCertificate:
-    """Minimal index of an abelian normal subgroup, with its witness.
+def jordan_index(lattice: NormalSubgroupLattice) -> JordanCertificate:
+    """Minimal index of an abelian normal subgroup, with its witness, read
+    off ``normal_subgroups(group)``: the witness's index in its parent.
 
     The witness is an abelian normal subgroup of maximal order; when several
     share that order, the one with the smallest sorted member-key list, so
@@ -151,8 +150,6 @@ def jordan_index(
     apart from the lattice's seed-based flags, on generators that close to
     exactly it, and a witness that fails raises GroupError.
     """
-    if lattice is None:
-        lattice = normal_subgroups(group)
     # the trivial subgroup is always abelian normal, so ``abelian`` is non-empty
     abelian = [sub for sub, ab in zip(lattice.subgroups, lattice.abelian) if ab]
     top = max(sub.order for sub in abelian)
@@ -162,13 +159,13 @@ def jordan_index(
         raise GroupError("jordan witness of order %d is not abelian" % best.order)
     if not best.is_normal():
         raise GroupError("jordan witness of order %d is not normal" % best.order)
-    return JordanCertificate(index=group.order // best.order, witness=best)
+    return JordanCertificate(index=best.parent.order // best.order, witness=best)
 
 
 def report_fragment(group: FiniteGroup) -> dict:
     """JSON-able summary: order, jordan index, witness order, lattice size."""
     lattice = normal_subgroups(group)
-    cert = jordan_index(group, lattice=lattice)
+    cert = jordan_index(lattice)
     return {
         "order": group.order,
         "jordan_index": cert.index,

@@ -56,9 +56,9 @@ Mat2 = tuple[tuple[int, int], tuple[int, int]]
 # 0.8 s and 53 MB from the command line.
 MAX_FAMILY_ORDER = 100_000
 # The largest order closed into a Cayley table, so n <= 10; a larger group
-# is a FamilyGroup.  In process (build, lattice and index, best of 15, three
-# runs) the table is faster at n = 5 and 7, n = 10 is a near-tie, and the
-# computed products win from n = 11 (6.8-9.6 against 10.3-16.7 ms).
+# is a FamilyGroup.  In process (build, lattice, index and translations,
+# best of 15, alternating) the table is faster only at n = 2, 3, 4 and 6,
+# and the computed products at n = 5 and 7 to 10.
 MAX_TABLE_ORDER = 1200
 
 
@@ -178,9 +178,6 @@ class FamilyGroup(FiniteGroup):
         inverse.flags.writeable = False
         return inverse
 
-    def __repr__(self) -> str:
-        return "FamilyGroup(n=%d)" % self.action.modulus
-
     @cached_property
     def keys(self) -> tuple[bytes, ...]:
         n = self.action.modulus
@@ -264,8 +261,7 @@ def verify_lemma52(n: int, allow_bad_n: bool = False) -> VerificationReport:
     start = time.perf_counter()
     group = build_group(n)
     data = build_action_data(n)
-    lattice = normal_subgroups(group)
-    cert = jordan_index(group, lattice=lattice)
+    cert = jordan_index(normal_subgroups(group))
     translations = translation_subgroup(group)
     computed = {
         "order": group.order,

@@ -18,6 +18,7 @@ __all__ = [
     "UnknownSuite",
     "SUITE_NAMES",
     "DEFAULT_NS",
+    "DEFAULT_TRIALS",
     "EXPECTED_LINE_VERDICTS",
     "run_suite",
     "conic_rows",
@@ -27,6 +28,7 @@ __all__ = [
 SUITE_NAMES = ("lemma52", "prop44", "dp5", "conic", "all")
 
 DEFAULT_NS = (5, 7, 11)
+DEFAULT_TRIALS = 500
 CONSERVATION_WORDS_PER_BASE = 1000
 
 EXPECTED_MAX_SYMMETRY = {6: 12, 5: 10, 4: 8, 3: 6, 2: 4, 1: 2}
@@ -207,7 +209,7 @@ def paper_constant_rows() -> list[VerificationReport]:
     ]
 
 
-def run_suite(name: str, ns=DEFAULT_NS, seed: int = 0, trials: int = 500,
+def run_suite(name: str, ns=DEFAULT_NS, seed: int = 0, trials: int = DEFAULT_TRIALS,
               allow_bad_n: bool = False) -> list[VerificationReport]:
     """Run one named suite and return its report rows.
 

@@ -1,13 +1,19 @@
-"""Every demo script runs to completion in a fresh interpreter."""
+"""Every demo script runs to completion in a fresh interpreter and prints
+exactly its reference output, ``tests/reference/demos/<name>.txt``."""
+
+from functools import cache
 
 import pytest
 
 from checkout import ROOT, run_python
 
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+REFERENCE = ROOT / "tests" / "reference" / "demos"
 
 
+@cache
 def run_demo(path):
+    # each demo runs once per session; its tests share the result
     return run_python(str(path), timeout=120)
 
 
@@ -16,6 +22,13 @@ def test_demo_runs(path):
     result = run_demo(path)
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_output_matches_reference(path):
+    result = run_demo(path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.encode() == (REFERENCE / (path.stem + ".txt")).read_bytes()
 
 
 def test_quintic_lines_witnesses():

@@ -118,7 +118,7 @@ def test_every_group_operation_runs_on_products_alone():
     lattices = normal_subgroups(table), normal_subgroups(composed)
     assert [n.members for n in lattices[1]] == [n.members for n in lattices[0]]
     assert lattices[1].abelian == lattices[0].abelian
-    assert jordan_index(composed).witness.members == jordan_index(table).witness.members
+    assert jordan_index(lattices[1]).witness.members == jordan_index(lattices[0]).witness.members
     assert conjugacy_classes(composed) == conjugacy_classes(table)
     whole = (table.subgroup(range(table.order)), composed.subgroup(range(table.order)))
     assert commutator_subgroup(whole[1]).members == commutator_subgroup(whole[0]).members

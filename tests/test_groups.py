@@ -29,7 +29,7 @@ from cremonalab.groups import (
     conjugacy_classes,
     minimal_generators,
 )
-from cremonalab.jordan import jordan_index, report_fragment
+from cremonalab.jordan import jordan_index, normal_subgroups, report_fragment
 from cremonalab.semidirect import build_group
 
 S4_GENS = [
@@ -220,7 +220,7 @@ def test_closure_is_generator_order_independent():
         numberings, seen = set(), set()
         for shuffled in itertools.permutations(gens):
             group = close_generators(list(shuffled))
-            witness = jordan_index(group).witness
+            witness = jordan_index(normal_subgroups(group)).witness
             numberings.add(group.keys)
             seen.add((frozenset(group.keys), tuple(sorted(report_fragment(group).items())),
                       frozenset(group.keys[m] for m in witness.members)))
@@ -665,6 +665,16 @@ def test_subgroup_view_consistency(s4):
     assert derived.is_normal() == oracles.is_normal_subset(table, derived.members)
     assert derived.is_abelian() == oracles.is_abelian_subset(table, derived.members)
     assert s4.order // derived.order == 2
+
+
+def test_reprs_name_the_group_without_its_table():
+    # a Subgroup's repr embeds its parent's: payloads and table would make an
+    # S5 member's repr over 5 KB, and a failing assert unreadable
+    group = s5_representation().group
+    assert repr(group) == "FiniteGroup(order=120)"
+    assert repr(build_group(13)) == "FamilyGroup(order=2028)"
+    for sub in normal_subgroups(group):
+        assert len(repr(sub)) < 1000, sub.order
 
 
 def block_cycles(factors):

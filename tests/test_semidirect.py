@@ -78,7 +78,7 @@ def test_group_order_and_translations(n):
 def test_lemma52_path_builds_no_element_keys():
     group = build_group(5)
     lattice = normal_subgroups(group)
-    jordan_index(group, lattice=lattice)
+    jordan_index(lattice)
     translation_subgroup(group)
     assert "keys" not in vars(group)
 
@@ -212,7 +212,7 @@ def test_formula_group_matches_the_closed_table(n):
     lattices = normal_subgroups(formula), normal_subgroups(table)
     assert ({sub.members: flag for sub, flag in zip(lattices[0], lattices[0].abelian)}
             == {mapped(sub): flag for sub, flag in zip(lattices[1], lattices[1].abelian)})
-    certs = jordan_index(formula, lattice=lattices[0]), jordan_index(table, lattice=lattices[1])
+    certs = jordan_index(lattices[0]), jordan_index(lattices[1])
     assert certs[0].index == certs[1].index == (6 if n == 2 else 12)
     assert certs[0].witness.members == mapped(certs[1].witness)
     assert translation_subgroup(formula).members == tuple(range(n * n))
@@ -268,5 +268,5 @@ def test_formula_group_memory_is_linear_in_the_order():
         tracemalloc.stop()
     assert group.order == 10_092
     assert peak < 384 * group.order
-    assert jordan_index(group, lattice=lattice).witness.members == translation_subgroup(group).members
+    assert jordan_index(lattice).witness.members == translation_subgroup(group).members
     assert "keys" not in vars(group)
