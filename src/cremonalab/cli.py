@@ -22,9 +22,10 @@ from .jordan import report_fragment
 __all__ = ["main", "build_parser", "MAX_TRIALS"]
 
 USAGE_EXIT = 2
-# --trials runs one random model per trial (about 0.1 ms each on a 2-vCPU
-# x86-64 host), so a million trials take about two minutes and a billion
-# would take more than a day.
+# --trials runs one random model per trial (about 0.1 ms each on one CPU of
+# a 2-vCPU x86-64 host, about 0.06 ms each with the trials split across
+# both), so a million trials take about a minute and a billion would take
+# more than half a day.
 MAX_TRIALS = 10**6
 
 ENUMERATE_COLUMNS = ("labels", "genus", "K2", "symmetry_order", "symmetry_kind",

@@ -14,7 +14,9 @@ the elementary-abelian 2-rank bound across random models.
 
 from __future__ import annotations
 
+import marshal
 import operator
+import os
 import random
 import struct
 from dataclasses import dataclass, field
@@ -163,13 +165,21 @@ def _fiber_row(components: bytes) -> bytes:
 
 def _split(blob: bytes, width: int) -> tuple[bytes, ...]:
     """The consecutive rows of ``width`` bytes that make up blob, cut by one
-    struct.unpack."""
-    return struct.unpack("%ds" % width * (len(blob) // width), blob)
+    compiled struct."""
+    return _cutter(width, len(blob) // width)(blob)
 
 
-# Generator rows, fiber rows and factor tuples repeat from model to model
-# (2000 random models hold about 600 distinct rows and 63 factor tuples).
-# Both caches are bounded, so a long run keeps them at a constant size.
+# Generator rows, fiber rows, factor tuples and row shapes repeat from model
+# to model (2000 random models hold about 600 distinct rows, 63 factor tuples
+# and 244 shapes, and random models have 270 shapes in all, more than the
+# 100 formats the struct module keeps).  Every cache is bounded, so a long
+# run keeps them at a constant size.
+@lru_cache(maxsize=512)
+def _cutter(width: int, count: int):
+    """The unpack of count consecutive rows of width bytes each."""
+    return struct.Struct("%ds" % width * count).unpack
+
+
 @lru_cache(maxsize=1024)
 def _cycle_lcm(perm: bytes) -> int:
     """Order of a permutation: the lcm of its cycle lengths."""
@@ -536,13 +546,20 @@ def random_model(seed: int, trial: int) -> FiberActionModel:
     return make_model(factors, fiber_count, marked, perms)
 
 
-def simulate(seed: int, trials: int) -> dict:
-    """Run the construction across random models and tally the outcomes.
+# Outcome counters of a simulation, in the order its result lists them.
+_COUNTERS = ("greedy_failures", "invariance_failures", "scan_disagreements",
+             "bound_violations", "no_clean_lift", "inadmissible")
 
-    Every trial also cross-checks the greedy selection against the
-    exhaustive swap scan and the invariance oracle, so a zero failure count
-    means the three routes agree.
-    """
+# Fewest trials worth a process of their own.  A fork, a child sending an
+# empty tally and its reaping take 2.2-2.8 ms with numpy loaded, the time of
+# 20-27 trials, on a 2-vCPU x86-64 host (BENCH_conic_parallel.json); 128
+# leaves margin for the child's copy-on-write faults.
+MIN_TRIALS_PER_CHUNK = 128
+
+
+def _tally(seed: int, start: int, stop: int) -> tuple[list[int], int, dict[int, int]]:
+    """The counters, largest index and ``{index: count}`` histogram of
+    trials start..stop-1, as plain values that marshal can carry."""
     greedy_failures = 0
     invariance_failures = 0
     scan_disagreements = 0
@@ -551,7 +568,7 @@ def simulate(seed: int, trials: int) -> dict:
     inadmissible = 0
     max_index = 0
     index_histogram: dict[int, int] = {}
-    for t in range(trials):
+    for t in range(start, stop):
         model = random_model(seed, t)
         if not model.abelian_type.is_admissible():
             inadmissible += 1
@@ -570,18 +587,137 @@ def simulate(seed: int, trials: int) -> dict:
             bound_violations += 1
         max_index = max(max_index, cons.index)
         index_histogram[cons.index] = index_histogram.get(cons.index, 0) + 1
-    return {
-        "trials": trials,
-        "seed": seed,
-        "greedy_failures": greedy_failures,
-        "invariance_failures": invariance_failures,
-        "scan_disagreements": scan_disagreements,
-        "bound_violations": bound_violations,
-        "no_clean_lift": no_clean_lift,
-        "inadmissible": inadmissible,
-        "max_index": max_index,
-        "index_histogram": {str(k): v for k, v in sorted(index_histogram.items())},
-    }
+    counts = [greedy_failures, invariance_failures, scan_disagreements,
+              bound_violations, no_clean_lift, inadmissible]
+    return counts, max_index, index_histogram
+
+
+def _merge(seed: int, trials: int, tallies) -> dict:
+    """The simulation result of the tallies of consecutive trial ranges."""
+    result: dict = {"trials": trials, "seed": seed}
+    for i, name in enumerate(_COUNTERS):
+        result[name] = sum(counts[i] for counts, _, _ in tallies)
+    index_histogram: dict[int, int] = {}
+    for _, _, histogram in tallies:
+        for index, count in histogram.items():
+            index_histogram[index] = index_histogram.get(index, 0) + count
+    result["max_index"] = max(max_index for _, max_index, _ in tallies)
+    result["index_histogram"] = {str(k): v for k, v in sorted(index_histogram.items())}
+    return result
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_count(trials: int) -> int:
+    """Processes to split trials across: one per available CPU, none with
+    fewer than MIN_TRIALS_PER_CHUNK trials, and one without ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_available_cpus(), trials // MIN_TRIALS_PER_CHUNK))
+
+
+def _fork_tally(seed: int, start: int, stop: int, inherited: list[int]) -> tuple[int, int]:
+    """Fork a child that writes the marshalled ``_tally`` of its trials to a
+    new pipe; return its pid and the pipe's read end.  The child closes the
+    read ends in inherited and always leaves by ``os._exit``, so it never
+    returns into the caller."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            for fd in inherited:
+                os.close(fd)
+            data = marshal.dumps(_tally(seed, start, stop))
+            while data:
+                data = data[os.write(write_end, data):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _read_all(fd: int) -> bytes:
+    parts = []
+    while part := os.read(fd, 65536):
+        parts.append(part)
+    return b"".join(parts)
+
+
+def _loaded(data: bytes, status: int):
+    """The tally a child sent, or None if it exited with an error or its
+    message is short."""
+    if os.waitstatus_to_exitcode(status) != 0:
+        return None
+    try:
+        return marshal.loads(data)
+    except (EOFError, ValueError, TypeError):
+        return None
+
+
+def simulate(seed: int, trials: int) -> dict:
+    """Run the construction across random models and tally the outcomes.
+
+    Every trial also cross-checks the greedy selection against the
+    exhaustive swap scan and the invariance oracle, so a zero failure count
+    means the three routes agree.
+
+    The trials are cut into ``_chunk_count`` contiguous chunks.  This
+    process runs the first and a forked child each other one, and the
+    tallies are merged in chunk order.  Each trial draws from its own seeded
+    stream, so the result does not depend on the cut.  A chunk whose child
+    fails in any way, or could not be forked, runs again here: that gives
+    its tally, or raises the error its first failing trial raises, as one
+    process running every trial would.
+    """
+    k = _chunk_count(trials)
+    cuts = [trials * i // k for i in range(k + 1)]
+    children: list[tuple[int, int] | None] = []  # (pid, read end) of chunks 1..k-1
+    waiting: set[int] = set()  # children not yet reaped
+    try:
+        for i in range(1, k):
+            try:
+                child = _fork_tally(seed, cuts[i], cuts[i + 1],
+                                    [c[1] for c in children if c is not None])
+            except OSError:  # no process or pipe to spare: the chunk runs here
+                child = None
+            else:
+                waiting.add(child[0])
+            children.append(child)
+        tallies = [_tally(seed, cuts[0], cuts[1])]
+        for i, child in enumerate(children, 1):
+            tally = None
+            if child is not None:
+                pid, read_end = child
+                data = _read_all(read_end)
+                _, status = os.waitpid(pid, 0)
+                waiting.discard(pid)
+                tally = _loaded(data, status)
+            tallies.append(tally if tally is not None else _tally(seed, cuts[i], cuts[i + 1]))
+    finally:
+        for child in children:
+            if child is not None:
+                os.close(child[1])
+        if waiting:  # only on an error: the children's trials are no longer wanted
+            from signal import SIGKILL
+
+            for pid in waiting:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    return _merge(seed, trials, tallies)
 
 
 def swap_index_factor() -> int:

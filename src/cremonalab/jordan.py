@@ -56,6 +56,11 @@ class NormalSubgroupLattice:
     def __iter__(self):
         return iter(self.subgroups)
 
+    def __repr__(self) -> str:
+        # not the member tuples, 1.93 MB of them for build_group(89)
+        return "%s(members=%d, group_order=%d)" % (
+            type(self).__name__, len(self), self.subgroups[0].parent.order)
+
 
 @dataclass(frozen=True)
 class JordanCertificate:

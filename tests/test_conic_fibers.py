@@ -1,12 +1,15 @@
 """Fiber-swap models: selections, the no-swap subgroup and its index bound."""
 
 import importlib
+import marshal
+import os
 import pkgutil
 import random
 import re
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,6 +35,7 @@ from cremonalab.conic_fibers import (
     weak_geometric_constant,
 )
 from cremonalab.groups import FiniteGroup, Permutation, close_generators
+from cremonalab.suites import run_suite
 
 
 def identity_perm(fibers):
@@ -447,6 +451,143 @@ def test_simulation_matches_recorded_counts(seed):
         "max_index": 16,
         "index_histogram": PINNED_SIMULATIONS[seed],
     }
+
+
+def one_process(seed, trials):
+    """The simulation of every trial tallied in one piece."""
+    return conic_fibers._merge(seed, trials, [conic_fibers._tally(seed, 0, trials)])
+
+
+def force_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(conic_fibers, "_available_cpus", lambda: cpus)
+
+
+def counted_forks(monkeypatch):
+    """The pids of the children forked from here from now on."""
+    forked, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
+def fail_at(monkeypatch, failures):
+    """Make random_model raise ModelError at each trial in failures."""
+    real_model = conic_fibers.random_model
+
+    def model(seed, trial):
+        if trial in failures:
+            raise ModelError("no model at trial %d" % trial)
+        return real_model(seed, trial)
+
+    monkeypatch.setattr(conic_fibers, "random_model", model)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_split_simulation_equals_one_tally(monkeypatch, k):
+    force_cpus(monkeypatch, k)
+    forked = counted_forks(monkeypatch)
+    trials = 4 * conic_fibers.MIN_TRIALS_PER_CHUNK + 5  # divisible by none of 2, 3, 4
+    assert conic_fibers._chunk_count(trials) == k
+    for seed in range(4):
+        assert simulate(seed, trials) == one_process(seed, trials)
+        assert_no_child_left()
+    assert len(forked) == 4 * (k - 1)
+
+
+def test_split_simulation_of_2000_trials(monkeypatch):
+    force_cpus(monkeypatch, 2)
+    forked = counted_forks(monkeypatch)
+    assert simulate(0, 2000) == one_process(0, 2000)
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("trials", (1, 2, 5, 7, 11))
+def test_chunks_of_a_few_trials(monkeypatch, trials):
+    # one chunk per trial at most, and chunks of one or two trials at k = 4
+    force_cpus(monkeypatch, 4)
+    monkeypatch.setattr(conic_fibers, "MIN_TRIALS_PER_CHUNK", 1)
+    forked = counted_forks(monkeypatch)
+    assert simulate(3, trials) == one_process(3, trials)
+    assert len(forked) == min(4, trials) - 1
+    assert_no_child_left()
+
+
+def test_one_cpu_forks_nothing(monkeypatch):
+    def refuse():
+        raise AssertionError("forked with one CPU")
+
+    force_cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", refuse)
+    assert conic_fibers._chunk_count(1000) == 1
+    assert simulate(0, 1000) == one_process(0, 1000)
+
+
+def no_process():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+def test_a_chunk_that_cannot_fork_runs_here(monkeypatch):
+    force_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", no_process)
+    assert simulate(1, 600) == one_process(1, 600)
+
+
+def test_a_short_message_reruns_the_chunk(monkeypatch):
+    # the child exits 0 but its tally arrives cut off
+    force_cpus(monkeypatch, 2)
+    truncated = SimpleNamespace(dumps=lambda value: marshal.dumps(value)[:-3],
+                                loads=marshal.loads)
+    monkeypatch.setattr(conic_fibers, "marshal", truncated)
+    assert simulate(2, 600) == one_process(2, 600)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failures", [(250,), (450, 250), (10, 450)])
+def test_a_failing_trial_raises_as_in_one_process(monkeypatch, failures):
+    # at k = 3 the 600 trials are cut at 200 and 400: a failure in a child's
+    # chunk is raised again here, and one in this process's chunk kills the
+    # children still running
+    fail_at(monkeypatch, failures)
+    raised, rows = {}, {}
+    for cpus in (1, 3):
+        force_cpus(monkeypatch, cpus)
+        with pytest.raises(ModelError) as exc_info:
+            simulate(0, 600)
+        assert_no_child_left()
+        raised[cpus] = (type(exc_info.value), str(exc_info.value))
+        rows[cpus] = [(r.claim_id, r.anchor, r.computed, r.expected, r.status)
+                      for r in run_suite("conic", trials=600)]
+        assert_no_child_left()
+    assert raised[1] == raised[3] == (ModelError, "no model at trial %d" % min(failures))
+    assert rows[1] == rows[3]
+    assert rows[3][0][0] == "conic.error"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
+def test_no_pipe_end_is_left_open(monkeypatch):
+    force_cpus(monkeypatch, 3)
+    before = sorted(os.listdir("/proc/self/fd"))
+    simulate(0, 600)
+    fail_at(monkeypatch, (450,))
+    with pytest.raises(ModelError):
+        simulate(0, 600)
+    assert_no_child_left()
+    monkeypatch.setattr(os, "fork", no_process)
+    with pytest.raises(ModelError):
+        simulate(0, 600)
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 def test_constants():

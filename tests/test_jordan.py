@@ -369,3 +369,9 @@ def test_lattice_past_the_bound_is_refused_quickly(k):
     with pytest.raises(CapExceeded, match="MAX_LATTICE_EXTENSIONS=50000"):
         normal_subgroups(oracles.cyclic_product((2,) * k))
     assert time.perf_counter() - start < 20
+
+
+def test_lattice_repr_names_its_size_without_its_members():
+    lattice = normal_subgroups(build_group(13))
+    assert len(repr(lattice)) < 200
+    assert repr(lattice) == "NormalSubgroupLattice(members=%d, group_order=2028)" % len(lattice)
