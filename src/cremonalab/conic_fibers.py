@@ -19,6 +19,8 @@ import operator
 import os
 import random
 import struct
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -614,19 +616,21 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_count(trials: int) -> int:
-    """Processes to split trials across: one per available CPU, none with
-    fewer than MIN_TRIALS_PER_CHUNK trials, and one without ``os.fork``."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(_available_cpus(), trials // MIN_TRIALS_PER_CHUNK))
+def _chunk_count(trials: int, busy: bool = False) -> int:
+    """Chunks to cut trials into: one per available CPU, less the one this
+    process holds back when it is busy with other work, and none with fewer
+    than MIN_TRIALS_PER_CHUNK trials.  Idle, at least one, and one without
+    ``os.fork``; busy, 0 when no child is worth forking."""
+    cpus = _available_cpus() if hasattr(os, "fork") else 1
+    chunks = min(cpus - busy, trials // MIN_TRIALS_PER_CHUNK)
+    return chunks if busy else max(1, chunks)
 
 
 def _fork_tally(seed: int, start: int, stop: int, inherited: list[int]) -> tuple[int, int]:
-    """Fork a child that writes the marshalled ``_tally`` of its trials to a
-    new pipe; return its pid and the pipe's read end.  The child closes the
-    read ends in inherited and always leaves by ``os._exit``, so it never
-    returns into the caller."""
+    """Fork a child that writes the marshalled ``_tally`` of its trials and
+    the ``time.monotonic()`` at their end to a new pipe; return its pid and
+    the pipe's read end.  The child closes the read ends in inherited and
+    always leaves by ``os._exit``, so it never returns into the caller."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -640,7 +644,7 @@ def _fork_tally(seed: int, start: int, stop: int, inherited: list[int]) -> tuple
             os.close(read_end)
             for fd in inherited:
                 os.close(fd)
-            data = marshal.dumps(_tally(seed, start, stop))
+            data = marshal.dumps((_tally(seed, start, stop), time.monotonic()))
             while data:
                 data = data[os.write(write_end, data):]
             code = 0
@@ -658,8 +662,8 @@ def _read_all(fd: int) -> bytes:
 
 
 def _loaded(data: bytes, status: int):
-    """The tally a child sent, or None if it exited with an error or its
-    message is short."""
+    """The (tally, end time) a child sent, or None if it exited with an
+    error or its message is short."""
     if os.waitstatus_to_exitcode(status) != 0:
         return None
     try:
@@ -668,45 +672,69 @@ def _loaded(data: bytes, status: int):
         return None
 
 
-def simulate(seed: int, trials: int) -> dict:
-    """Run the construction across random models and tally the outcomes.
+@contextmanager
+def _started(seed: int, trials: int, busy: bool = False):
+    """Start a simulation: fork the children for their chunks of the trials
+    and yield its finish, a call that returns the ``simulate`` result and
+    the seconds the trials took.
 
-    Every trial also cross-checks the greedy selection against the
-    exhaustive swap scan and the invariance oracle, so a zero failure count
-    means the three routes agree.
+    The trials are cut into ``_chunk_count(trials, busy)`` contiguous
+    chunks.  Idle, this process keeps the first chunk and a child takes each
+    other one; busy, it leaves every chunk to the children, so they run
+    while it does its other work, unless no child is worth forking.  The
+    finish runs the chunks kept here, then reads and reaps the children in
+    chunk order and merges the tallies.  Each trial draws from its own
+    seeded stream, so the result does not depend on the cut.  A chunk whose
+    child fails in any way, or could not be forked, runs again at the
+    finish: that gives its tally, or raises the error its first failing
+    trial raises, as one process running every trial would.  When the block
+    is left, by the finish or by any exception (KeyboardInterrupt included),
+    every pipe end is closed, and children not yet reaped are killed and
+    reaped.
 
-    The trials are cut into ``_chunk_count`` contiguous chunks.  This
-    process runs the first and a forked child each other one, and the
-    tallies are merged in chunk order.  Each trial draws from its own seeded
-    stream, so the result does not depend on the cut.  A chunk whose child
-    fails in any way, or could not be forked, runs again here: that gives
-    its tally, or raises the error its first failing trial raises, as one
-    process running every trial would.
+    The seconds are the longer of this process's own time on the trials
+    (forking and the chunks run here) and the span from the start to the
+    last child's end, so time spent on other work before the finish does
+    not count.  ``time.monotonic`` is system-wide, so the end time a child
+    sends compares with the start read here.
     """
-    k = _chunk_count(trials)
+    k = _chunk_count(trials, busy)
+    forked = range(k) if busy else range(1, k)  # the chunks not run here
+    k = max(1, k)  # busy with no child worth forking: one chunk, run here
     cuts = [trials * i // k for i in range(k + 1)]
-    children: list[tuple[int, int] | None] = []  # (pid, read end) of chunks 1..k-1
+    children: list[tuple[int, int] | None] = [None] * k  # (pid, read end) per chunk forked
     waiting: set[int] = set()  # children not yet reaped
+    started = time.monotonic()
     try:
-        for i in range(1, k):
+        for i in forked:
             try:
-                child = _fork_tally(seed, cuts[i], cuts[i + 1],
-                                    [c[1] for c in children if c is not None])
+                children[i] = _fork_tally(seed, cuts[i], cuts[i + 1],
+                                          [c[1] for c in children if c is not None])
             except OSError:  # no process or pipe to spare: the chunk runs here
-                child = None
-            else:
-                waiting.add(child[0])
-            children.append(child)
-        tallies = [_tally(seed, cuts[0], cuts[1])]
-        for i, child in enumerate(children, 1):
-            tally = None
-            if child is not None:
-                pid, read_end = child
-                data = _read_all(read_end)
-                _, status = os.waitpid(pid, 0)
-                waiting.discard(pid)
-                tally = _loaded(data, status)
-            tallies.append(tally if tally is not None else _tally(seed, cuts[i], cuts[i + 1]))
+                continue
+            waiting.add(children[i][0])
+        forking = time.monotonic() - started
+
+        def finish() -> tuple[dict, float]:
+            tallies, here, last = [], forking, 0.0
+            for i, child in enumerate(children):
+                sent = None
+                if child is not None:
+                    pid, read_end = child
+                    data = _read_all(read_end)
+                    _, status = os.waitpid(pid, 0)
+                    waiting.discard(pid)
+                    sent = _loaded(data, status)
+                if sent is None:
+                    began = time.monotonic()
+                    tallies.append(_tally(seed, cuts[i], cuts[i + 1]))
+                    here += time.monotonic() - began
+                else:
+                    tallies.append(sent[0])
+                    last = max(last, sent[1] - started)
+            return _merge(seed, trials, tallies), max(here, last)
+
+        yield finish
     finally:
         for child in children:
             if child is not None:
@@ -717,7 +745,21 @@ def simulate(seed: int, trials: int) -> dict:
             for pid in waiting:
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-    return _merge(seed, trials, tallies)
+
+
+def simulate(seed: int, trials: int) -> dict:
+    """Run the construction across random models and tally the outcomes.
+
+    Every trial also cross-checks the greedy selection against the
+    exhaustive swap scan and the invariance oracle, so a zero failure count
+    means the three routes agree.
+
+    The trials are split across this process and one forked child per
+    further available CPU, as ``_started`` describes; the result is that of
+    one process running every trial.
+    """
+    with _started(seed, trials) as finish:
+        return finish()[0]
 
 
 def swap_index_factor() -> int:

@@ -77,12 +77,15 @@ def normal_subgroups(group: FiniteGroup) -> NormalSubgroupLattice:
     gcd(k, ord g) = 1 generates the same normal subgroup as g, so its class
     is skipped, and its closure is recorded as that of g.  Each closure of
     the class C of g starts from the largest recorded closure among the
-    classes of [g, x] for the group's generators x, or from the identity
-    when none is recorded: [g, x] = g (x g^-1 x^-1) lies in the normal
-    subgroup <C>, so the closure of its class does too.  Each member, seeds
-    included, is joined with every seed that
-    it neither contains nor lies in, by one coset extension of the member
-    over the seed's class.  Sorted by (order, member tuple): trivial
+    classes of [g, x] for the group's generators x; when those name none
+    but the identity's and g is not central, for the class representatives
+    x; and from the identity when these name none either: [g, x] =
+    g (x g^-1 x^-1) lies in the normal subgroup <C>, so the closure of its
+    class does too.  So the translations of a lemma52 group are closed from
+    the identity once, and the second translation class starts from them.
+    Each member, seeds included, is joined with every seed that it neither
+    contains nor lies in, by one coset extension of the member over the
+    seed's class.  Sorted by (order, member tuple): trivial
     subgroup first, whole group last.  Raises CapExceeded before the
     closure or join past the first MAX_LATTICE_EXTENSIONS.
     """
@@ -91,6 +94,7 @@ def normal_subgroups(group: FiniteGroup) -> NormalSubgroupLattice:
     class_of = np.empty(group.order, dtype=np.intp)
     for i, cls in enumerate(classes):
         class_of[list(cls)] = i
+    representatives = [cls[0] for cls in classes]
     skipped: set[int] = set()  # the classes of the generators g^k of every <g> walked
     closure_of: dict[int, np.ndarray] = {}  # class -> its normal closure's mask, once known
     # (class, closure mask, abelian) per seed with a new closure
@@ -108,9 +112,15 @@ def normal_subgroups(group: FiniteGroup) -> NormalSubgroupLattice:
             continue
         _spend(extensions)
         # [g, x] = g (x g^-1 x^-1) lies in <cls>, and so does any recorded
-        # closure of its class: start from the largest of them
-        commutators = group.commutators([cls[0]], group.generators)[0]
-        below = [closure_of[c] for c in class_of[commutators].tolist() if c in closure_of]
+        # closure of its class: start from the largest of them, for x a
+        # generator or, when those name none but the identity's, a class
+        # representative (unless g is central, with no commutator but 1)
+        for xs in (group.generators, representatives):
+            commutators = group.commutators([cls[0]], xs)[0]
+            commutators = commutators[commutators != 0]
+            below = [closure_of[c] for c in class_of[commutators].tolist() if c in closure_of]
+            if below or not commutators.size:
+                break
         start = max(below, key=np.count_nonzero, default=None)
         mask = np.zeros(group.order, dtype=bool)
         mask[list(group.subgroup_closure(cls, start))] = True

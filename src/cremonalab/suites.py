@@ -9,6 +9,7 @@ result, not an excuse to produce no report at all.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 
 from . import conic_fibers, dp5, pole_cycles
 from .report import VerificationReport, checked, informational
@@ -139,10 +140,18 @@ def _dp5_rows() -> list[VerificationReport]:
     return rows
 
 
-def _conic_rows(seed: int, trials: int) -> list[VerificationReport]:
+def _simulated(seed: int, trials: int) -> tuple[dict, float]:
+    """``conic_fibers.simulate(seed, trials)`` and the seconds it took."""
     start = time.perf_counter()
     sim = conic_fibers.simulate(seed, trials)
-    return conic_rows(sim, trials, sim_time=time.perf_counter() - start)
+    return sim, time.perf_counter() - start
+
+
+def _conic_rows(finish, trials: int) -> list[VerificationReport]:
+    """The conic suite's rows from finish(), a simulation result and the
+    seconds its trials took."""
+    sim, seconds = finish()
+    return conic_rows(sim, trials, sim_time=seconds)
 
 
 def conic_rows(sim: dict, trials: int, sim_time: float = 0.0) -> list[VerificationReport]:
@@ -218,6 +227,13 @@ def run_suite(name: str, ns=DEFAULT_NS, seed: int = 0, trials: int = DEFAULT_TRI
     informational rows instead of failing.
     Raises UnknownSuite for unknown names; any error inside a suite becomes
     a fail row so a report is always produced.
+
+    ``all`` starts the conic trials first, in forked children, one per CPU
+    besides this process's own, so they run while this process checks
+    lemma52, prop44 and dp5; it collects them in the conic suite's turn, so
+    the rows and their order are those of the suites run one after another.
+    With one CPU, no ``os.fork`` or too few trials, the trials all run here
+    in their turn.
     """
     if name not in SUITE_NAMES:
         raise UnknownSuite("unknown suite %r; expected one of %s" % (name, ", ".join(SUITE_NAMES)))
@@ -229,14 +245,17 @@ def run_suite(name: str, ns=DEFAULT_NS, seed: int = 0, trials: int = DEFAULT_TRI
     if name in ("dp5", "all"):
         parts.append(("dp5", lambda: _dp5_rows()))
     if name in ("conic", "all"):
-        parts.append(("conic", lambda: _conic_rows(seed, trials)))
+        # finish is bound below: the simulation and the seconds its trials took
+        parts.append(("conic", lambda: _conic_rows(finish, trials)))
+    conic = (conic_fibers._started(seed, trials, busy=True) if name == "all"
+             else nullcontext(lambda: _simulated(seed, trials)))
     rows: list[VerificationReport] = []
-    for suite, fn in parts:
-        try:
-            rows.extend(fn())
-        except Exception as exc:
-            rows.append(_error_row("%s.error" % suite, "suite %s" % suite, exc))
+    with conic as finish:
+        for suite, fn in parts:
+            try:
+                rows.extend(fn())
+            except Exception as exc:
+                rows.append(_error_row("%s.error" % suite, "suite %s" % suite, exc))
     if name == "all":
         rows.extend(paper_constant_rows())
     return rows
-

@@ -6,6 +6,7 @@ import os
 import pkgutil
 import random
 import re
+import time
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import prod
@@ -15,7 +16,7 @@ import pytest
 
 import cremonalab
 import oracles
-from cremonalab import conic_fibers
+from cremonalab import conic_fibers, suites
 from cremonalab.conic_fibers import (
     FAMILY_REPRESENTATIVES,
     MAX_FIBERS,
@@ -35,7 +36,7 @@ from cremonalab.conic_fibers import (
     weak_geometric_constant,
 )
 from cremonalab.groups import FiniteGroup, Permutation, close_generators
-from cremonalab.suites import run_suite
+from cremonalab.suites import SUITE_NAMES, paper_constant_rows, run_suite
 
 
 def identity_perm(fibers):
@@ -588,6 +589,101 @@ def test_no_pipe_end_is_left_open(monkeypatch):
     with pytest.raises(ModelError):
         simulate(0, 600)
     assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+def row_fields(rows):
+    """Every field of each row but its time."""
+    return [(r.claim_id, r.anchor, r.computed, r.expected, r.provenance, r.status) for r in rows]
+
+
+def serial_report_all(monkeypatch, **kwargs):
+    """The rows of report all from its suites run one after another, here."""
+    force_cpus(monkeypatch, 1)
+    rows = [row for name in SUITE_NAMES if name != "all" for row in run_suite(name, **kwargs)]
+    return row_fields(rows + paper_constant_rows())
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
+@pytest.mark.parametrize("cpus", (1, 2, 3, 4))
+def test_report_all_runs_the_trials_in_children_with_identical_rows(monkeypatch, cpus):
+    # one child per CPU besides this process, none with fewer than
+    # MIN_TRIALS_PER_CHUNK of the 500 trials, and none with one CPU
+    serial = serial_report_all(monkeypatch)
+    force_cpus(monkeypatch, cpus)
+    forked = counted_forks(monkeypatch)
+    modelled, real_model = [], conic_fibers.random_model
+    monkeypatch.setattr(conic_fibers, "random_model",
+                        lambda seed, trial: modelled.append(trial) or real_model(seed, trial))
+    before = open_fds()
+    assert row_fields(run_suite("all")) == serial
+    assert len(forked) == min(cpus - 1, 500 // conic_fibers.MIN_TRIALS_PER_CHUNK)
+    assert len(modelled) == (500 if cpus == 1 else 0)
+    assert_no_child_left()
+    assert open_fds() == before
+
+
+@pytest.mark.parametrize("failures", [(10,), (450, 250)])
+def test_a_failing_trial_gives_one_error_row_in_report_all(monkeypatch, failures):
+    # at 3 CPUs the two children take trials 0-299 and 300-599; the chunk of
+    # the first failing trial runs again here and raises as with one CPU
+    fail_at(monkeypatch, failures)
+    forked = counted_forks(monkeypatch)
+    rows = {}
+    for cpus in (1, 3):
+        force_cpus(monkeypatch, cpus)
+        rows[cpus] = row_fields(run_suite("all", trials=600))
+        assert_no_child_left()
+    assert len(forked) == 2
+    assert rows[1] == rows[3]
+    assert [row for row in rows[3] if row[5] == "fail"] == [(
+        "conic.error", "suite conic",
+        {"error": "ModelError: no model at trial %d" % min(failures)},
+        {"error": None}, "module error", "fail")]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
+def test_an_interrupt_in_report_all_kills_every_child(monkeypatch):
+    # prop44 is interrupted while the children run their 2000 trials
+    def interrupt(seed):
+        raise KeyboardInterrupt
+
+    force_cpus(monkeypatch, 3)
+    forked = counted_forks(monkeypatch)
+    killed, real_kill = [], os.kill
+    monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append(pid) or real_kill(pid, sig))
+    monkeypatch.setattr(suites, "_prop44_rows", interrupt)
+    before = open_fds()
+    with pytest.raises(KeyboardInterrupt):
+        run_suite("all", ns=(5,), trials=2000)
+    assert len(forked) == 2
+    assert sorted(killed) == sorted(forked)
+    assert_no_child_left()
+    assert open_fds() == before
+
+
+@pytest.mark.parametrize("cpus", (1, 2))
+def test_the_conic_row_of_report_all_is_timed_by_its_trials(monkeypatch, cpus):
+    # the trials start before lemma52, but the 0.3 s this process then spends
+    # on lemma52 is not theirs
+    real_rows = suites._lemma52_rows
+
+    def slow_rows(ns, allow_bad_n):
+        time.sleep(0.3)
+        return real_rows(ns, allow_bad_n)
+
+    monkeypatch.setattr(suites, "_lemma52_rows", slow_rows)
+    force_cpus(monkeypatch, cpus)
+    forked = counted_forks(monkeypatch)
+    rows = run_suite("all", ns=(5,), trials=conic_fibers.MIN_TRIALS_PER_CHUNK)
+    assert len(forked) == cpus - 1
+    noswap = next(row for row in rows if row.claim_id == "conic.noswap")
+    assert noswap.status == "pass"
+    assert 0 < noswap.wall_time < 0.15
+    assert_no_child_left()
 
 
 def test_constants():

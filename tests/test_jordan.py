@@ -271,10 +271,28 @@ def test_one_class_closure_per_cyclic_subgroup(monkeypatch, build, closures):
             oracles.table_of(group))
 
 
+@pytest.mark.parametrize("n", (5, 7, 11, 13))
+def test_translations_close_from_the_identity_once(monkeypatch, n):
+    # the second translation class names T only by its commutators with the
+    # class representatives, so it starts from T instead of rebuilding it
+    group = build_group(n)
+    closure, from_identity = FiniteGroup.subgroup_closure, []
+
+    def recording_closure(self, seeds, start=None):
+        result = closure(self, seeds, start)
+        if (start is None or np.count_nonzero(start) == 1) and len(result) > 1:
+            from_identity.append(len(result))
+        return result
+
+    monkeypatch.setattr(FiniteGroup, "subgroup_closure", recording_closure)
+    assert len(normal_subgroups(group)) == 8
+    assert from_identity == [n * n]
+
+
 def test_class_closures_start_inside_their_closure(monkeypatch):
-    # two of the four closures of T and every larger class closure start
+    # three of the four closures of T and every larger class closure start
     # from a recorded normal subgroup inside them instead of the identity:
-    # 337 products, where closing every class from the identity takes 1417
+    # 280 products, where closing every class from the identity takes 1417
     group = build_group(13)
     assert isinstance(group, FamilyGroup)
     products, calls = FamilyGroup.products, []
