@@ -552,11 +552,19 @@ def random_model(seed: int, trial: int) -> FiberActionModel:
 _COUNTERS = ("greedy_failures", "invariance_failures", "scan_disagreements",
              "bound_violations", "no_clean_lift", "inadmissible")
 
-# Fewest trials worth a process of their own.  A fork, a child sending an
-# empty tally and its reaping take 2.2-2.8 ms with numpy loaded, the time of
-# 20-27 trials, on a 2-vCPU x86-64 host (BENCH_conic_parallel.json); 128
-# leaves margin for the child's copy-on-write faults.
+# Fewest trials worth a process of their own: a simulation forks no more
+# children than leave every process this many trials.  A fork, a child
+# sending an empty tally and its reaping take 2.2-2.8 ms with numpy loaded,
+# the time of 20-27 trials, on a 2-vCPU x86-64 host
+# (BENCH_conic_parallel.json); 128 leaves margin for the child's
+# copy-on-write faults.
 MIN_TRIALS_PER_CHUNK = 128
+
+# Fewest trials in a block, the unit of work a process claims.  A claim
+# reads one block number, one byte, from a pipe, so there are at most
+# MAX_BLOCKS blocks.
+MIN_BLOCK_TRIALS = 8
+MAX_BLOCKS = 255
 
 
 def _tally(seed: int, start: int, stop: int) -> tuple[list[int], int, dict[int, int]]:
@@ -594,18 +602,41 @@ def _tally(seed: int, start: int, stop: int) -> tuple[list[int], int, dict[int, 
     return counts, max_index, index_histogram
 
 
+def _empty_tally() -> list:
+    """The running tally of no trial."""
+    return [[0] * len(_COUNTERS), 0, {}]
+
+
+def _fold(total: list, tally) -> None:
+    """Add tally to the running tally total, in place."""
+    counts, max_index, histogram = tally
+    for i, count in enumerate(counts):
+        total[0][i] += count
+    total[1] = max(total[1], max_index)
+    for index, count in histogram.items():
+        total[2][index] = total[2].get(index, 0) + count
+
+
 def _merge(seed: int, trials: int, tallies) -> dict:
-    """The simulation result of the tallies of consecutive trial ranges."""
-    result: dict = {"trials": trials, "seed": seed}
-    for i, name in enumerate(_COUNTERS):
-        result[name] = sum(counts[i] for counts, _, _ in tallies)
-    index_histogram: dict[int, int] = {}
-    for _, _, histogram in tallies:
-        for index, count in histogram.items():
-            index_histogram[index] = index_histogram.get(index, 0) + count
-    result["max_index"] = max(max_index for _, max_index, _ in tallies)
-    result["index_histogram"] = {str(k): v for k, v in sorted(index_histogram.items())}
-    return result
+    """The simulation result of tallies that together cover every trial
+    once.  Folding only adds and takes a maximum, and the histogram is
+    sorted, so neither the tallies' order nor their cut shows."""
+    total = _empty_tally()
+    for tally in tallies:
+        _fold(total, tally)
+    counts, max_index, histogram = total
+    return {"trials": trials, "seed": seed, **dict(zip(_COUNTERS, counts)),
+            "max_index": max_index,
+            "index_histogram": {str(k): v for k, v in sorted(histogram.items())}}
+
+
+def _block_cuts(trials: int) -> list[int]:
+    """The bounds of the blocks trials are cut into: consecutive, at most
+    MAX_BLOCKS, of MIN_BLOCK_TRIALS trials or more unless there are fewer
+    trials, and at least one, so that block b is trials
+    ``cuts[b]..cuts[b + 1] - 1``."""
+    blocks = max(1, min(MAX_BLOCKS, trials // MIN_BLOCK_TRIALS))
+    return [trials * b // blocks for b in range(blocks + 1)]
 
 
 def _available_cpus() -> int:
@@ -616,18 +647,19 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_count(trials: int, busy: bool = False) -> int:
-    """Chunks to cut trials into: one per available CPU, less the one this
-    process holds back when it is busy with other work, and none with fewer
-    than MIN_TRIALS_PER_CHUNK trials.  Idle, at least one, and one without
-    ``os.fork``; busy, 0 when no child is worth forking."""
-    cpus = _available_cpus() if hasattr(os, "fork") else 1
-    chunks = min(cpus - busy, trials // MIN_TRIALS_PER_CHUNK)
-    return chunks if busy else max(1, chunks)
+def _claim(seed: int, cuts: list[int], tokens: int, total: list, ran: bytearray) -> None:
+    """Run the blocks claimed from the token pipe's read end until none is
+    left, folding each into total and appending its number to ran once it
+    has run."""
+    while token := os.read(tokens, 1):
+        block = token[0]
+        _fold(total, _tally(seed, cuts[block], cuts[block + 1]))
+        ran += token
 
 
-def _fork_tally(seed: int, start: int, stop: int, inherited: list[int]) -> tuple[int, int]:
-    """Fork a child that writes the marshalled ``_tally`` of its trials and
+def _fork_claimer(seed: int, cuts: list[int], tokens: int, inherited: list[int]) -> tuple[int, int]:
+    """Fork a child that claims blocks from tokens until none is left and
+    writes the marshalled running tally, the bytes of the blocks it ran and
     the ``time.monotonic()`` at their end to a new pipe; return its pid and
     the pipe's read end.  The child closes the read ends in inherited and
     always leaves by ``os._exit``, so it never returns into the caller."""
@@ -644,7 +676,9 @@ def _fork_tally(seed: int, start: int, stop: int, inherited: list[int]) -> tuple
             os.close(read_end)
             for fd in inherited:
                 os.close(fd)
-            data = marshal.dumps((_tally(seed, start, stop), time.monotonic()))
+            total, ran = _empty_tally(), bytearray()
+            _claim(seed, cuts, tokens, total, ran)
+            data = marshal.dumps((total, bytes(ran), time.monotonic()))
             while data:
                 data = data[os.write(write_end, data):]
             code = 0
@@ -662,8 +696,8 @@ def _read_all(fd: int) -> bytes:
 
 
 def _loaded(data: bytes, status: int):
-    """The (tally, end time) a child sent, or None if it exited with an
-    error or its message is short."""
+    """The (tally, blocks run, end time) a child sent, or None if it exited
+    with an error or its message is short."""
     if os.waitstatus_to_exitcode(status) != 0:
         return None
     try:
@@ -673,72 +707,91 @@ def _loaded(data: bytes, status: int):
 
 
 @contextmanager
-def _started(seed: int, trials: int, busy: bool = False):
-    """Start a simulation: fork the children for their chunks of the trials
-    and yield its finish, a call that returns the ``simulate`` result and
-    the seconds the trials took.
+def _started(seed: int, trials: int):
+    """Start a simulation: fork the children that run its trials and yield
+    its finish, a call that returns the ``simulate`` result and the seconds
+    the trials took.
 
-    The trials are cut into ``_chunk_count(trials, busy)`` contiguous
-    chunks.  Idle, this process keeps the first chunk and a child takes each
-    other one; busy, it leaves every chunk to the children, so they run
-    while it does its other work, unless no child is worth forking.  The
-    finish runs the chunks kept here, then reads and reaps the children in
-    chunk order and merges the tallies.  Each trial draws from its own
-    seeded stream, so the result does not depend on the cut.  A chunk whose
-    child fails in any way, or could not be forked, runs again at the
-    finish: that gives its tally, or raises the error its first failing
-    trial raises, as one process running every trial would.  When the block
-    is left, by the finish or by any exception (KeyboardInterrupt included),
-    every pipe end is closed, and children not yet reaped are killed and
-    reaped.
+    The trials are cut into blocks (``_block_cuts``), and every block number
+    is written as one byte into a token pipe before anything is forked.  A
+    process claims the next block by reading one byte; a pipe read is
+    atomic, so each block is claimed once, and an empty read means none is
+    left.  ``min(cpus, trials // MIN_TRIALS_PER_CHUNK) - 1`` children are
+    forked (none with one CPU or no ``os.fork``), and each claims blocks
+    from the start, folds them into one running tally and sends it with the
+    numbers of the blocks it ran.  The finish claims whatever blocks are
+    left here, so a caller that does other work before it leaves the
+    children every block they reach by then, and one that calls it at once
+    shares the blocks with them.  It then reads and reaps every child and
+    runs here, in ascending order, every block no process reported: those
+    of a child that failed in any way or sent a short message, and the one
+    whose trial raised here, after which this process claims no more.  So
+    the finish gives the tally of every trial, or raises the error the first
+    failing trial raises, as one process running every trial would.  Each
+    trial draws from its own seeded stream and ``_merge`` only adds, so
+    which process ran which block changes no byte.  When the ``with``
+    statement is left, after the finish or by any exception
+    (KeyboardInterrupt included), every pipe end, the token pipe's too, is
+    closed, and children not yet reaped are killed and reaped.
 
     The seconds are the longer of this process's own time on the trials
-    (forking and the chunks run here) and the span from the start to the
+    (forking and the blocks run here) and the span from the start to the
     last child's end, so time spent on other work before the finish does
     not count.  ``time.monotonic`` is system-wide, so the end time a child
     sends compares with the start read here.
     """
-    k = _chunk_count(trials, busy)
-    forked = range(k) if busy else range(1, k)  # the chunks not run here
-    k = max(1, k)  # busy with no child worth forking: one chunk, run here
-    cuts = [trials * i // k for i in range(k + 1)]
-    children: list[tuple[int, int] | None] = [None] * k  # (pid, read end) per chunk forked
+    cpus = _available_cpus() if hasattr(os, "fork") else 1
+    cuts = _block_cuts(trials)
+    children: list[tuple[int, int]] = []  # (pid, result pipe read end) per child
     waiting: set[int] = set()  # children not yet reaped
-    started = time.monotonic()
+    tokens, write_end = os.pipe()
     try:
-        for i in forked:
+        os.write(write_end, bytes(range(len(cuts) - 1)))  # far below a pipe's capacity
+        os.close(write_end)
+        write_end = None
+        started = time.monotonic()
+        for _ in range(min(cpus, trials // MIN_TRIALS_PER_CHUNK) - 1):
             try:
-                children[i] = _fork_tally(seed, cuts[i], cuts[i + 1],
-                                          [c[1] for c in children if c is not None])
-            except OSError:  # no process or pipe to spare: the chunk runs here
-                continue
-            waiting.add(children[i][0])
+                child = _fork_claimer(seed, cuts, tokens, [c[1] for c in children])
+            except OSError:  # no process or pipe to spare: its blocks run here
+                break
+            children.append(child)
+            waiting.add(child[0])
         forking = time.monotonic() - started
 
         def finish() -> tuple[dict, float]:
-            tallies, here, last = [], forking, 0.0
-            for i, child in enumerate(children):
-                sent = None
-                if child is not None:
-                    pid, read_end = child
-                    data = _read_all(read_end)
-                    _, status = os.waitpid(pid, 0)
-                    waiting.discard(pid)
-                    sent = _loaded(data, status)
-                if sent is None:
-                    began = time.monotonic()
-                    tallies.append(_tally(seed, cuts[i], cuts[i + 1]))
-                    here += time.monotonic() - began
-                else:
+            began = time.monotonic()
+            total, ran = _empty_tally(), bytearray()
+            try:
+                _claim(seed, cuts, tokens, total, ran)
+            except Exception:  # raised again below, when its block runs in order
+                pass
+            here = forking + time.monotonic() - began
+            tallies, last = [total], 0.0
+            for pid, read_end in children:
+                data = _read_all(read_end)
+                _, status = os.waitpid(pid, 0)
+                waiting.discard(pid)
+                sent = _loaded(data, status)
+                if sent is not None:
                     tallies.append(sent[0])
-                    last = max(last, sent[1] - started)
+                    ran += sent[1]
+                    last = max(last, sent[2] - started)
+            began = time.monotonic()
+            reported = set(ran)
+            for block in range(len(cuts) - 1):
+                if block not in reported:
+                    _fold(total, _tally(seed, cuts[block], cuts[block + 1]))
+            here += time.monotonic() - began
             return _merge(seed, trials, tallies), max(here, last)
 
         yield finish
     finally:
-        for child in children:
-            if child is not None:
-                os.close(child[1])
+        if write_end is not None:
+            os.close(write_end)
+        os.close(tokens)
+        for _, read_end in children:
+            os.close(read_end)
         if waiting:  # only on an error: the children's trials are no longer wanted
             from signal import SIGKILL
 
@@ -754,9 +807,9 @@ def simulate(seed: int, trials: int) -> dict:
     exhaustive swap scan and the invariance oracle, so a zero failure count
     means the three routes agree.
 
-    The trials are split across this process and one forked child per
-    further available CPU, as ``_started`` describes; the result is that of
-    one process running every trial.
+    The trials run in blocks shared between this process and the children
+    forked for further available CPUs, as ``_started`` describes; the
+    result is that of one process running every trial.
     """
     with _started(seed, trials) as finish:
         return finish()[0]

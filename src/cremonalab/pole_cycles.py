@@ -272,9 +272,16 @@ def random_word_ends(seed: int, words_per_base: int) -> Iterator[tuple[str, tupl
 
 
 def conservation_violations(seed: int, words_per_base: int) -> dict[str, int]:
-    """Count conservation-law violations over random words, per base pair."""
+    """Count conservation-law violations over random words, per base pair.
+
+    Many words end at the same cycle, so each distinct end is checked once,
+    in the order first reached, and counted once per word that ends there.
+    """
     out = {base.base_name: 0 for base in base_pairs()}
-    for name, components, k2 in random_word_ends(seed, words_per_base):
+    words: dict[tuple[str, tuple[Component, ...], int], int] = {}
+    for end in random_word_ends(seed, words_per_base):
+        words[end] = words.get(end, 0) + 1
+    for (name, components, k2), count in words.items():
         if conservation_defect(PoleCycle(components, k2, name)) != 0:
-            out[name] += 1
+            out[name] += count
     return out

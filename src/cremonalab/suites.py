@@ -228,12 +228,13 @@ def run_suite(name: str, ns=DEFAULT_NS, seed: int = 0, trials: int = DEFAULT_TRI
     Raises UnknownSuite for unknown names; any error inside a suite becomes
     a fail row so a report is always produced.
 
-    ``all`` starts the conic trials first, in forked children, one per CPU
-    besides this process's own, so they run while this process checks
-    lemma52, prop44 and dp5; it collects them in the conic suite's turn, so
-    the rows and their order are those of the suites run one after another.
-    With one CPU, no ``os.fork`` or too few trials, the trials all run here
-    in their turn.
+    ``all`` starts the conic trials first, in forked children that claim
+    blocks of them while this process checks lemma52, prop44 and dp5; in
+    the conic suite's turn this process claims the blocks still left, then
+    collects the children's tallies, so the rows and their order are those
+    of the suites run one after another.  With one CPU, no ``os.fork`` or
+    too few trials, nothing is forked and every block runs here in its
+    turn.
     """
     if name not in SUITE_NAMES:
         raise UnknownSuite("unknown suite %r; expected one of %s" % (name, ", ".join(SUITE_NAMES)))
@@ -247,7 +248,7 @@ def run_suite(name: str, ns=DEFAULT_NS, seed: int = 0, trials: int = DEFAULT_TRI
     if name in ("conic", "all"):
         # finish is bound below: the simulation and the seconds its trials took
         parts.append(("conic", lambda: _conic_rows(finish, trials)))
-    conic = (conic_fibers._started(seed, trials, busy=True) if name == "all"
+    conic = (conic_fibers._started(seed, trials) if name == "all"
              else nullcontext(lambda: _simulated(seed, trials)))
     rows: list[VerificationReport] = []
     with conic as finish:

@@ -17,6 +17,7 @@ import pytest
 import cremonalab
 import oracles
 from cremonalab import conic_fibers, suites
+from cremonalab.cli import MAX_TRIALS
 from cremonalab.conic_fibers import (
     FAMILY_REPRESENTATIVES,
     MAX_FIBERS,
@@ -496,10 +497,11 @@ def assert_no_child_left():
 
 @pytest.mark.parametrize("k", (2, 3, 4))
 def test_split_simulation_equals_one_tally(monkeypatch, k):
+    # k - 1 children share the blocks with this process: each of the k
+    # processes has MIN_TRIALS_PER_CHUNK trials or more
     force_cpus(monkeypatch, k)
     forked = counted_forks(monkeypatch)
     trials = 4 * conic_fibers.MIN_TRIALS_PER_CHUNK + 5  # divisible by none of 2, 3, 4
-    assert conic_fibers._chunk_count(trials) == k
     for seed in range(4):
         assert simulate(seed, trials) == one_process(seed, trials)
         assert_no_child_left()
@@ -531,8 +533,67 @@ def test_one_cpu_forks_nothing(monkeypatch):
 
     force_cpus(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", refuse)
-    assert conic_fibers._chunk_count(1000) == 1
     assert simulate(0, 1000) == one_process(0, 1000)
+
+
+def test_a_slow_child_leaves_its_blocks_to_this_process(monkeypatch):
+    # the child sleeps 0.3 s in each block it claims, so this process
+    # claims and runs the remaining blocks, whole, each once
+    expected = one_process(4, 400)
+    force_cpus(monkeypatch, 2)
+    forked = counted_forks(monkeypatch)
+    parent, here, real_tally = os.getpid(), [], conic_fibers._tally
+
+    def tally(seed, start, stop):
+        if os.getpid() != parent:
+            time.sleep(0.3)
+        else:
+            here.append(range(start, stop))
+        return real_tally(seed, start, stop)
+
+    monkeypatch.setattr(conic_fibers, "_tally", tally)
+    cuts = conic_fibers._block_cuts(400)
+    started = time.monotonic()
+    assert simulate(4, 400) == expected
+    assert time.monotonic() - started < 10 * 0.3  # not every block waited on the child
+    assert len(forked) == 1
+    assert_no_child_left()
+    assert len(here) == len(set(here)) > (len(cuts) - 1) // 2
+    assert set(here) <= {range(cuts[b], cuts[b + 1]) for b in range(len(cuts) - 1)}
+
+
+def test_more_processes_than_cores_run_every_block_once(monkeypatch):
+    # 7 children and this process race for the 128 blocks on fewer cores;
+    # a block claimed twice or by no one would change the counts
+    force_cpus(monkeypatch, 8)
+    forked = counted_forks(monkeypatch)
+    trials = 8 * conic_fibers.MIN_TRIALS_PER_CHUNK
+    for seed in range(2):
+        assert simulate(seed, trials) == one_process(seed, trials)
+        assert_no_child_left()
+    assert len(forked) == 2 * 7
+
+
+@pytest.mark.parametrize("trials", (0, 1, 7, 8, 17, 500, 2000, 2040, 2041, MAX_TRIALS))
+def test_blocks_tile_the_trials(monkeypatch, trials):
+    def refuse(seed, trial):
+        raise AssertionError("ran trial %d" % trial)
+
+    monkeypatch.setattr(conic_fibers, "random_model", refuse)
+    cuts = conic_fibers._block_cuts(trials)
+    assert 1 <= len(cuts) - 1 <= conic_fibers.MAX_BLOCKS == 255
+    assert cuts[0] == 0 and cuts[-1] == trials
+    sizes = [stop - start for start, stop in zip(cuts, cuts[1:])]
+    assert min(sizes) >= min(trials, conic_fibers.MIN_BLOCK_TRIALS)
+
+
+def test_zero_trials_give_the_empty_result():
+    assert simulate(5, 0) == {
+        "trials": 0, "seed": 5, "greedy_failures": 0, "invariance_failures": 0,
+        "scan_disagreements": 0, "bound_violations": 0, "no_clean_lift": 0,
+        "inadmissible": 0, "max_index": 0, "index_histogram": {},
+    }
+    assert_no_child_left()
 
 
 def no_process():
@@ -610,8 +671,9 @@ def open_fds():
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
 @pytest.mark.parametrize("cpus", (1, 2, 3, 4))
 def test_report_all_runs_the_trials_in_children_with_identical_rows(monkeypatch, cpus):
-    # one child per CPU besides this process, none with fewer than
-    # MIN_TRIALS_PER_CHUNK of the 500 trials, and none with one CPU
+    # one child per CPU besides this process, but no more than leave each
+    # process MIN_TRIALS_PER_CHUNK of the 500 trials, and none with one CPU;
+    # this process runs whole blocks, each once, of those the children left
     serial = serial_report_all(monkeypatch)
     force_cpus(monkeypatch, cpus)
     forked = counted_forks(monkeypatch)
@@ -620,15 +682,20 @@ def test_report_all_runs_the_trials_in_children_with_identical_rows(monkeypatch,
                         lambda seed, trial: modelled.append(trial) or real_model(seed, trial))
     before = open_fds()
     assert row_fields(run_suite("all")) == serial
-    assert len(forked) == min(cpus - 1, 500 // conic_fibers.MIN_TRIALS_PER_CHUNK)
-    assert len(modelled) == (500 if cpus == 1 else 0)
+    assert len(forked) == min(cpus, 500 // conic_fibers.MIN_TRIALS_PER_CHUNK) - 1
+    cuts = conic_fibers._block_cuts(500)
+    blocks = {range(cuts[b], cuts[b + 1]) for b in range(len(cuts) - 1)}
+    here = [block for block in blocks if block[0] in modelled]
+    assert sorted(modelled) == sorted(t for block in here for t in block)
+    if cpus == 1:
+        assert len(here) == len(blocks)
     assert_no_child_left()
     assert open_fds() == before
 
 
 @pytest.mark.parametrize("failures", [(10,), (450, 250)])
 def test_a_failing_trial_gives_one_error_row_in_report_all(monkeypatch, failures):
-    # at 3 CPUs the two children take trials 0-299 and 300-599; the chunk of
+    # at 3 CPUs two children claim blocks of the 600 trials; the block of
     # the first failing trial runs again here and raises as with one CPU
     fail_at(monkeypatch, failures)
     forked = counted_forks(monkeypatch)
@@ -668,7 +735,7 @@ def test_an_interrupt_in_report_all_kills_every_child(monkeypatch):
 @pytest.mark.parametrize("cpus", (1, 2))
 def test_the_conic_row_of_report_all_is_timed_by_its_trials(monkeypatch, cpus):
     # the trials start before lemma52, but the 0.3 s this process then spends
-    # on lemma52 is not theirs
+    # on lemma52 is not theirs; with 2 CPUs one child runs them meanwhile
     real_rows = suites._lemma52_rows
 
     def slow_rows(ns, allow_bad_n):
@@ -678,7 +745,7 @@ def test_the_conic_row_of_report_all_is_timed_by_its_trials(monkeypatch, cpus):
     monkeypatch.setattr(suites, "_lemma52_rows", slow_rows)
     force_cpus(monkeypatch, cpus)
     forked = counted_forks(monkeypatch)
-    rows = run_suite("all", ns=(5,), trials=conic_fibers.MIN_TRIALS_PER_CHUNK)
+    rows = run_suite("all", ns=(5,), trials=2 * conic_fibers.MIN_TRIALS_PER_CHUNK)
     assert len(forked) == cpus - 1
     noswap = next(row for row in rows if row.claim_id == "conic.noswap")
     assert noswap.status == "pass"

@@ -1,12 +1,14 @@
 """Boundary-cycle moves, conservation, symmetry and enumeration."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cremonalab import pole_cycles
 from cremonalab.pole_cycles import (
     InvalidDegree,
     PoleCycle,
@@ -80,6 +82,25 @@ def test_conservation_violations_counter_is_zero():
         "conic_line": 0,
         "nodal_cubic": 0,
     }
+
+
+def test_each_word_end_is_checked_once_and_counted_per_word(monkeypatch):
+    # a defect at one end that several seed-0 words reach counts every one
+    # of those words, and each distinct end is checked once
+    ends = list(random_word_ends(0, 1000))
+    target, words = Counter(ends).most_common(1)[0]
+    assert words > 1
+    assert conservation_violations(0, 1000) == {name: 0 for name, _, _ in ends}
+    checked, real_defect = [], pole_cycles.conservation_defect
+
+    def defect(cycle):
+        checked.append((cycle.base_name, cycle.components, cycle.k2))
+        return 1 if checked[-1] == target else real_defect(cycle)
+
+    monkeypatch.setattr(pole_cycles, "conservation_defect", defect)
+    assert conservation_violations(0, 1000) == {
+        name: (words if name == target[0] else 0) for name, _, _ in ends}
+    assert sorted(checked) == sorted(set(ends))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
