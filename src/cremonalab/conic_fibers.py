@@ -20,7 +20,8 @@ import os
 import random
 import struct
 import time
-from contextlib import contextmanager
+from collections import Counter
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -567,67 +568,44 @@ MIN_BLOCK_TRIALS = 8
 MAX_BLOCKS = 255
 
 
-def _tally(seed: int, start: int, stop: int) -> tuple[list[int], int, dict[int, int]]:
-    """The counters, largest index and ``{index: count}`` histogram of
-    trials start..stop-1, as plain values that marshal can carry."""
-    greedy_failures = 0
-    invariance_failures = 0
-    scan_disagreements = 0
-    bound_violations = 0
-    no_clean_lift = 0
-    inadmissible = 0
-    max_index = 0
-    index_histogram: dict[int, int] = {}
+def _tally(seed: int, start: int, stop: int) -> dict:
+    """The tally of trials start..stop-1, a plain dict that marshal can
+    carry: the count of each of _COUNTERS by name and of each index achieved
+    by the index.  Tallies fold by adding the counts of equal keys."""
+    tally = dict.fromkeys(_COUNTERS, 0)
     for t in range(start, stop):
         model = random_model(seed, t)
         if not model.abelian_type.is_admissible():
-            inadmissible += 1
+            tally["inadmissible"] += 1
         try:
             cons = construct_no_swap_subgroup(model)
         except SwapFailure:
-            greedy_failures += 1
+            tally["greedy_failures"] += 1
             continue
         if swap_scan(model, cons.members) is not None:
-            scan_disagreements += 1
+            tally["scan_disagreements"] += 1
         if not selection_invariant(model, cons.members, cons.selection):
-            invariance_failures += 1
+            tally["invariance_failures"] += 1
         if not cons.clean_lift:
-            no_clean_lift += 1
+            tally["no_clean_lift"] += 1
         if cons.index > cons.rank_bound:
-            bound_violations += 1
-        max_index = max(max_index, cons.index)
-        index_histogram[cons.index] = index_histogram.get(cons.index, 0) + 1
-    counts = [greedy_failures, invariance_failures, scan_disagreements,
-              bound_violations, no_clean_lift, inadmissible]
-    return counts, max_index, index_histogram
-
-
-def _empty_tally() -> list:
-    """The running tally of no trial."""
-    return [[0] * len(_COUNTERS), 0, {}]
-
-
-def _fold(total: list, tally) -> None:
-    """Add tally to the running tally total, in place."""
-    counts, max_index, histogram = tally
-    for i, count in enumerate(counts):
-        total[0][i] += count
-    total[1] = max(total[1], max_index)
-    for index, count in histogram.items():
-        total[2][index] = total[2].get(index, 0) + count
+            tally["bound_violations"] += 1
+        tally[cons.index] = tally.get(cons.index, 0) + 1
+    return tally
 
 
 def _merge(seed: int, trials: int, tallies) -> dict:
     """The simulation result of tallies that together cover every trial
-    once.  Folding only adds and takes a maximum, and the histogram is
-    sorted, so neither the tallies' order nor their cut shows."""
-    total = _empty_tally()
+    once.  Folding only adds, the largest index is the histogram's largest
+    key (0 when no trial achieved one) and the histogram is sorted, so
+    neither the tallies' order nor their cut shows."""
+    total = Counter()
     for tally in tallies:
-        _fold(total, tally)
-    counts, max_index, histogram = total
-    return {"trials": trials, "seed": seed, **dict(zip(_COUNTERS, counts)),
-            "max_index": max_index,
-            "index_histogram": {str(k): v for k, v in sorted(histogram.items())}}
+        total.update(tally)
+    histogram = sorted((key, count) for key, count in total.items() if isinstance(key, int))
+    return {"trials": trials, "seed": seed, **{name: total[name] for name in _COUNTERS},
+            "max_index": histogram[-1][0] if histogram else 0,
+            "index_histogram": {str(index): count for index, count in histogram}}
 
 
 def _block_cuts(trials: int) -> list[int]:
@@ -647,19 +625,19 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _claim(seed: int, cuts: list[int], tokens: int, total: list, ran: bytearray) -> None:
+def _claim(seed: int, cuts: list[int], tokens: int, total: Counter, ran: bytearray) -> None:
     """Run the blocks claimed from the token pipe's read end until none is
-    left, folding each into total and appending its number to ran once it
-    has run."""
+    left, adding each block's tally to the running tally total and
+    appending its number to ran once it has run."""
     while token := os.read(tokens, 1):
         block = token[0]
-        _fold(total, _tally(seed, cuts[block], cuts[block + 1]))
+        total.update(_tally(seed, cuts[block], cuts[block + 1]))
         ran += token
 
 
 def _fork_claimer(seed: int, cuts: list[int], tokens: int, inherited: list[int]) -> tuple[int, int]:
     """Fork a child that claims blocks from tokens until none is left and
-    writes the marshalled running tally, the bytes of the blocks it ran and
+    writes its marshalled running tally, the bytes of the blocks it ran and
     the ``time.monotonic()`` at their end to a new pipe; return its pid and
     the pipe's read end.  The child closes the read ends in inherited and
     always leaves by ``os._exit``, so it never returns into the caller."""
@@ -676,9 +654,9 @@ def _fork_claimer(seed: int, cuts: list[int], tokens: int, inherited: list[int])
             os.close(read_end)
             for fd in inherited:
                 os.close(fd)
-            total, ran = _empty_tally(), bytearray()
+            total, ran = Counter(), bytearray()
             _claim(seed, cuts, tokens, total, ran)
-            data = marshal.dumps((total, bytes(ran), time.monotonic()))
+            data = marshal.dumps((dict(total), bytes(ran), time.monotonic()))
             while data:
                 data = data[os.write(write_end, data):]
             code = 0
@@ -688,20 +666,19 @@ def _fork_claimer(seed: int, cuts: list[int], tokens: int, inherited: list[int])
     return pid, read_end
 
 
-def _read_all(fd: int) -> bytes:
+def _collected(pid: int, read_end: int, waiting: set[int]):
+    """Read a child's message to its end, reap the child, drop it from
+    waiting and return the (tally, blocks run, end time) it sent, or None
+    if it exited with an error or its message is short."""
     parts = []
-    while part := os.read(fd, 65536):
+    while part := os.read(read_end, 65536):
         parts.append(part)
-    return b"".join(parts)
-
-
-def _loaded(data: bytes, status: int):
-    """The (tally, blocks run, end time) a child sent, or None if it exited
-    with an error or its message is short."""
+    _, status = os.waitpid(pid, 0)
+    waiting.discard(pid)
     if os.waitstatus_to_exitcode(status) != 0:
         return None
     try:
-        return marshal.loads(data)
+        return marshal.loads(b"".join(parts))
     except (EOFError, ValueError, TypeError):
         return None
 
@@ -717,22 +694,22 @@ def _started(seed: int, trials: int):
     process claims the next block by reading one byte; a pipe read is
     atomic, so each block is claimed once, and an empty read means none is
     left.  ``min(cpus, trials // MIN_TRIALS_PER_CHUNK) - 1`` children are
-    forked (none with one CPU or no ``os.fork``), and each claims blocks
-    from the start, folds them into one running tally and sends it with the
-    numbers of the blocks it ran.  The finish claims whatever blocks are
-    left here, so a caller that does other work before it leaves the
-    children every block they reach by then, and one that calls it at once
-    shares the blocks with them.  It then reads and reaps every child and
-    runs here, in ascending order, every block no process reported: those
-    of a child that failed in any way or sent a short message, and the one
-    whose trial raised here, after which this process claims no more.  So
-    the finish gives the tally of every trial, or raises the error the first
-    failing trial raises, as one process running every trial would.  Each
-    trial draws from its own seeded stream and ``_merge`` only adds, so
-    which process ran which block changes no byte.  When the ``with``
-    statement is left, after the finish or by any exception
-    (KeyboardInterrupt included), every pipe end, the token pipe's too, is
-    closed, and children not yet reaped are killed and reaped.
+    forked (none with one CPU, no ``os.fork`` or no token pipe to spare),
+    and each claims blocks from the start and sends one running tally with
+    the numbers of the blocks it ran.  The finish claims the blocks still
+    left here: ``simulate`` calls it at once, sharing the blocks with the
+    children, and ``run_suite`` in the conic suite's turn, leaving the
+    children every block they reach while it runs the other suites.  The
+    finish then reads and reaps every child and runs here, in ascending
+    order, every block no process reported: those of a child that failed
+    in any way or sent a short message, the one whose trial raised here,
+    after which this process claims no more, and all of them without a
+    token pipe.  So it gives the tally of every trial, or raises the error
+    the first failing trial raises, as one process running every trial
+    would; ``_merge`` only adds, so which process ran which block changes
+    no byte.  Leaving the ``with`` statement, after the finish or by any
+    exception (KeyboardInterrupt included), closes every pipe end and kills
+    and reaps the children not yet reaped.
 
     The seconds are the longer of this process's own time on the trials
     (forking and the blocks run here) and the span from the start to the
@@ -744,11 +721,16 @@ def _started(seed: int, trials: int):
     cuts = _block_cuts(trials)
     children: list[tuple[int, int]] = []  # (pid, result pipe read end) per child
     waiting: set[int] = set()  # children not yet reaped
-    tokens, write_end = os.pipe()
     try:
-        os.write(write_end, bytes(range(len(cuts) - 1)))  # far below a pipe's capacity
-        os.close(write_end)
-        write_end = None
+        tokens, write_end = os.pipe()
+    except OSError:  # no pipe to spare: nothing is forked or claimed, the finish runs every block
+        tokens = write_end = None
+        cpus = 1
+    try:
+        if write_end is not None:
+            os.write(write_end, bytes(range(len(cuts) - 1)))  # far below a pipe's capacity
+            os.close(write_end)
+            write_end = None
         started = time.monotonic()
         for _ in range(min(cpus, trials // MIN_TRIALS_PER_CHUNK) - 1):
             try:
@@ -761,35 +743,30 @@ def _started(seed: int, trials: int):
 
         def finish() -> tuple[dict, float]:
             began = time.monotonic()
-            total, ran = _empty_tally(), bytearray()
-            try:
-                _claim(seed, cuts, tokens, total, ran)
-            except Exception:  # raised again below, when its block runs in order
-                pass
+            total, ran = Counter(), bytearray()
+            if tokens is not None:
+                with suppress(Exception):  # raised again below, when its block runs in order
+                    _claim(seed, cuts, tokens, total, ran)
             here = forking + time.monotonic() - began
-            tallies, last = [total], 0.0
+            last = 0.0
             for pid, read_end in children:
-                data = _read_all(read_end)
-                _, status = os.waitpid(pid, 0)
-                waiting.discard(pid)
-                sent = _loaded(data, status)
+                sent = _collected(pid, read_end, waiting)
                 if sent is not None:
-                    tallies.append(sent[0])
+                    total.update(sent[0])
                     ran += sent[1]
                     last = max(last, sent[2] - started)
             began = time.monotonic()
-            reported = set(ran)
-            for block in range(len(cuts) - 1):
-                if block not in reported:
-                    _fold(total, _tally(seed, cuts[block], cuts[block + 1]))
+            for block in sorted(set(range(len(cuts) - 1)) - set(ran)):
+                total.update(_tally(seed, cuts[block], cuts[block + 1]))
             here += time.monotonic() - began
-            return _merge(seed, trials, tallies), max(here, last)
+            return _merge(seed, trials, [total]), max(here, last)
 
         yield finish
     finally:
         if write_end is not None:
             os.close(write_end)
-        os.close(tokens)
+        if tokens is not None:
+            os.close(tokens)
         for _, read_end in children:
             os.close(read_end)
         if waiting:  # only on an error: the children's trials are no longer wanted
@@ -807,9 +784,9 @@ def simulate(seed: int, trials: int) -> dict:
     exhaustive swap scan and the invariance oracle, so a zero failure count
     means the three routes agree.
 
-    The trials run in blocks shared between this process and the children
-    forked for further available CPUs, as ``_started`` describes; the
-    result is that of one process running every trial.
+    It starts the trials and finishes them at once (``_started``), so this
+    process shares their blocks with the children forked for further
+    available CPUs; the result is that of one process running every trial.
     """
     with _started(seed, trials) as finish:
         return finish()[0]

@@ -140,13 +140,6 @@ def _dp5_rows() -> list[VerificationReport]:
     return rows
 
 
-def _simulated(seed: int, trials: int) -> tuple[dict, float]:
-    """``conic_fibers.simulate(seed, trials)`` and the seconds it took."""
-    start = time.perf_counter()
-    sim = conic_fibers.simulate(seed, trials)
-    return sim, time.perf_counter() - start
-
-
 def _conic_rows(finish, trials: int) -> list[VerificationReport]:
     """The conic suite's rows from finish(), a simulation result and the
     seconds its trials took."""
@@ -228,13 +221,13 @@ def run_suite(name: str, ns=DEFAULT_NS, seed: int = 0, trials: int = DEFAULT_TRI
     Raises UnknownSuite for unknown names; any error inside a suite becomes
     a fail row so a report is always produced.
 
-    ``all`` starts the conic trials first, in forked children that claim
-    blocks of them while this process checks lemma52, prop44 and dp5; in
-    the conic suite's turn this process claims the blocks still left, then
-    collects the children's tallies, so the rows and their order are those
-    of the suites run one after another.  With one CPU, no ``os.fork`` or
-    too few trials, nothing is forked and every block runs here in its
-    turn.
+    ``conic`` and ``all`` start the conic trials first
+    (``conic_fibers._started``), in forked children that claim blocks of
+    them while this process checks lemma52, prop44 and dp5; in the conic
+    suite's turn this process claims the blocks still left, then collects
+    the children's tallies, so the rows and their order are those of the
+    suites run one after another.  With one CPU, no ``os.fork`` or too few
+    trials, nothing is forked and every block runs here in its turn.
     """
     if name not in SUITE_NAMES:
         raise UnknownSuite("unknown suite %r; expected one of %s" % (name, ", ".join(SUITE_NAMES)))
@@ -245,13 +238,12 @@ def run_suite(name: str, ns=DEFAULT_NS, seed: int = 0, trials: int = DEFAULT_TRI
         parts.append(("prop44", lambda: _prop44_rows(seed)))
     if name in ("dp5", "all"):
         parts.append(("dp5", lambda: _dp5_rows()))
-    if name in ("conic", "all"):
+    conic = name in ("conic", "all")
+    if conic:
         # finish is bound below: the simulation and the seconds its trials took
         parts.append(("conic", lambda: _conic_rows(finish, trials)))
-    conic = (conic_fibers._started(seed, trials) if name == "all"
-             else nullcontext(lambda: _simulated(seed, trials)))
     rows: list[VerificationReport] = []
-    with conic as finish:
+    with (conic_fibers._started(seed, trials) if conic else nullcontext()) as finish:
         for suite, fn in parts:
             try:
                 rows.extend(fn())

@@ -673,22 +673,49 @@ def open_fds():
 def test_report_all_runs_the_trials_in_children_with_identical_rows(monkeypatch, cpus):
     # one child per CPU besides this process, but no more than leave each
     # process MIN_TRIALS_PER_CHUNK of the 500 trials, and none with one CPU;
-    # this process runs whole blocks, each once, of those the children left
+    # this process runs whole blocks, each once, of those the children left.
+    # report conic starts and finishes its trials the same way.
     serial = serial_report_all(monkeypatch)
     force_cpus(monkeypatch, cpus)
     forked = counted_forks(monkeypatch)
     modelled, real_model = [], conic_fibers.random_model
     monkeypatch.setattr(conic_fibers, "random_model",
                         lambda seed, trial: modelled.append(trial) or real_model(seed, trial))
-    before = open_fds()
-    assert row_fields(run_suite("all")) == serial
-    assert len(forked) == min(cpus, 500 // conic_fibers.MIN_TRIALS_PER_CHUNK) - 1
     cuts = conic_fibers._block_cuts(500)
     blocks = {range(cuts[b], cuts[b + 1]) for b in range(len(cuts) - 1)}
-    here = [block for block in blocks if block[0] in modelled]
-    assert sorted(modelled) == sorted(t for block in here for t in block)
-    if cpus == 1:
-        assert len(here) == len(blocks)
+    for suite in ("conic", "all"):
+        forked.clear()
+        modelled.clear()
+        before = open_fds()
+        expected = [row for row in serial
+                    if suite == "all" or row[0].startswith(("conic.", "thm79."))]
+        assert row_fields(run_suite(suite)) == expected
+        assert len(forked) == min(cpus, 500 // conic_fibers.MIN_TRIALS_PER_CHUNK) - 1
+        here = [block for block in blocks if block[0] in modelled]
+        assert sorted(modelled) == sorted(t for block in here for t in block)
+        if cpus == 1:
+            assert len(here) == len(blocks)
+        assert_no_child_left()
+        assert open_fds() == before
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
+def test_no_token_pipe_runs_every_block_here(monkeypatch):
+    # with no fd to spare for the token pipe nothing is forked, and the
+    # finish runs every block here, in order
+    serial = serial_report_all(monkeypatch)
+    expected = one_process(0, 600)
+    force_cpus(monkeypatch, 3)
+    forked = counted_forks(monkeypatch)
+
+    def no_fd():
+        raise OSError(24, "Too many open files")
+
+    monkeypatch.setattr(os, "pipe", no_fd)
+    before = open_fds()
+    assert simulate(0, 600) == expected
+    assert row_fields(run_suite("all")) == serial
+    assert forked == []
     assert_no_child_left()
     assert open_fds() == before
 
@@ -735,7 +762,8 @@ def test_an_interrupt_in_report_all_kills_every_child(monkeypatch):
 @pytest.mark.parametrize("cpus", (1, 2))
 def test_the_conic_row_of_report_all_is_timed_by_its_trials(monkeypatch, cpus):
     # the trials start before lemma52, but the 0.3 s this process then spends
-    # on lemma52 is not theirs; with 2 CPUs one child runs them meanwhile
+    # on lemma52 is not theirs; with 2 CPUs one child runs them meanwhile.
+    # report conic, which runs no lemma52, times its trials the same way.
     real_rows = suites._lemma52_rows
 
     def slow_rows(ns, allow_bad_n):
@@ -745,12 +773,14 @@ def test_the_conic_row_of_report_all_is_timed_by_its_trials(monkeypatch, cpus):
     monkeypatch.setattr(suites, "_lemma52_rows", slow_rows)
     force_cpus(monkeypatch, cpus)
     forked = counted_forks(monkeypatch)
-    rows = run_suite("all", ns=(5,), trials=2 * conic_fibers.MIN_TRIALS_PER_CHUNK)
-    assert len(forked) == cpus - 1
-    noswap = next(row for row in rows if row.claim_id == "conic.noswap")
-    assert noswap.status == "pass"
-    assert 0 < noswap.wall_time < 0.15
-    assert_no_child_left()
+    for suite in ("conic", "all"):
+        forked.clear()
+        rows = run_suite(suite, ns=(5,), trials=2 * conic_fibers.MIN_TRIALS_PER_CHUNK)
+        assert len(forked) == cpus - 1
+        noswap = next(row for row in rows if row.claim_id == "conic.noswap")
+        assert noswap.status == "pass"
+        assert 0 < noswap.wall_time < 0.15
+        assert_no_child_left()
 
 
 def test_constants():

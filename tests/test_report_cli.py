@@ -137,13 +137,13 @@ def test_cli_conic_simulate_deterministic():
 
 def test_conic_commands_share_one_verdict(monkeypatch, capsys):
     # an index over 16 with every counter clean fails conic.indexbound, so
-    # both commands exit 1 on it
-    def simulate(seed, trials):
+    # both commands, which both merge their trials' tallies, exit 1 on it
+    def merge(seed, trials, tallies):
         return {"trials": trials, "seed": seed, "greedy_failures": 0, "invariance_failures": 0,
                 "scan_disagreements": 0, "bound_violations": 0, "max_index": 17,
                 "index_histogram": {"17": trials}, "no_clean_lift": 0, "inadmissible": 0}
 
-    monkeypatch.setattr(conic_fibers, "simulate", simulate)
+    monkeypatch.setattr(conic_fibers, "_merge", merge)
     assert main(["report", "conic", "--trials", "3"]) == 1
     rows = json.loads(capsys.readouterr().out)["reports"]
     assert [r["claim_id"] for r in rows if r["status"] == "fail"] == ["conic.indexbound"]
