@@ -1,9 +1,11 @@
 """The order-12n^2 family (Z/n)^2 x| D6 and its minimal abelian-normal index.
 
 D6 here is the dihedral group of order 12, presented as r^6 = s^2 = 1,
-s r s = r^-1, acting on (Z/n)^2 through a matrix representation rho that is
-pinned by two matrices: the 3-cycle part acts by U = [[-1, 1], [-1, 0]] and
-the half-turn part by Z = -I.  The determinants det(U - I) = 3 and
+s r s = r^-1, and written down once, as the integer matrices of its two
+generators: rho(r) = [[0, 1], [-1, 1]] and rho(s) the coordinate swap.  Its
+product table, its inverses and its action on (Z/n)^2 are derived from them.
+The 3-cycle part acts by U = rho(r^2) = [[-1, 1], [-1, 0]] and the half-turn
+part by Z = rho(r^3) = -I.  The determinants det(U - I) = 3 and
 det(Z - I) = 4 are units mod n exactly when gcd(n, 6) = 1, which is what makes
 the translation subgroup the unique largest abelian normal subgroup and the
 minimal index equal to 12.
@@ -27,7 +29,6 @@ from .groups import (
     CapExceeded,
     FiniteGroup,
     IncompatiblePayloads,
-    ModMatrix,
     Subgroup,
     close_generators,
 )
@@ -42,7 +43,6 @@ __all__ = [
     "HypothesisViolated",
     "ModularDihedralAction",
     "FamilyGroup",
-    "dihedral_product",
     "build_action_data",
     "build_group",
     "translation_subgroup",
@@ -63,25 +63,28 @@ MAX_TABLE_ORDER = 1200
 
 
 class NoConsistentAction(RuntimeError):
-    """No matrix action satisfies the pinned constraints mod n."""
+    """The group closed from the generators does not have order 12 n^2."""
 
 
 class HypothesisViolated(ValueError):
     """The requested n is outside gcd(n, 6) = 1, n > 1."""
 
 
-def dihedral_product(a: int, b: int) -> int:
-    """Multiply dihedral indices; index = rotation + 6 * reflection_bit."""
-    ra, ea = a % 6, a // 6
-    rb, eb = b % 6, b // 6
-    rot = (ra - rb) % 6 if ea else (ra + rb) % 6
-    return rot + 6 * ((ea + eb) % 2)
+def _times(a: Mat2, b: Mat2) -> Mat2:
+    (p, q), (r, s), (t, u), (v, w) = a + b
+    return ((p * t + q * v, p * u + q * w), (r * t + s * v, r * u + s * w))
 
 
-# dihedral_product as a table, _D6[a][b], read by FamilyGroup;
-# _D6_INVERSE[a] is the b with _D6[a][b] = 0
-_D6 = tuple(tuple(dihedral_product(a, b) for b in range(12)) for a in range(12))
-_D6_INVERSE = tuple(row.index(0) for row in _D6)
+# D6 over Z: _RHO[d] = rho(r)^(d % 6) rho(s)^(d // 6), so d = rotation
+# + 6 * reflection bit.  _D6[a, b] is the d with rho(d) = rho(a) rho(b), and a
+# product outside the twelve matrices raises ValueError here; _D6_INVERSE[a]
+# is the b with _D6[a, b] = 0.
+_RHO = [((1, 0), (0, 1))]
+for _ in range(5):
+    _RHO.append(_times(_RHO[-1], ((0, 1), (-1, 1))))
+_RHO += [_times(m, ((0, 1), (1, 0))) for m in _RHO]
+_D6 = np.array([[_RHO.index(_times(a, b)) for b in _RHO] for a in _RHO])
+_D6_INVERSE = np.array([row.index(0) for row in _D6.tolist()])
 
 
 def _det_minus_identity(m: Mat2, n: int) -> int:
@@ -90,15 +93,21 @@ def _det_minus_identity(m: Mat2, n: int) -> int:
 
 @dataclass(frozen=True)
 class ModularDihedralAction:
-    """The twelve matrices rho(d) mod n, plus the pinned U and Z.
-
-    rho[d] is rho(r^d) for d < 6 and rho(r^(d-6) s) after, so rho[6] = rho(s).
+    """The twelve matrices rho(d) mod n, derived from the two generator
+    matrices: rho[d] is rho(r^d) for d < 6 and rho(r^(d-6) s) after, so
+    rho[6] = rho(s), the swap, and U = rho[2] and Z = rho[3].
     """
 
     modulus: int
-    u: Mat2
-    z: Mat2
     rho: tuple[Mat2, ...]
+
+    @property
+    def u(self) -> Mat2:
+        return self.rho[2]
+
+    @property
+    def z(self) -> Mat2:
+        return self.rho[3]
 
     @property
     def det_u_minus_identity(self) -> int:
@@ -114,47 +123,24 @@ class ModularDihedralAction:
 
 
 def build_action_data(n: int) -> ModularDihedralAction:
-    """Solve the dihedral action on (Z/n)^2 from the pinned constraints.
-
-    rho_r must satisfy rho_r^2 = U and rho_r^3 = Z; since det U = 1, the only
-    candidate is Z U^-1, and the swap matrix serves as rho_s.  All dihedral
-    relations are verified; NoConsistentAction is raised if any fails.
-    """
+    """The dihedral action on (Z/n)^2: D6's integer matrices reduced mod n."""
     if n < 2:
         raise ValueError("modulus must be at least 2")
-    u = ModMatrix(n, ((-1, 1), (-1, 0)))
-    z = ModMatrix(n, ((-1, 0), (0, -1)))
-    # det U = 1, so U^-1 is the adjugate.
-    rho_r = z.compose(ModMatrix(n, ((0, -1), (1, -1))))
-    rho_s = ModMatrix(n, ((0, 1), (1, 0)))
-
-    ident = rho_s.identity()
-    powers = [ident]
-    for _ in range(6):
-        powers.append(powers[-1].compose(rho_r))
-    if powers[2] != u or powers[3] != z or powers[6] != ident:
-        raise NoConsistentAction("no rho_r with rho_r^2 = U, rho_r^3 = Z mod %d" % n)
-    if rho_s.compose(rho_s) != ident:
-        raise NoConsistentAction("rho_s is not an involution mod %d" % n)
-    if rho_s.compose(rho_r).compose(rho_s) != powers[5]:
-        raise NoConsistentAction("dihedral relation s r s = r^-1 fails mod %d" % n)
-
-    rho = tuple((powers[d % 6] if d < 6 else powers[d % 6].compose(rho_s)).entries
-                for d in range(12))
-    return ModularDihedralAction(n, u.entries, z.entries, rho)
+    rho = tuple(tuple(tuple(e % n for e in row) for row in m) for m in _RHO)
+    return ModularDihedralAction(n, rho)
 
 
 class FamilyGroup(FiniteGroup):
     """(Z/n)^2 x| D6 with computed products: no Cayley table and no payloads.
 
     Element i = d n^2 + v0 n + v1 is the pair ((v0, v1), d), with d the
-    dihedral index of ``dihedral_product``, so the translations are the
+    index of r^(d % 6) s^(d // 6) in D6, so the translations are the
     indices below n^2; (v, d) . (w, e) = (v + rho(d) w, d e).  ``products``
-    reads ``act[d, w]``, the index of rho(d) w, and the D6 table, and
-    ``inverse`` is an order-length array built on first use, so every array
-    is O(order).  The generators are the unit translations, the rotation r
-    and the reflection s, and the key of (v, d) is ``S|n|v0,v1|d``, derived
-    on first use.
+    reads ``act[d, w]``, the index of rho(d) w, and the D6 table, both derived
+    from D6's two generator matrices, and ``inverse`` is an order-length array
+    built on first use, so every array is O(order).  The generators are the
+    unit translations, the rotation r and the reflection s, and the key of
+    (v, d) is ``S|n|v0,v1|d``, derived on first use.
     """
 
     def __init__(self, action: ModularDihedralAction) -> None:
@@ -164,7 +150,6 @@ class FamilyGroup(FiniteGroup):
         rho = np.array(action.rho)[:, :, :, None]  # rho[d, row, column, 0]
         self._act = ((rho[:, 0, 0] * v0 + rho[:, 0, 1] * v1) % n * n
                      + (rho[:, 1, 0] * v0 + rho[:, 1, 1] * v1) % n)
-        self._d6 = np.array(_D6)
         self.generators = (n, 1, n * n, 6 * n * n)
 
     @cached_property
@@ -172,7 +157,7 @@ class FamilyGroup(FiniteGroup):
         """(-rho(d^-1) v, d^-1) for every element (v, d), read-only."""
         n = self.action.modulus
         d, v = np.divmod(np.arange(12 * n * n), n * n)
-        d = np.array(_D6_INVERSE)[d]
+        d = _D6_INVERSE[d]
         w = self._act[d, v]
         inverse = d * (n * n) + -(w // n) % n * n + -w % n
         inverse.flags.writeable = False
@@ -193,7 +178,7 @@ class FamilyGroup(FiniteGroup):
         dx, vx = divmod(x, n * n)
         dy, vy = divmod(y, n * n)
         w = self._act[dx, vy]
-        return self._d6[dx, dy] * (n * n) + (vx // n + w // n) % n * n + (vx + w) % n
+        return _D6[dx, dy] * (n * n) + (vx // n + w // n) % n * n + (vx + w) % n
 
 
 @dataclass(frozen=True)

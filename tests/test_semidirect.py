@@ -16,7 +16,6 @@ from cremonalab.semidirect import (
     HypothesisViolated,
     build_action_data,
     build_group,
-    dihedral_product,
     translation_subgroup,
     verify_lemma52,
 )
@@ -35,15 +34,40 @@ def pair_of(group, i):
 
 
 def test_dihedral_product_relations():
+    # the D6 table derived from the generator matrices is the oracle's product
+    # of indices rotation + 6 * reflection bit, and the relations hold in both
+    table, rho = semidirect._D6, np.array(semidirect._RHO)
+    assert table.tolist() == [[oracles.dihedral_index_product(a, b) for b in range(12)]
+                              for a in range(12)]
     # r has index 1, s has index 6
     r, s = 1, 6
     x = 0
     for _ in range(6):
-        x = dihedral_product(x, r)
+        x = table[x, r]
     assert x == 0
-    assert dihedral_product(s, s) == 0
-    srs = dihedral_product(dihedral_product(s, r), s)
-    assert srs == 5  # r^-1
+    assert table[s, s] == 0
+    assert table[table[s, r], s] == 5 == semidirect._D6_INVERSE[r]  # r^-1
+    assert [table[a, semidirect._D6_INVERSE[a]] for a in range(12)] == [0] * 12
+    identity = np.eye(2, dtype=int)
+    assert np.array_equal(np.linalg.matrix_power(rho[r], 6), identity)
+    assert np.array_equal(rho[s] @ rho[s], identity)
+    assert np.array_equal(rho[s] @ rho[r] @ rho[s], rho[5])
+    for a in range(12):
+        for b in range(12):
+            assert np.array_equal(rho[a] @ rho[b], rho[table[a, b]])
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_action_is_the_integer_matrices_reduced_mod_n(n):
+    # rho(r^(d % 6) s^(d // 6)) over Z, by numpy from the generator matrices
+    r, s = np.array(((0, 1), (-1, 1))), np.array(((0, 1), (1, 0)))
+    over_z = np.array([np.linalg.matrix_power(r, d % 6) @ np.linalg.matrix_power(s, d // 6)
+                       for d in range(12)])
+    data = build_action_data(n)
+    assert data.modulus == n
+    assert data.rho == tuple(tuple(map(tuple, m)) for m in (over_z % n).tolist())
+    assert data.u == data.rho[2] == ((n - 1, 1), (n - 1, 0))
+    assert data.z == data.rho[3] == ((n - 1, 0), (0, n - 1))
 
 
 @pytest.mark.parametrize("n", UNIT_NS)

@@ -3,7 +3,7 @@ checked by sympy, an independent library.
 
 The affine model of (Z/n)^2 x| D6 acts on the n^2 points of (Z/n)^2 by the
 unit translations and by the matrices U, Z and the coordinate swap that
-``semidirect.build_action_data`` pins.  dp5's ``complex_note`` is recomputed
+``semidirect.build_action_data`` derives.  dp5's ``complex_note`` is recomputed
 by factoring a characteristic polynomial over the rationals, and
 ``rational``'s kernels and determinants are recomputed by sympy's
 ``nullspace`` and ``det``.
