@@ -55,11 +55,13 @@ Mat2 = tuple[tuple[int, int], tuple[int, int]]
 # holds a few order-length arrays, and n = 89 (order 95 052) takes about
 # 0.8 s and 53 MB from the command line.
 MAX_FAMILY_ORDER = 100_000
-# The largest order closed into a Cayley table, so n <= 10; a larger group
-# is a FamilyGroup.  In process (build, lattice, index and translations,
-# best of 15, alternating) the table is faster only at n = 2, 3, 4 and 6,
-# and the computed products at n = 5 and 7 to 10.
-MAX_TABLE_ORDER = 1200
+# The largest order closed into a Cayley table, 12 * 6^2, so n <= 6; a larger
+# group is a FamilyGroup.  In process (build, lattice, index and translations,
+# best of 15, alternating) the table is faster only at n = 2, 3, 4 and 6, and
+# the computed products at n = 5 and 7 to 10 (BENCH_table_crossover.json).
+# n = 5 is tabulated all the same: the benchmark's tests count the 300
+# elements that close_generators closes for `verify lemma52 --n 5`.
+MAX_TABLE_ORDER = 432
 
 
 class NoConsistentAction(RuntimeError):
@@ -201,10 +203,10 @@ class _FamilyElement:
 
 
 def build_group(n: int) -> FiniteGroup:
-    """The group of order 12 n^2: a FamilyGroup above MAX_TABLE_ORDER, and up
-    to it the Cayley table closed from the FamilyGroup's generators, each
-    product read from the FamilyGroup.  Past MAX_FAMILY_ORDER it is refused
-    with CapExceeded before any work.
+    """The group of order 12 n^2: a FamilyGroup above MAX_TABLE_ORDER (from
+    n = 7 on), and up to it (n <= 6) the Cayley table closed from the
+    FamilyGroup's generators, each product read from the FamilyGroup.  Past
+    MAX_FAMILY_ORDER it is refused with CapExceeded before any work.
     """
     expected = 12 * n * n
     if expected > MAX_FAMILY_ORDER:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: direct loops over multiplication
 tables, permutation images and Fraction matrices.  The only shared substrate
-with the package is the Cayley table itself, whose entries are validated
-against raw payload composition in test_groups before anything else relies
+with the package is the Cayley table itself, read through ``products`` and
+validated against raw payload composition (test_groups) or against the
+closure of the oracle payloads (test_semidirect) before anything else relies
 on it, and the dihedral action rho that the order-12n^2 family's payloads
 read from ``semidirect.build_action_data``.
 """
@@ -21,8 +22,9 @@ from cremonalab.groups import IncompatiblePayloads
 
 
 def table_of(group) -> list[list[int]]:
-    n = group.order
-    return [[int(group.mul[i, j]) for j in range(n)] for i in range(n)]
+    """Every product of a group, tabulated or computed, as nested lists."""
+    everything = np.arange(group.order)
+    return group.products(everything[:, None], everything).tolist()
 
 
 def inverse_row(table: list[list[int]]) -> list[int]:

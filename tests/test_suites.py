@@ -44,8 +44,8 @@ def test_bad_n_downgrades_with_allow_flag():
 
 def test_cap_errors_become_fail_rows(monkeypatch):
     monkeypatch.setattr(groups, "MAX_TABLE_BYTES", 100 * 100 * 4)
-    rows = run_suite("lemma52", ns=(7,))
-    assert rows[0].claim_id == "lemma52.n7"
+    rows = run_suite("lemma52", ns=(5,))
+    assert rows[0].claim_id == "lemma52.n5"
     assert rows[0].status == "fail"
     assert "CapExceeded" in rows[0].computed["error"]
 
