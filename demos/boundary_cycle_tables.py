@@ -12,7 +12,7 @@ holds along every path, and a Fano positivity filter prunes the search.
 Run:  python3 demos/boundary_cycle_tables.py
 """
 
-from cremonalab import configuration_rows, max_symmetry_by_degree
+from cremonalab.pole_cycles import configuration_rows, max_symmetry_by_degree
 
 
 def main() -> None:

@@ -8,7 +8,13 @@ component selection or names the element that breaks it.
 Run:  python3 demos/fiber_selections.py
 """
 
-from cremonalab import SwapFailure, construct_no_swap_subgroup, greedy_selection, make_model, simulate
+from cremonalab.conic_fibers import (
+    SwapFailure,
+    construct_no_swap_subgroup,
+    greedy_selection,
+    make_model,
+    simulate,
+)
 
 
 def main() -> None:

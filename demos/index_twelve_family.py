@@ -10,7 +10,7 @@ Run:  python3 demos/index_twelve_family.py
 
 from math import gcd
 
-from cremonalab import build_action_data, verify_lemma52
+from cremonalab.semidirect import build_action_data, verify_lemma52
 
 
 def main() -> None:

@@ -3,7 +3,8 @@
 Run:  python3 demos/jordan_small_groups.py
 """
 
-from cremonalab import report_fragment, small_group_corpus
+from cremonalab.corpus import small_group_corpus
+from cremonalab.jordan import report_fragment
 
 
 def main() -> None:

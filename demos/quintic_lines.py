@@ -8,7 +8,7 @@ standard subgroups we ask whether some line is preserved with a rational
 Run:  python3 demos/quintic_lines.py
 """
 
-from cremonalab import dp5_suite, s5_representation, verify_homomorphism
+from cremonalab.dp5 import dp5_suite, s5_representation, verify_homomorphism
 
 
 def main() -> None:

@@ -570,9 +570,11 @@ MAX_BLOCKS = 255
 
 def _tally(seed: int, start: int, stop: int) -> dict:
     """The tally of trials start..stop-1, a plain dict that marshal can
-    carry: the count of each of _COUNTERS by name and of each index achieved
-    by the index.  Tallies fold by adding the counts of equal keys."""
+    carry: the count of each of _COUNTERS by name, of each index achieved
+    by the index, and of the trials it covers under "trials".  Tallies fold
+    by adding the counts of equal keys."""
     tally = dict.fromkeys(_COUNTERS, 0)
+    tally["trials"] = stop - start
     for t in range(start, stop):
         model = random_model(seed, t)
         if not model.abelian_type.is_admissible():
@@ -597,8 +599,9 @@ def _tally(seed: int, start: int, stop: int) -> dict:
 def _merge(seed: int, trials: int, tallies) -> dict:
     """The simulation result of tallies that together cover every trial
     once.  Folding only adds, the largest index is the histogram's largest
-    key (0 when no trial achieved one) and the histogram is sorted, so
-    neither the tallies' order nor their cut shows."""
+    key (0 when no trial achieved one), the histogram is sorted and the
+    trials count is not read, so neither the tallies' order nor their cut
+    shows."""
     total = Counter()
     for tally in tallies:
         total.update(tally)
@@ -625,22 +628,19 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _claim(seed: int, cuts: list[int], tokens: int, total: Counter, ran: bytearray) -> None:
+def _claim(seed: int, cuts: list[int], tokens: int, total: Counter) -> None:
     """Run the blocks claimed from the token pipe's read end until none is
-    left, adding each block's tally to the running tally total and
-    appending its number to ran once it has run."""
+    left, adding each block's tally to the running tally total."""
     while token := os.read(tokens, 1):
-        block = token[0]
-        total.update(_tally(seed, cuts[block], cuts[block + 1]))
-        ran += token
+        total.update(_tally(seed, cuts[token[0]], cuts[token[0] + 1]))
 
 
 def _fork_claimer(seed: int, cuts: list[int], tokens: int, inherited: list[int]) -> tuple[int, int]:
     """Fork a child that claims blocks from tokens until none is left and
-    writes its marshalled running tally, the bytes of the blocks it ran and
-    the ``time.monotonic()`` at their end to a new pipe; return its pid and
-    the pipe's read end.  The child closes the read ends in inherited and
-    always leaves by ``os._exit``, so it never returns into the caller."""
+    writes its marshalled running tally and the ``time.monotonic()`` at
+    its end to a new pipe; return its pid and the pipe's read end.  The
+    child closes the read ends in inherited and always leaves by
+    ``os._exit``, so it never returns into the caller."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -654,9 +654,9 @@ def _fork_claimer(seed: int, cuts: list[int], tokens: int, inherited: list[int])
             os.close(read_end)
             for fd in inherited:
                 os.close(fd)
-            total, ran = Counter(), bytearray()
-            _claim(seed, cuts, tokens, total, ran)
-            data = marshal.dumps((dict(total), bytes(ran), time.monotonic()))
+            total = Counter()
+            _claim(seed, cuts, tokens, total)
+            data = marshal.dumps((dict(total), time.monotonic()))
             while data:
                 data = data[os.write(write_end, data):]
             code = 0
@@ -668,8 +668,8 @@ def _fork_claimer(seed: int, cuts: list[int], tokens: int, inherited: list[int])
 
 def _collected(pid: int, read_end: int, waiting: set[int]):
     """Read a child's message to its end, reap the child, drop it from
-    waiting and return the (tally, blocks run, end time) it sent, or None
-    if it exited with an error or its message is short."""
+    waiting and return the (tally, end time) it sent, or None if it exited
+    with an error or its message is short."""
     parts = []
     while part := os.read(read_end, 65536):
         parts.append(part)
@@ -695,19 +695,19 @@ def _started(seed: int, trials: int):
     atomic, so each block is claimed once, and an empty read means none is
     left.  ``min(cpus, trials // MIN_TRIALS_PER_CHUNK) - 1`` children are
     forked (none with one CPU, no ``os.fork`` or no token pipe to spare),
-    and each claims blocks from the start and sends one running tally with
-    the numbers of the blocks it ran.  The finish claims the blocks still
+    and each claims blocks from the start and sends one running tally,
+    which counts the trials it covers.  The finish claims the blocks still
     left here: ``simulate`` calls it at once, sharing the blocks with the
     children, and ``run_suite`` in the conic suite's turn, leaving the
     children every block they reach while it runs the other suites.  The
-    finish then reads and reaps every child and runs here, in ascending
-    order, every block no process reported: those of a child that failed
-    in any way or sent a short message, the one whose trial raised here,
-    after which this process claims no more, and all of them without a
-    token pipe.  So it gives the tally of every trial, or raises the error
-    the first failing trial raises, as one process running every trial
-    would; ``_merge`` only adds, so which process ran which block changes
-    no byte.  Leaving the ``with`` statement, after the finish or by any
+    finish then reads and reaps every child.  If the tallies it holds do
+    not count every trial once (a child failed in any way or sent a short
+    message, a trial raised here, after which this process claims no more,
+    or there was no token pipe), it drops them and runs every trial here.
+    So it gives the tally of every trial, or raises the error the first
+    failing trial raises, as one process running every trial would;
+    ``_merge`` only adds, so which process ran which block changes no
+    byte.  Leaving the ``with`` statement, after the finish or by any
     exception (KeyboardInterrupt included), closes every pipe end and kills
     and reaps the children not yet reaped.
 
@@ -743,22 +743,21 @@ def _started(seed: int, trials: int):
 
         def finish() -> tuple[dict, float]:
             began = time.monotonic()
-            total, ran = Counter(), bytearray()
+            total = Counter()
             if tokens is not None:
-                with suppress(Exception):  # raised again below, when its block runs in order
-                    _claim(seed, cuts, tokens, total, ran)
+                with suppress(Exception):  # raised again below, when every trial runs here
+                    _claim(seed, cuts, tokens, total)
             here = forking + time.monotonic() - began
             last = 0.0
             for pid, read_end in children:
                 sent = _collected(pid, read_end, waiting)
                 if sent is not None:
                     total.update(sent[0])
-                    ran += sent[1]
-                    last = max(last, sent[2] - started)
-            began = time.monotonic()
-            for block in sorted(set(range(len(cuts) - 1)) - set(ran)):
-                total.update(_tally(seed, cuts[block], cuts[block + 1]))
-            here += time.monotonic() - began
+                    last = max(last, sent[1] - started)
+            if total["trials"] != trials:  # a lost or miscounted block: run every trial here
+                began = time.monotonic()
+                total = _tally(seed, 0, trials)
+                here += time.monotonic() - began
             return _merge(seed, trials, [total]), max(here, last)
 
         yield finish

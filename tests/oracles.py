@@ -528,6 +528,33 @@ def apply_word(base, word):
     return cycle
 
 
+def raw_cycle_levels(lowest: int) -> dict[int, set]:
+    """Every component tuple reachable at each degree from 9 down to lowest,
+    as written, not up to rotation or reflection: a breadth-first search
+    with its own blow-ups and Fano floor, sharing no code with
+    ``pole_cycles``."""
+
+    def fano(ring):
+        return all(s >= (1 if g else -1) for s, g in ring)
+
+    def moves(ring):
+        if len(ring) == 1:  # the node of the genus-1 loop separates its branches
+            yield ((ring[0][0] - 4, 0), (-1, 0))
+        else:
+            for i in range(len(ring)):  # the node between i and i + 1, cyclically
+                j = (i + 1) % len(ring)
+                cut = [(s - (k in (i, j)), g) for k, (s, g) in enumerate(ring)]
+                yield tuple(cut[:i + 1] + [(-1, 0)] + cut[i + 1:])
+        for i in range(len(ring)):
+            yield tuple((s - (k == i), g) for k, (s, g) in enumerate(ring))
+
+    levels = {9: {((1, 0), (1, 0), (1, 0)), ((4, 0), (1, 0)), ((9, 1),)}}
+    for degree in range(8, lowest - 1, -1):
+        levels[degree] = {succ for ring in levels[degree + 1] for succ in moves(ring)
+                          if fano(succ)}
+    return levels
+
+
 def pole_cycle_walk_ends(seed: int, words_per_base: int, max_moves: int = 8):
     """``(base name, components, K^2)`` at the end of each random word, walked
     on whole ``PoleCycle`` objects: every step builds each Fano-filtered

@@ -616,6 +616,31 @@ def test_a_short_message_reruns_the_chunk(monkeypatch):
     assert_no_child_left()
 
 
+def test_a_child_that_drops_trials_is_caught_by_the_count(monkeypatch):
+    # the child's tally of each block it runs silently leaves out the
+    # block's last trial; this process sleeps in its first block so that
+    # the child claims at least one, and the short trial count makes the
+    # finish run every trial here
+    expected = one_process(2, 600)
+    force_cpus(monkeypatch, 2)
+    forked = counted_forks(monkeypatch)
+    parent, here, real_tally = os.getpid(), [], conic_fibers._tally
+
+    def tally(seed, start, stop):
+        if os.getpid() != parent:
+            return real_tally(seed, start, stop - 1)
+        if not here:
+            time.sleep(0.2)
+        here.append(range(start, stop))
+        return real_tally(seed, start, stop)
+
+    monkeypatch.setattr(conic_fibers, "_tally", tally)
+    assert simulate(2, 600) == expected
+    assert len(forked) == 1
+    assert here[-1] == range(600)
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("failures", [(250,), (450, 250), (10, 450)])
 def test_a_failing_trial_raises_as_in_one_process(monkeypatch, failures):
     # at k = 3 the 600 trials are cut at 200 and 400: a failure in a child's

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cremonalab
+from checkout import run_python
 from cremonalab.dp5 import Representation, s5_representation, verify_homomorphism
 from cremonalab.groups import FiniteGroup, commutator_subgroup, conjugacy_classes, minimal_generators
 from cremonalab.jordan import jordan_index, normal_subgroups
@@ -45,6 +46,20 @@ def public_names(module):
 def test_all_lists_every_public_name(name):
     module = importlib.import_module(name)
     assert sorted(set(public_names(module)) - set(module.__all__)) == []
+
+
+def test_each_name_has_one_import_path_and_the_pure_modules_load_no_numpy():
+    # the package re-exports nothing, so importing it imports no submodule,
+    # and the modules built on the standard library alone leave numpy unloaded
+    script = (
+        "import sys\n"
+        "import cremonalab\n"
+        "print(sorted(m for m in sys.modules if m.startswith('cremonalab.')))\n"
+        "import cremonalab.conic_fibers, cremonalab.pole_cycles, cremonalab.report, cremonalab.rational\n"
+        "print('numpy' in sys.modules)\n")
+    result = run_python("-c", script, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\nFalse\n"
 
 
 def test_traced_layers_exist():

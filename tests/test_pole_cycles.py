@@ -135,6 +135,43 @@ def test_conservation_holds_on_every_reachable_cycle():
         assert classes == {canonical_components(c.components) for c, _ in configs}
 
 
+def reachable_classes():
+    """``{degree: {canonical components: witness}}`` from 9 (the bases) to 1,
+    in the walk the prop44 suite runs."""
+    bases = {canonical_components(base.components): base for base in base_pairs()}
+    return {9: bases, **dict(pole_cycles._levels(range(1, 9)))}
+
+
+def test_conservation_holds_on_every_reachable_class():
+    # Prop 4.4 exhaustively: blow-ups commute with relabeling the ring and the
+    # defect ignores it, so one witness per class covers every reachable cycle
+    classes = reachable_classes()
+    assert {degree: len(frontier) for degree, frontier in classes.items()} == {
+        9: 3, 8: 7, 7: 12, 6: 12, 5: 7, 4: 5, 3: 3, 2: 2, 1: 1}
+    for degree, frontier in classes.items():
+        for key, witness in frontier.items():
+            assert witness.k2 == degree and canonical_components(witness.components) == key
+            assert conservation_defect(witness) == 0, (key, degree)
+
+
+def test_every_sampled_word_ends_in_a_reachable_class():
+    # the sampled prop44.conservation row checks a subset of the classes above
+    classes = reachable_classes()
+    ends = {end for seed in range(10) for end in random_word_ends(seed, 1000)}
+    assert len(ends) == 115
+    for name, components, k2 in ends:
+        assert canonical_components(components) in classes[k2], (name, components, k2)
+
+
+def test_walk_classes_match_a_raw_breadth_first_search():
+    # the oracle keeps every tuple as written, 12, 26, 27 and 15 of them at
+    # degrees 8 to 5, and reduces none of them while it searches
+    raw = oracles.raw_cycle_levels(1)
+    assert [len(raw[degree]) for degree in range(8, 4, -1)] == [12, 26, 27, 15]
+    for degree, frontier in reachable_classes().items():
+        assert {canonical_components(ring) for ring in raw[degree]} == set(frontier), degree
+
+
 def test_genus_one_node_blow_up_splits_the_loop():
     cubic = next(b for b in base_pairs() if b.base_name == "nodal_cubic")
     split = blow_up_node(cubic, 0)
