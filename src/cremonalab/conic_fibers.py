@@ -596,15 +596,10 @@ def _tally(seed: int, start: int, stop: int) -> dict:
     return tally
 
 
-def _merge(seed: int, trials: int, tallies) -> dict:
-    """The simulation result of tallies that together cover every trial
-    once.  Folding only adds, the largest index is the histogram's largest
-    key (0 when no trial achieved one), the histogram is sorted and the
-    trials count is not read, so neither the tallies' order nor their cut
-    shows."""
-    total = Counter()
-    for tally in tallies:
-        total.update(tally)
+def _merge(seed: int, trials: int, total) -> dict:
+    """The simulation result of a tally of every trial, once.  Its trials
+    count is not read, and the largest index is its histogram's largest key
+    (0 when no trial achieved one)."""
     histogram = sorted((key, count) for key, count in total.items() if isinstance(key, int))
     return {"trials": trials, "seed": seed, **{name: total[name] for name in _COUNTERS},
             "max_index": histogram[-1][0] if histogram else 0,
@@ -628,19 +623,21 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _claim(seed: int, cuts: list[int], tokens: int, total: Counter) -> None:
-    """Run the blocks claimed from the token pipe's read end until none is
-    left, adding each block's tally to the running tally total."""
+def _claim(seed: int, cuts: list[int], tokens: int) -> Counter:
+    """The running tally of the blocks claimed from the token pipe's read
+    end, one after another until none is left."""
+    total = Counter()
     while token := os.read(tokens, 1):
         total.update(_tally(seed, cuts[token[0]], cuts[token[0] + 1]))
+    return total
 
 
-def _fork_claimer(seed: int, cuts: list[int], tokens: int, inherited: list[int]) -> tuple[int, int]:
+def _fork_claimer(seed: int, cuts: list[int], tokens: int) -> tuple[int, int]:
     """Fork a child that claims blocks from tokens until none is left and
     writes its marshalled running tally and the ``time.monotonic()`` at
     its end to a new pipe; return its pid and the pipe's read end.  The
-    child closes the read ends in inherited and always leaves by
-    ``os._exit``, so it never returns into the caller."""
+    child always leaves by ``os._exit``, so it never returns into the
+    caller, and its exit closes the read ends it inherits."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -652,11 +649,7 @@ def _fork_claimer(seed: int, cuts: list[int], tokens: int, inherited: list[int])
         code = 1
         try:
             os.close(read_end)
-            for fd in inherited:
-                os.close(fd)
-            total = Counter()
-            _claim(seed, cuts, tokens, total)
-            data = marshal.dumps((dict(total), time.monotonic()))
+            data = marshal.dumps((dict(_claim(seed, cuts, tokens)), time.monotonic()))
             while data:
                 data = data[os.write(write_end, data):]
             code = 0
@@ -689,52 +682,53 @@ def _started(seed: int, trials: int):
     its finish, a call that returns the ``simulate`` result and the seconds
     the trials took.
 
-    The trials are cut into blocks (``_block_cuts``), and every block number
-    is written as one byte into a token pipe before anything is forked.  A
-    process claims the next block by reading one byte; a pipe read is
-    atomic, so each block is claimed once, and an empty read means none is
-    left.  ``min(cpus, trials // MIN_TRIALS_PER_CHUNK) - 1`` children are
-    forked (none with one CPU, no ``os.fork`` or no token pipe to spare),
-    and each claims blocks from the start and sends one running tally,
-    which counts the trials it covers.  The finish claims the blocks still
-    left here: ``simulate`` calls it at once, sharing the blocks with the
-    children, and ``run_suite`` in the conic suite's turn, leaving the
-    children every block they reach while it runs the other suites.  The
-    finish then reads and reaps every child.  If the tallies it holds do
-    not count every trial once (a child failed in any way or sent a short
-    message, a trial raised here, after which this process claims no more,
-    or there was no token pipe), it drops them and runs every trial here.
-    So it gives the tally of every trial, or raises the error the first
-    failing trial raises, as one process running every trial would;
-    ``_merge`` only adds, so which process ran which block changes no
-    byte.  Leaving the ``with`` statement, after the finish or by any
-    exception (KeyboardInterrupt included), closes every pipe end and kills
-    and reaps the children not yet reaped.
+    ``min(cpus, trials // MIN_TRIALS_PER_CHUNK) - 1`` children are forked
+    (none with one CPU, no ``os.fork`` or no token pipe to spare).  Only if
+    there are any is a token pipe opened, holding the number of every block
+    of trials (``_block_cuts``) as one byte, written before anything is
+    forked.  A process claims the next block by reading one byte; a pipe
+    read is atomic, so each block is claimed once, and an empty read means
+    none is left.  Each child claims blocks from the start and sends one
+    running tally, which counts the trials it covers.  The finish claims the
+    blocks still left here: ``simulate`` calls it at once, and ``run_suite``
+    in the conic suite's turn, leaving the children every block they reach
+    while it runs the other suites.  It then reads and reaps every child.
+    If the tally it holds does not count every trial once (no child was
+    forked, a child failed in any way or sent a short message, or a trial
+    raised here, after which this process claims no more), it drops it and
+    runs every trial here as one tally.  So it gives the tally of every
+    trial, or raises the error the first failing trial raises, as one
+    process running every trial would; tallies fold only by adding, so which
+    process ran which block changes no byte.  Leaving the ``with``
+    statement, after the finish or by any exception (KeyboardInterrupt
+    included), closes every pipe end and kills and reaps the children not
+    yet reaped.
 
     The seconds are the longer of this process's own time on the trials
-    (forking and the blocks run here) and the span from the start to the
+    (forking and the trials run here) and the span from the start to the
     last child's end, so time spent on other work before the finish does
     not count.  ``time.monotonic`` is system-wide, so the end time a child
     sends compares with the start read here.
     """
     cpus = _available_cpus() if hasattr(os, "fork") else 1
+    forks = min(cpus, trials // MIN_TRIALS_PER_CHUNK) - 1
     cuts = _block_cuts(trials)
+    tokens = None  # the token pipe's read end, opened only for children to share
     children: list[tuple[int, int]] = []  # (pid, result pipe read end) per child
     waiting: set[int] = set()  # children not yet reaped
     try:
-        tokens, write_end = os.pipe()
-    except OSError:  # no pipe to spare: nothing is forked or claimed, the finish runs every block
-        tokens = write_end = None
-        cpus = 1
-    try:
-        if write_end is not None:
-            os.write(write_end, bytes(range(len(cuts) - 1)))  # far below a pipe's capacity
-            os.close(write_end)
-            write_end = None
-        started = time.monotonic()
-        for _ in range(min(cpus, trials // MIN_TRIALS_PER_CHUNK) - 1):
+        if forks > 0:
             try:
-                child = _fork_claimer(seed, cuts, tokens, [c[1] for c in children])
+                tokens, write_end = os.pipe()
+            except OSError:  # no pipe to spare: nothing is forked, the finish runs every trial
+                forks = 0
+            else:
+                with open(write_end, "wb") as pipe:  # closed before anything is forked
+                    pipe.write(bytes(range(len(cuts) - 1)))  # far below a pipe's capacity
+        started = time.monotonic()
+        for _ in range(forks):
+            try:
+                child = _fork_claimer(seed, cuts, tokens)
             except OSError:  # no process or pipe to spare: its blocks run here
                 break
             children.append(child)
@@ -746,7 +740,7 @@ def _started(seed: int, trials: int):
             total = Counter()
             if tokens is not None:
                 with suppress(Exception):  # raised again below, when every trial runs here
-                    _claim(seed, cuts, tokens, total)
+                    total = _claim(seed, cuts, tokens)
             here = forking + time.monotonic() - began
             last = 0.0
             for pid, read_end in children:
@@ -754,16 +748,14 @@ def _started(seed: int, trials: int):
                 if sent is not None:
                     total.update(sent[0])
                     last = max(last, sent[1] - started)
-            if total["trials"] != trials:  # a lost or miscounted block: run every trial here
+            if total["trials"] != trials:  # no child, or a lost or miscounted block: all here
                 began = time.monotonic()
                 total = _tally(seed, 0, trials)
                 here += time.monotonic() - began
-            return _merge(seed, trials, [total]), max(here, last)
+            return _merge(seed, trials, total), max(here, last)
 
         yield finish
     finally:
-        if write_end is not None:
-            os.close(write_end)
         if tokens is not None:
             os.close(tokens)
         for _, read_end in children:
@@ -783,9 +775,9 @@ def simulate(seed: int, trials: int) -> dict:
     exhaustive swap scan and the invariance oracle, so a zero failure count
     means the three routes agree.
 
-    It starts the trials and finishes them at once (``_started``), so this
-    process shares their blocks with the children forked for further
-    available CPUs; the result is that of one process running every trial.
+    It starts the trials and finishes them at once (``_started``), sharing
+    their blocks with the children forked for further available CPUs, if
+    any; the result is that of one process running every trial.
     """
     with _started(seed, trials) as finish:
         return finish()[0]

@@ -102,7 +102,6 @@ class InvariantLineReport:
     witness: tuple[int, ...] | None
     fix_space_dim: int
     complex_note: tuple[int, ...]
-    caveat: str = ""
     seconds: float = field(default=0.0, compare=False)  # set by dp5_suite
 
 
@@ -296,7 +295,6 @@ def rational_invariant_lines(
         witness=witness,
         fix_space_dim=len(fixed),
         complex_note=_complex_note(rep, subgroup, derived, fixed),
-        caveat="" if witness is None else CAVEAT,
     )
 
 

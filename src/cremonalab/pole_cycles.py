@@ -178,6 +178,15 @@ def _successors(cycle: PoleCycle) -> Iterator[PoleCycle]:
         yield blow_up_smooth(cycle, i)
 
 
+def _conserved(frontier: dict[tuple[Component, ...], PoleCycle]) -> dict[tuple[Component, ...], PoleCycle]:
+    """frontier, once Prop 4.4's conservation law holds on each witness in
+    it; else RuntimeError names the first class breaking it and the defect."""
+    for key, cycle in frontier.items():
+        if defect := conservation_defect(cycle):
+            raise RuntimeError("conservation defect %d on the degree-%d class %r" % (defect, cycle.k2, key))
+    return frontier
+
+
 def _levels(degrees: Iterable[int]) -> Iterator[tuple[int, dict[tuple[Component, ...], PoleCycle]]]:
     """``(degree, frontier)`` for each given degree, highest first, in one walk
     down from degree 9.  The frontier maps each canonical component tuple to
@@ -188,9 +197,7 @@ def _levels(degrees: Iterable[int]) -> Iterator[tuple[int, dict[tuple[Component,
     for degree in wanted:
         if not 1 <= degree <= 8:
             raise InvalidDegree("degree must be between 1 and 8, got %r" % (degree,))
-    frontier: dict[tuple[Component, ...], PoleCycle] = {}
-    for base in base_pairs():
-        frontier.setdefault(canonical_components(base.components), base)
+    frontier = _conserved({canonical_components(base.components): base for base in base_pairs()})
     for degree in range(8, min(wanted, default=9) - 1, -1):
         new_frontier: dict[tuple[Component, ...], PoleCycle] = {}
         for key in sorted(frontier):
@@ -198,7 +205,7 @@ def _levels(degrees: Iterable[int]) -> Iterator[tuple[int, dict[tuple[Component,
                 if not satisfies_fano_bound(succ):
                     continue
                 new_frontier.setdefault(canonical_components(succ.components), succ)
-        frontier = new_frontier
+        frontier = _conserved(new_frontier)
         if degree in wanted:
             yield degree, frontier
 

@@ -227,7 +227,7 @@ def run_suite(name: str, ns=DEFAULT_NS, seed: int = 0, trials: int = DEFAULT_TRI
     suite's turn this process claims the blocks still left, then collects
     the children's tallies, so the rows and their order are those of the
     suites run one after another.  With one CPU, no ``os.fork`` or too few
-    trials, nothing is forked and every block runs here in its turn.
+    trials, nothing is forked and every trial is tallied here in one piece.
     """
     if name not in SUITE_NAMES:
         raise UnknownSuite("unknown suite %r; expected one of %s" % (name, ", ".join(SUITE_NAMES)))

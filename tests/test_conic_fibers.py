@@ -457,7 +457,7 @@ def test_simulation_matches_recorded_counts(seed):
 
 def one_process(seed, trials):
     """The simulation of every trial tallied in one piece."""
-    return conic_fibers._merge(seed, trials, [conic_fibers._tally(seed, 0, trials)])
+    return conic_fibers._merge(seed, trials, conic_fibers._tally(seed, 0, trials))
 
 
 def force_cpus(monkeypatch, cpus):
@@ -741,6 +741,28 @@ def test_no_token_pipe_runs_every_block_here(monkeypatch):
     assert simulate(0, 600) == expected
     assert row_fields(run_suite("all")) == serial
     assert forked == []
+    assert_no_child_left()
+    assert open_fds() == before
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
+@pytest.mark.parametrize("cpus, trials", [(1, 600), (4, 2 * conic_fibers.MIN_TRIALS_PER_CHUNK - 1)])
+def test_no_child_opens_no_token_pipe_and_tallies_once(monkeypatch, cpus, trials):
+    # with one CPU, or too few trials for a child, nothing is forked and no
+    # pipe is opened: the finish tallies every trial in one piece
+    expected = one_process(1, trials)
+    serial = serial_report_all(monkeypatch, seed=1, trials=trials)
+    force_cpus(monkeypatch, cpus)
+    forked = counted_forks(monkeypatch)
+    pipes, tallied, real_pipe, real_tally = [], [], os.pipe, conic_fibers._tally
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(1) or real_pipe())
+    monkeypatch.setattr(conic_fibers, "_tally",
+                        lambda *span: tallied.append(span) or real_tally(*span))
+    before = open_fds()
+    assert simulate(1, trials) == expected
+    assert row_fields(run_suite("all", seed=1, trials=trials)) == serial
+    assert pipes == forked == []
+    assert tallied == [(1, 0, trials)] * 2
     assert_no_child_left()
     assert open_fds() == before
 

@@ -25,6 +25,7 @@ from cremonalab.pole_cycles import (
     satisfies_fano_bound,
     symmetry_group,
 )
+from cremonalab.suites import run_suite
 
 
 def random_cycle(rng: random.Random, max_moves: int = 6) -> PoleCycle:
@@ -152,6 +153,23 @@ def test_conservation_holds_on_every_reachable_class():
         for key, witness in frontier.items():
             assert witness.k2 == degree and canonical_components(witness.components) == key
             assert conservation_defect(witness) == 0, (key, degree)
+
+
+@pytest.mark.parametrize("degree", [9, 5, 1])
+def test_a_class_breaking_conservation_is_the_one_prop44_row(monkeypatch, degree):
+    # the walk behind the prop44 rows checks every witness it builds, the
+    # bases and the last level included, so one bad class fails the suite
+    bad = min(reachable_classes()[degree])
+
+    def defect(cycle):
+        hit = cycle.k2 == degree and canonical_components(cycle.components) == bad
+        return 1 if hit else conservation_defect(cycle)
+
+    monkeypatch.setattr(pole_cycles, "conservation_defect", defect)
+    rows = run_suite("prop44")
+    assert [(row.claim_id, row.status) for row in rows] == [("prop44.error", "fail")]
+    assert rows[0].computed == {"error": "RuntimeError: conservation defect 1 on the degree-%d class %r"
+                                         % (degree, bad)}
 
 
 def test_every_sampled_word_ends_in_a_reachable_class():

@@ -137,8 +137,8 @@ def test_cli_conic_simulate_deterministic():
 
 def test_conic_commands_share_one_verdict(monkeypatch, capsys):
     # an index over 16 with every counter clean fails conic.indexbound, so
-    # both commands, which both merge their trials' tallies, exit 1 on it
-    def merge(seed, trials, tallies):
+    # both commands, which both merge their trials' tally, exit 1 on it
+    def merge(seed, trials, total):
         return {"trials": trials, "seed": seed, "greedy_failures": 0, "invariance_failures": 0,
                 "scan_disagreements": 0, "bound_violations": 0, "max_index": 17,
                 "index_histogram": {"17": trials}, "no_clean_lift": 0, "inadmissible": 0}
